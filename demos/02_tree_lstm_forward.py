@@ -28,7 +28,7 @@ def main():
 
     flat = flatten(encoded)
     cache = forward(flat, model)
-    print("== per-node root-to-leaf states (post-order rows) ==")
+    print("== per-node states (rows by height: leaves first, root last) ==")
     for i in range(flat.n):
         token = vocab.tokens[flat.indices[i]]
         h = np.array2string(cache.H[i], precision=3, suppress_small=True)

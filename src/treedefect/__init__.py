@@ -41,6 +41,7 @@ from .synthetic import generate_multi_cell, generate_records, generate_source
 from .treelstm import (DropoutMasks, FlatTree, GateParams, NodeState, TreeLstmModel,
                        backward, flatten, forward, forward_root, init_model,
                        load_model, model_from_document, model_to_document,
-                       param_arrays, sample_masks, save_model, sigmoid, t_lstm)
+                       pack, param_arrays, sample_masks, save_model, sigmoid,
+                       t_lstm)
 
 __version__ = "0.1.0"

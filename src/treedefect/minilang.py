@@ -35,6 +35,12 @@ _KEYWORDS = frozenset(TYPE_KEYWORDS) | {"if", "else", "while", "for"}
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=", "&&", "||")
 _ONE_CHAR = "+-*/<>!=(){};,"
 
+# Statements, expressions and "!" operands that may be open at once. One level
+# costs at most ten interpreter frames (an expression, the binary precedence
+# levels, unary and primary before the next parenthesis), so the deepest input
+# stays far inside Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class Token:
@@ -124,6 +130,7 @@ class _Parser:
         self.pos = 0
         self.end_line = end_line
         self.end_col = end_col
+        self.nesting = 0
 
     def peek(self, ahead: int = 0) -> Token | None:
         idx = self.pos + ahead
@@ -151,6 +158,9 @@ class _Parser:
             self.fail(f"expected {text!r}")
         return self.take()
 
+    def too_deep(self):
+        self.fail(f"nesting deeper than {MAX_NESTING} levels")
+
     # --- statements ---
 
     def program(self) -> AstTree:
@@ -159,7 +169,17 @@ class _Parser:
             stmts.append(self.statement())
         return AstTree("CompilationUnit", tuple(stmts))
 
+    # statement, expression and "!" each open one nesting level and close it
+    # on success; a failure abandons the whole parse
     def statement(self) -> AstTree:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.too_deep()
+        node = self._statement()
+        self.nesting -= 1
+        return node
+
+    def _statement(self) -> AstTree:
         tok = self.peek()
         if tok is None:
             self.fail("expected statement")
@@ -257,21 +277,34 @@ class _Parser:
 
     # --- expressions ---
 
-    def expression(self, level: int = 0) -> AstTree:
+    def expression(self) -> AstTree:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.too_deep()
+        node = self._binary(0)
+        self.nesting -= 1
+        return node
+
+    def _binary(self, level: int) -> AstTree:
         if level == len(_BINARY_LEVELS):
             return self.unary()
-        node = self.expression(level + 1)
+        node = self._binary(level + 1)
         ops = _BINARY_LEVELS[level]
         while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in ops:
             self.take()
-            rhs = self.expression(level + 1)
+            rhs = self._binary(level + 1)
             node = AstTree(tok.text, (node, rhs))
         return node
 
     def unary(self) -> AstTree:
         if self.at("!"):
             tok = self.take()
-            return AstTree(tok.text, (self.unary(),))
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                self.too_deep()
+            node = AstTree(tok.text, (self.unary(),))
+            self.nesting -= 1
+            return node
         return self.primary()
 
     def primary(self) -> AstTree:
@@ -308,7 +341,9 @@ def parse_mini(source: str) -> AstTree:
 
     Literal nodes keep their raw text (digits, quoted strings); apply
     corpus.normalize_labels to collapse them. Raises MiniSyntaxError with a
-    1-based line/column on any lexical or syntax error, including empty input.
+    1-based line/column on any lexical or syntax error, including empty input
+    and nesting deeper than MAX_NESTING statements, expressions and "!"
+    operands.
     """
     lines = source.split("\n")
     end_line, end_col = len(lines), len(lines[-1]) + 1

@@ -25,10 +25,15 @@ from .corpus import FileRecord, Vocabulary, build_vocabulary, encode
 from .errors import CorpusError
 from .rng import stream
 from .treelstm import (DEFAULT_DEPTH_LIMIT, DropoutMasks, FlatTree, TreeLstmModel,
-                       backward, flatten, forward, init_model, param_arrays,
+                       backward, flatten, forward, init_model, pack, param_arrays,
                        sample_masks)
 
 HEAD_INIT_SCALE = 0.05
+
+# Nodes per pack (a larger tree is packed alone). A pack's forward and
+# backward arrays take a few kB per node, so this bounds peak memory for big
+# minibatches and validation sets while leaving each level many rows.
+PACK_NODES = 1024
 
 
 @dataclass
@@ -132,34 +137,35 @@ def parent_distribution(children_states, head: PretrainHead) -> np.ndarray:
     return p
 
 
-def _tree_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
+def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
                masks: DropoutMasks | None, grads: dict[str, np.ndarray] | None,
-               scale: float = 1.0) -> tuple[float, int]:
-    """(summed NLL, internal-node count) for one tree; accumulates gradients
+               scale: float = 1.0) -> np.ndarray:
+    """Summed NLL of each tree in the pack `flat`; accumulates gradients
     scaled by `scale` into `grads` when given."""
     cache = forward(flat, model, masks)
-    internal = np.flatnonzero(np.diff(flat.edge_start))
-    m = len(internal)
-    if m == 0:
-        return 0.0, 0
-    G = np.empty((m, model.hidden_dim))
-    for row, i in enumerate(internal):
-        G[row] = cache.H[flat.children[i]].mean(axis=0)
-    targets = flat.indices[internal]
+    if flat.n_internal == 0:
+        return np.zeros(flat.n_trees)
+    # leaves come first, so the internal nodes are the run after them, and
+    # their edges, grouped by parent, are every edge in the same order
+    first = flat.n - flat.n_internal
+    k = np.diff(flat.edge_start[first:])[:, None]
+    G = np.add.reduceat(cache.H[flat.edge_child], flat.edge_start[first:-1], axis=0) / k
+    rows = np.arange(len(k))
+    targets = flat.indices[first:]
     P = _softmax_rows(G @ head.U.T)
-    nll = -float(np.log(P[np.arange(m), targets]).sum())
+    nll = np.bincount(flat.tree[first:], weights=-np.log(P[rows, targets]),
+                      minlength=flat.n_trees)
     if grads is not None:
         dZ = P
-        dZ[np.arange(m), targets] -= 1.0
+        dZ[rows, targets] -= 1.0
         dZ *= scale
         grads["head.U"] += dZ.T @ G
         dG = dZ @ head.U
         dH = np.zeros_like(cache.H)
-        for row, i in enumerate(internal):
-            ch = flat.children[i]
-            dH[ch] += dG[row] / len(ch)
+        # every node has at most one parent: one scatter spreads the means back
+        dH[flat.edge_child] = np.repeat(dG / k, k[:, 0], axis=0)
         backward(flat, model, cache, dH, grads)
-    return nll, m
+    return nll
 
 
 def _require_trees(trees) -> None:
@@ -171,6 +177,19 @@ def _flatten_all(trees, depth_limit: int) -> list[FlatTree]:
     return [t if isinstance(t, FlatTree) else flatten(t, depth_limit) for t in trees]
 
 
+def _chunks(flats: list[FlatTree], masks: list[DropoutMasks] | None):
+    """Packs of consecutive trees, with their masks, of at most PACK_NODES
+    nodes each."""
+    start = 0
+    while start < len(flats):
+        stop, nodes = start + 1, flats[start].n
+        while stop < len(flats) and nodes + flats[stop].n <= PACK_NODES:
+            nodes += flats[stop].n
+            stop += 1
+        yield pack(flats[start:stop], masks[start:stop] if masks else None)
+        start = stop
+
+
 def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
                 masks: list[DropoutMasks] | None = None,
                 depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
@@ -180,12 +199,10 @@ def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
     training-time loss; None evaluates without dropout.
     """
     _require_trees(trees)
-    flats = _flatten_all(trees, depth_limit)
     total, count = 0.0, 0
-    for k, flat in enumerate(flats):
-        nll, m = _tree_loss(flat, model, head, masks[k] if masks else None, None)
-        total += nll
-        count += m
+    for flat, packed_masks in _chunks(_flatten_all(trees, depth_limit), masks):
+        total += float(_pack_loss(flat, model, head, packed_masks, None).sum())
+        count += flat.n_internal
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
     return total / count
@@ -207,10 +224,8 @@ def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
     grads["head.U"] = np.zeros_like(head.U)
     scale = 1.0 / count
     total = 0.0
-    for k, flat in enumerate(flats):
-        nll, _ = _tree_loss(flat, model, head, masks[k] if masks else None,
-                            grads, scale)
-        total += nll
+    for flat, packed_masks in _chunks(flats, masks):
+        total += float(_pack_loss(flat, model, head, packed_masks, grads, scale).sum())
     return total / count, grads
 
 
@@ -302,26 +317,28 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
     for epoch in range(1, config.max_epochs + 1):
         order = batch_rng.permutation(len(train_flats))
         epoch_nll, epoch_nodes = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
+        for number, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = [train_flats[i] for i in order[start:start + config.batch_size]]
-            count = sum(f.n_internal for f in batch)
+            masks = None
             if config.dropout_rate > 0:
                 masks = [sample_masks(f, config.dropout_rate, model.d,
                                       model.hidden_dim, dropout_rng) for f in batch]
-            else:
-                masks = [None] * len(batch)
+            count = sum(f.n_internal for f in batch)
             if count == 0:
                 continue
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            scale = 1.0 / count
-            for flat, mask in zip(batch, masks):
-                nll, _ = _tree_loss(flat, model, head, mask, grads, scale)
-                epoch_nll += nll
+            try:
+                loss, grads = loss_and_gradients(batch, model, head, masks)
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"{exc} (epoch {epoch}, batch {number})") from exc
+            epoch_nll += loss * count
             epoch_nodes += count
             rmsprop_step(params, grads, state, config)
         if epoch_nodes == 0:
             raise CorpusError("training partition has no internal nodes")
-        val_perp = perplexity(model, head, val_flats)
+        try:
+            val_perp = perplexity(model, head, val_flats)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{exc} (epoch {epoch}, validation)") from exc
         improved = val_perp < best_perp
         if improved:
             best_perp = val_perp

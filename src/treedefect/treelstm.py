@@ -1,4 +1,4 @@
-"""Child-Sum Tree-LSTM: forward recursion, backward pass, model file I/O.
+"""Child-Sum Tree-LSTM: level-batched forward and backward passes, model I/O.
 
 Per node t with children C(t), input embedding w_t and per-child states
 (h_k, c_k):
@@ -12,9 +12,18 @@ Per node t with children C(t), input embedding w_t and per-child states
     h_t  = o_t * tanh(c_t)
 
 Leaves use h~ = 0 and an empty forget sum. Children are aggregated by sum, so
-the state is invariant to child order. Trees are flattened to post-order
-arrays once and reused; both passes are iterative, never recursive, so depth
-is bounded by the configured limit rather than the interpreter stack.
+the state is invariant to child order (Tai et al. 2015, arXiv:1503.00075).
+
+Each tree is flattened once to arrays whose nodes are sorted by height
+(`flatten`); `pack` merges a minibatch of them into one FlatTree, and a
+single tree is simply a pack of one. The passes run by height level rather
+than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
+forward evaluates every node of every tree as a leaf in one vectorised step,
+then recomputes the nodes of height 1, 2, ... across all trees at once with a
+few matrix products on contiguous row ranges, summing children with
+np.add.reduceat over parent-grouped edges. Backward walks the same levels
+from the top down. Nothing recurses, so depth is bounded by the configured
+limit rather than the interpreter stack.
 
 During pretraining an optional dropout mask pair is applied to the embedding
 input w_t and to the aggregate h~ (inverted scaling, so inference needs no
@@ -23,7 +32,9 @@ adjustment).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,18 +117,24 @@ def param_arrays(model: TreeLstmModel) -> dict[str, np.ndarray]:
 
 @dataclass
 class FlatTree:
-    """Post-order array form of one EncodedTree (root is the last node).
+    """Array form of one EncodedTree, or of a packed forest of them.
 
-    Edges (parent, child) are stored grouped by parent: node i's incoming
-    child edges occupy edge_child[edge_start[i]:edge_start[i+1]].
+    Nodes are ordered by height (0 at a leaf, one more than the tallest child
+    otherwise), ties kept in tree order and then post-order, so children
+    precede parents and each height level is one contiguous run of positions
+    across all trees. A lone tree's root is its last node. Edges (parent,
+    child) are stored grouped by parent: node i's incoming child edges occupy
+    edge_child[edge_start[i]:edge_start[i+1]], so each level's edges are
+    contiguous too.
     """
 
-    indices: np.ndarray       # (n,) vocab index per node
-    children: list[np.ndarray]  # per node, post-order positions of children
-    edge_parent: np.ndarray   # (E,)
-    edge_child: np.ndarray    # (E,)
-    edge_start: np.ndarray    # (n+1,)
-    depth: int
+    indices: np.ndarray     # (n,) vocab index per node
+    height: np.ndarray      # (n,) non-decreasing
+    edge_child: np.ndarray  # (E,)
+    edge_start: np.ndarray  # (n+1,)
+    tree: np.ndarray        # (n,) number of the tree each node belongs to
+    roots: np.ndarray       # (trees,) position of each tree's root
+    names: tuple[str | None, ...]  # per tree, for error messages
 
     @property
     def n(self) -> int:
@@ -129,16 +146,54 @@ class FlatTree:
 
     @property
     def n_internal(self) -> int:
-        return int(np.count_nonzero(np.diff(self.edge_start)))
+        return int(np.count_nonzero(self.height))
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
+
+    @property
+    def depth(self) -> int:
+        """Nodes on the longest root-to-leaf path of any tree."""
+        return int(self.height[-1]) + 1
+
+    @cached_property
+    def edge_parent(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n, dtype=np.intp), np.diff(self.edge_start))
+
+    @cached_property
+    def levels(self) -> list[tuple[int, int, int, int]]:
+        """(first node, end node, first edge, end edge) of each height, leaves first."""
+        bounds = np.searchsorted(self.height, np.arange(self.depth + 1)).tolist()
+        edges = self.edge_start[bounds].tolist()
+        return list(zip(bounds[:-1], bounds[1:], edges[:-1], edges[1:]))
+
+
+def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray,
+                      edge_child: np.ndarray, edge_start: np.ndarray, tree: np.ndarray,
+                      roots: np.ndarray, names: tuple) -> FlatTree:
+    """FlatTree whose node j is node order[j] of the given arrays."""
+    n = len(order)
+    new_pos = np.empty(n, dtype=np.intp)
+    new_pos[order] = np.arange(n, dtype=np.intp)
+    counts = np.diff(edge_start)[order]
+    new_start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=new_start[1:])
+    # old index of each new edge: every parent's old edge run, in the new order
+    old_edge = (np.repeat(edge_start[:-1][order] - new_start[:-1], counts)
+                + np.arange(new_start[-1], dtype=np.intp))
+    return FlatTree(indices[order], height[order], new_pos[edge_child[old_edge]],
+                    new_start, tree[order], new_pos[roots], names)
 
 
 def flatten(tree: EncodedTree, depth_limit: int = DEFAULT_DEPTH_LIMIT,
             name: str | None = None) -> FlatTree:
     indices: list[int] = []
-    children: list[np.ndarray] = []
+    height: list[int] = []
+    counts: list[int] = []
+    edge_child: list[int] = []
     positions: list[int] = []
     work: list[tuple[EncodedTree, int, bool]] = [(tree, 1, False)]
-    max_depth = 0
     while work:
         node, depth, expanded = work.pop()
         if not expanded:
@@ -146,28 +201,29 @@ def flatten(tree: EncodedTree, depth_limit: int = DEFAULT_DEPTH_LIMIT,
                 where = f" in {name}" if name else ""
                 raise DepthLimitError(
                     f"tree depth exceeds the limit of {depth_limit} nodes{where}")
-            if depth > max_depth:
-                max_depth = depth
             work.append((node, depth, True))
             for child in reversed(node.children):
                 work.append((child, depth + 1, False))
         else:
             k = len(node.children)
-            child_pos = positions[len(positions) - k:] if k else []
             if k:
-                del positions[len(positions) - k:]
-            pos = len(indices)
+                child_pos = positions[-k:]
+                del positions[-k:]
+                edge_child.extend(child_pos)
+                height.append(1 + max(height[c] for c in child_pos))
+            else:
+                height.append(0)
+            counts.append(k)
+            positions.append(len(indices))
             indices.append(node.index)
-            children.append(np.asarray(child_pos, dtype=np.intp))
-            positions.append(pos)
-    counts = np.array([len(c) for c in children], dtype=np.intp)
-    edge_start = np.zeros(len(indices) + 1, dtype=np.intp)
+    n = len(indices)
+    heights = np.asarray(height, dtype=np.intp)
+    edge_start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=edge_start[1:])
-    edge_child = (np.concatenate(children) if edge_start[-1] else
-                  np.empty(0, dtype=np.intp))
-    edge_parent = np.repeat(np.arange(len(indices), dtype=np.intp), counts)
-    return FlatTree(np.asarray(indices, dtype=np.intp), children,
-                    edge_parent, edge_child, edge_start, max_depth)
+    return _sorted_by_height(np.argsort(heights, kind="stable"),
+                             np.asarray(indices, dtype=np.intp), heights,
+                             np.asarray(edge_child, dtype=np.intp), edge_start,
+                             np.zeros(n, dtype=np.intp), np.array([n - 1]), (name,))
 
 
 @dataclass
@@ -188,6 +244,32 @@ def sample_masks(flat: FlatTree, rate: float, d: int, hidden_dim: int,
     return DropoutMasks(w, agg)
 
 
+def pack(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None
+         ) -> tuple[FlatTree, DropoutMasks | None]:
+    """Merge trees, and their dropout masks when given, into one FlatTree
+    that forward and backward process in a single pass. Tree numbers follow
+    the order of `flats`; per-tree results are those of the trees alone."""
+    node_base = np.cumsum([0] + [f.n for f in flats])
+    edge_base = np.cumsum([0] + [f.n_edges for f in flats])
+    tree_base = np.cumsum([0] + [f.n_trees for f in flats])
+    height = np.concatenate([f.height for f in flats])
+    order = np.argsort(height, kind="stable")
+    flat = _sorted_by_height(
+        order,
+        np.concatenate([f.indices for f in flats]),
+        height,
+        np.concatenate([f.edge_child + b for f, b in zip(flats, node_base)]),
+        np.concatenate([f.edge_start[:-1] + b for f, b in zip(flats, edge_base)]
+                       + [edge_base[-1:]]),
+        np.concatenate([f.tree + b for f, b in zip(flats, tree_base)]),
+        np.concatenate([f.roots + b for f, b in zip(flats, node_base)]),
+        sum((f.names for f in flats), ()))
+    if masks is None:
+        return flat, None
+    return flat, DropoutMasks(np.concatenate([m.w for m in masks])[order],
+                              np.concatenate([m.agg for m in masks])[order])
+
+
 @dataclass
 class ForwardCache:
     X: np.ndarray    # (n, d) embedding input after masking
@@ -204,49 +286,59 @@ class ForwardCache:
 
 def forward(flat: FlatTree, model: TreeLstmModel,
             masks: DropoutMasks | None = None) -> ForwardCache:
+    """States of every node of every tree in `flat`.
+
+    Raises ArithmeticError naming the first tree with a non-finite hidden
+    state.
+    """
     n, hd = flat.n, model.hidden_dim
     X = model.embeddings.values.T[flat.indices]
     if masks is not None:
         X = X * masks.w
     gf, gi, gc, go = model.forget, model.input, model.cell, model.output
-    # x-dependent gate terms for the whole tree in four matmuls
-    AF = X @ gf.W.T + gf.b
+    # x-dependent gate terms for all nodes in four matmuls
+    AF = (X @ gf.W.T + gf.b)[flat.edge_parent]  # one row per edge
     AI = X @ gi.W.T + gi.b
     AC = X @ gc.W.T + gc.b
     AO = X @ go.W.T + go.b
     UfT, UiT, UcT, UoT = gf.U.T, gi.U.T, gc.U.T, go.U.T
+    # every node as a leaf (h~ = 0, no forget terms) in one step; each level
+    # above the leaves then overwrites its nodes, whose children are final
     I = sigmoid(AI)
     CB = np.tanh(AC)
     O = sigmoid(AO)
     C = I * CB
+    TC = np.tanh(C)
+    H = O * TC
     HT = np.zeros((n, hd))
     F = np.empty((flat.n_edges, hd))
     edge_start = flat.edge_start
-    TC = np.tanh(C)
-    H = O * TC
-    # leaf states above are final; internal nodes are recomputed in post-order
-    for i in np.flatnonzero(np.diff(edge_start)):
-        ch = flat.children[i]
+    for lo, hi, e0, e1 in flat.levels[1:]:
+        ch = flat.edge_child[e0:e1]
+        starts = edge_start[lo:hi] - e0
         Hch = H[ch]
-        s0, s1 = edge_start[i], edge_start[i + 1]
-        f = sigmoid(AF[i] + Hch @ UfT)
-        F[s0:s1] = f
-        s = Hch.sum(axis=0)
-        ht = s * masks.agg[i] if masks is not None else s
-        HT[i] = ht
-        i_g = sigmoid(AI[i] + ht @ UiT)
-        cb = np.tanh(AC[i] + ht @ UcT)
-        c = i_g * cb + (f * C[ch]).sum(axis=0)
-        o = sigmoid(AO[i] + ht @ UoT)
+        f = sigmoid(AF[e0:e1] + Hch @ UfT)
+        F[e0:e1] = f
+        ht = np.add.reduceat(Hch, starts, axis=0)
+        if masks is not None:
+            ht *= masks.agg[lo:hi]
+        HT[lo:hi] = ht
+        i_g = sigmoid(AI[lo:hi] + ht @ UiT)
+        cb = np.tanh(AC[lo:hi] + ht @ UcT)
+        c = i_g * cb + np.add.reduceat(f * C[ch], starts, axis=0)
+        o = sigmoid(AO[lo:hi] + ht @ UoT)
         tc = np.tanh(c)
-        I[i] = i_g
-        CB[i] = cb
-        O[i] = o
-        C[i] = c
-        TC[i] = tc
-        H[i] = o * tc
+        I[lo:hi] = i_g
+        CB[lo:hi] = cb
+        O[lo:hi] = o
+        C[lo:hi] = c
+        TC[lo:hi] = tc
+        H[lo:hi] = o * tc
     if not np.all(np.isfinite(H)):
-        raise ArithmeticError("non-finite hidden state in tree forward pass")
+        tree = int(flat.tree[~np.isfinite(H).all(axis=1)].min())
+        name = flat.names[tree]
+        raise ArithmeticError("non-finite hidden state in the tree forward pass of "
+                              + (name if name else f"tree {tree}"))
     return ForwardCache(X, HT, I, CB, O, TC, H, C, F, masks)
 
 
@@ -255,43 +347,46 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     """Backpropagation through structure.
 
     `dH` holds the loss gradient injected at each node's hidden state and is
-    consumed (mutated) in reverse post-order; parameter gradients are added
-    into `grads` (keys as in param_arrays).
+    consumed (mutated): levels are visited from the top down, and each adds
+    its contribution to its children's rows of `dH` before they are visited.
+    Parameter gradients are added into `grads` (keys as in param_arrays).
     """
     n, hd = flat.n, model.hidden_dim
     gf, gi, gc, go = model.forget, model.input, model.cell, model.output
-    edge_start = flat.edge_start
     masks = cache.masks
+    edge_start = flat.edge_start
     dC = np.zeros((n, hd))
     dAi = np.empty((n, hd))
     dAc = np.empty((n, hd))
     dAo = np.empty((n, hd))
     dAf = np.empty((flat.n_edges, hd))
     I, CB, O, TC, C, F = cache.I, cache.CB, cache.O, cache.TC, cache.C, cache.F
-    for i in range(n - 1, -1, -1):
-        dh = dH[i]
-        o = O[i]
-        tc = TC[i]
-        dc = dC[i] + dh * o * (1.0 - tc * tc)
+    for lo, hi, e0, e1 in reversed(flat.levels):
+        dh = dH[lo:hi]
+        o = O[lo:hi]
+        tc = TC[lo:hi]
+        dc = dC[lo:hi] + dh * o * (1.0 - tc * tc)
         da_o = dh * tc * o * (1.0 - o)
-        i_g = I[i]
-        cb = CB[i]
+        i_g = I[lo:hi]
+        cb = CB[lo:hi]
         da_i = dc * cb * i_g * (1.0 - i_g)
         da_c = dc * i_g * (1.0 - cb * cb)
-        dAi[i] = da_i
-        dAc[i] = da_c
-        dAo[i] = da_o
-        s0, s1 = edge_start[i], edge_start[i + 1]
-        if s1 > s0:
-            ch = flat.children[i]
-            f = F[s0:s1]
-            da_f = (C[ch] * dc) * f * (1.0 - f)
-            dAf[s0:s1] = da_f
-            dC[ch] += f * dc
+        dAi[lo:hi] = da_i
+        dAc[lo:hi] = da_c
+        dAo[lo:hi] = da_o
+        if e1 > e0:
+            ch = flat.edge_child[e0:e1]
+            counts = np.diff(edge_start[lo:hi + 1])
+            f = F[e0:e1]
+            dc_e = np.repeat(dc, counts, axis=0)
+            da_f = (C[ch] * dc_e) * f * (1.0 - f)
+            dAf[e0:e1] = da_f
+            # each child has one parent, so no index repeats within a level
+            dC[ch] += f * dc_e
             dht = da_i @ gi.U + da_c @ gc.U + da_o @ go.U
             if masks is not None:
-                dht *= masks.agg[i]
-            dH[ch] += dht + da_f @ gf.U
+                dht *= masks.agg[lo:hi]
+            dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ gf.U
     X, HT, H = cache.X, cache.HT, cache.H
     grads["input.W"] += dAi.T @ X
     grads["input.U"] += dAi.T @ HT

@@ -73,6 +73,22 @@ def test_ingest_bad_file_exit_codes(tmp_path, capsys):
     assert [r.file_id for r in read_corpus(out)] == ["good.mini"]
 
 
+def test_ingest_deeply_nested_source_is_bad_input(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "good.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    (src / "deep.mini").write_text("x = " + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+                                   encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", str(src), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "deep.mini" in err and "nesting deeper than" in err
+    assert not out.exists()
+    assert main(["ingest", str(src), "--output", str(out), "--skip-bad"]) == 0
+    assert "skipped 1 bad input file" in capsys.readouterr().err
+    assert [r.file_id for r in read_corpus(out)] == ["good.mini"]
+
+
 def test_ingest_merges_documents_and_rejects_duplicates(tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"

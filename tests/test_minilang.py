@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treedefect import AstTree, MiniSyntaxError, parse_mini
-from treedefect.minilang import tokenize
+from treedefect.minilang import MAX_NESTING, tokenize
 
 
 def leaf(label):
@@ -192,3 +193,68 @@ def test_keyword_cannot_start_expression():
 def test_identifiers_with_underscores_and_digits():
     tree = parse_mini("_a1 = b_2;")
     assert tree.children[0] == AstTree("AssignStmt", (leaf("_a1"), leaf("b_2")))
+
+
+# Sources whose innermost token sits under exactly k open nesting levels
+# (statements, expressions and "!" operands).
+NESTED = {
+    "parentheses": lambda k: "x = " + "(" * (k - 2) + "1" + ")" * (k - 2) + ";",
+    "blocks": lambda k: "{\n" * (k - 2) + "x;\n" + "}\n" * (k - 2),
+    "negations": lambda k: "x = " + "!" * (k - 2) + "y;",
+    "if statements": lambda k: "if (a) " * (k - 2) + "x;",
+    "calls": lambda k: "x = " + "f(" * (k - 2) + "1" + ")" * (k - 2) + ";",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_limit(kind):
+    parse_mini(NESTED[kind](MAX_NESTING))
+    with pytest.raises(MiniSyntaxError, match="nesting deeper than"):
+        parse_mini(NESTED[kind](MAX_NESTING + 1))
+
+
+def test_nesting_error_position():
+    with pytest.raises(MiniSyntaxError) as info:
+        parse_mini(NESTED["parentheses"](MAX_NESTING + 1))
+    # the literal after the last "(" is the first token past the limit
+    assert (info.value.line, info.value.col) == (1, len("x = ") + MAX_NESTING)
+    with pytest.raises(MiniSyntaxError) as info:
+        parse_mini(NESTED["blocks"](MAX_NESTING + 1))
+    assert (info.value.line, info.value.col) == (MAX_NESTING, 1)
+
+
+def test_nesting_3000_deep_is_a_syntax_error():
+    for make in NESTED.values():
+        with pytest.raises(MiniSyntaxError):
+            parse_mini(make(3000))
+
+
+_TOKENS = ("(", ")", "{", "}", "!", ";", ",", "=", "==", "+", "*", "<", "&&",
+           "x", "f", "12", '"s"', "int", "if", "else", "while", "for", "/*", "*/",
+           "//", "\n", "@")
+_OPEN_CLOSE = (("(", ")"), ("{", "}"), ("!", ""), ("if (a) ", ""), ("f(", ")"),
+               ("while (1) {", "}"), ("for (;", ";) x;"), ("", ""))
+
+
+@st.composite
+def nested_sources(draw):
+    opener, closer = draw(st.sampled_from(_OPEN_CLOSE))
+    depth = draw(st.integers(0, 3000))
+    prefix = draw(st.sampled_from(("", "x = ", "int y = ", "if (")))
+    body = draw(st.sampled_from(("", "1", "x;", "{}")))
+    suffix = draw(st.sampled_from(("", ";", ")", ") x;")))
+    return prefix + opener * depth + body + closer * depth + suffix
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(),
+                 st.lists(st.sampled_from(_TOKENS), max_size=60).map(" ".join),
+                 nested_sources()))
+def test_any_text_parses_or_raises_syntax_error(source):
+    try:
+        tree = parse_mini(source)
+    except MiniSyntaxError as exc:
+        assert exc.line >= 1 and exc.col >= 1
+    else:
+        assert tree.label == "CompilationUnit"
+

@@ -1,16 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from treedefect import (CorpusError, NodeState, PretrainHead, RmspropState,
+from treedefect import (AstTree, CorpusError, NodeState, PretrainHead, RmspropState,
                         TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary,
                         corpus_loss, encode, flatten, generate_records,
-                        init_head, init_model, loss_and_gradients,
+                        init_head, init_model, loss_and_gradients, node_count,
                         param_arrays, parent_distribution, perplexity,
                         pretrain, pretrain_with_config, rmsprop_step,
                         sample_masks, split_records, write_training_log)
+from treedefect.pretrain import PACK_NODES
+from treedefect.rng import stream
 
 from conftest import random_encoded_tree, small_vocab
 from test_treelstm import scaled_model
@@ -102,6 +105,28 @@ def test_corpus_duplication_leaves_loss_and_gradients_unchanged():
     assert loss_twice == pytest.approx(loss_once, abs=1e-12)
     for key, g in grads_once.items():
         np.testing.assert_allclose(grads_twice[key], g, rtol=0, atol=1e-12)
+
+
+def test_chunked_loss_and_gradients_equal_per_tree_sums():
+    rng = np.random.default_rng(53)
+    model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=22, scale=0.5)
+    head = scaled_head(6, 3, seed=22)
+    trees = []
+    while sum(node_count(t) for t in trees) <= 2 * PACK_NODES:
+        trees.append(random_encoded_tree(rng, vocab_size=6, max_nodes=30))
+    counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
+    total = sum(counts)
+    ref = sum(oracles.tree_nll(t, model, head.U)[0] for t in trees) / total
+    assert corpus_loss(trees, model, head) == pytest.approx(ref, abs=1e-12)
+    loss, grads = loss_and_gradients(trees, model, head)
+    assert loss == pytest.approx(ref, abs=1e-12)
+    summed = {key: np.zeros_like(g) for key, g in grads.items()}
+    for tree, count in zip(trees, counts):
+        if count:
+            for key, g in loss_and_gradients([tree], model, head)[1].items():
+                summed[key] += g * (count / total)
+    for key, g in grads.items():
+        np.testing.assert_allclose(g, summed[key], rtol=0, atol=1e-12)
 
 
 def _fd_corpus_worst(trees, model, head, masks=None, eps=1e-5):
@@ -291,3 +316,28 @@ def test_write_training_log(tmp_path):
     assert int(first[0]) == 1
     assert float(first[1]) == result.log[0].train_loss
     assert first[3] in {"0", "1"}
+
+
+def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
+    records = generate_records(n=30, seed=19)
+    config = small_config(max_epochs=2, seed=23)
+    train, _, _ = split_records(records, config.split, config.seed)
+    poisoned = train[5]
+    poisoned.tree = AstTree("poison", (poisoned.tree,))
+    vocab = build_vocabulary([r.tree for r in records], size=100, min_count=1)
+    module = sys.modules["treedefect.pretrain"]
+    real_init = module.init_model
+
+    def poisoned_init(*args, **kwargs):
+        model = real_init(*args, **kwargs)
+        model.embeddings.values[:, vocab.index("poison")] = np.nan
+        return model
+
+    monkeypatch.setattr(module, "init_model", poisoned_init)
+    order = stream(config.seed, "batches").permutation(len(train)).tolist()
+    batch = order.index(5) // config.batch_size + 1
+    with pytest.raises(ArithmeticError) as info:
+        pretrain(records, config, vocab=vocab)
+    assert poisoned.file_id in str(info.value)
+    assert f"(epoch 1, batch {batch})" in str(info.value)
+

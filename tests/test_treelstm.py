@@ -3,11 +3,12 @@ import pytest
 
 import oracles
 from treedefect import (AstTree, DepthLimitError, DropoutMasks, EncodedTree,
-                        FileRecord, UNK_TOKEN, Vocabulary, backward, flatten,
-                        forward, forward_root, init_model, load_model,
-                        model_from_document, model_to_document, param_arrays,
-                        sample_masks, save_model, sigmoid, t_lstm)
+                        FileRecord, FlatTree, UNK_TOKEN, Vocabulary, backward,
+                        flatten, forward, forward_root, init_model, load_model,
+                        model_from_document, model_to_document, pack,
+                        param_arrays, sample_masks, save_model, sigmoid, t_lstm)
 from treedefect.errors import DocumentError
+from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
 
 from conftest import random_encoded_tree, small_vocab
@@ -119,8 +120,9 @@ def test_flatten_layout():
     tree = EncodedTree(0, (EncodedTree(1),
                            EncodedTree(2, (EncodedTree(3), EncodedTree(4)))))
     flat = flatten(tree)
-    assert flat.indices.tolist() == [1, 3, 4, 2, 0]  # post-order, root last
-    assert [c.tolist() for c in flat.children] == [[], [], [], [1, 2], [0, 3]]
+    assert flat.indices.tolist() == [1, 3, 4, 2, 0]  # by height, root last
+    assert [flat.edge_child[flat.edge_start[i]:flat.edge_start[i + 1]].tolist()
+            for i in range(flat.n)] == [[], [], [], [1, 2], [0, 3]]
     assert flat.edge_start.tolist() == [0, 0, 0, 0, 2, 4]
     assert flat.edge_child.tolist() == [1, 2, 0, 3]
     assert flat.edge_parent.tolist() == [3, 3, 4, 4]
@@ -191,8 +193,9 @@ def test_identity_masks_do_not_change_forward():
 
 def _finite_difference_worst(tree, model, masks=None, eps=1e-5):
     """Worst per-element relative error between backward() and central
-    differences of loss(theta) = sum of all hidden states."""
-    flat = flatten(tree)
+    differences of loss(theta) = sum of all hidden states. `tree` may also
+    be a FlatTree, such as a pack."""
+    flat = tree if isinstance(tree, FlatTree) else flatten(tree)
     params = param_arrays(model)
 
     def loss():
@@ -308,3 +311,82 @@ def test_model_document_validation():
     bad["head"] = {}
     with pytest.raises(DocumentError, match="head"):
         model_from_document(bad)
+
+
+def mixed_forest(rng, vocab_size):
+    """A single node, a chain, a wide tree, and a tree 15 levels deep with
+    side branches at every level, shaped like the benchmark's deep sources."""
+    chain = EncodedTree(1)
+    for idx in (2, 3, 4, 0, 5, 1, 2, 3):
+        chain = EncodedTree(idx % vocab_size, (chain,))
+    wide = EncodedTree(2, tuple(EncodedTree(i % vocab_size) for i in range(12)))
+    deep = EncodedTree(int(rng.integers(vocab_size)))
+    for _ in range(14):
+        side = [random_encoded_tree(rng, vocab_size, max_nodes=8, min_nodes=2)
+                for _ in range(int(rng.integers(2, 6)))]
+        kids = [deep, *side]
+        deep = EncodedTree(int(rng.integers(vocab_size)),
+                           tuple(kids[i] for i in rng.permutation(len(kids))))
+    return [EncodedTree(3), chain, wide, deep]
+
+
+def test_pack_matches_recursive_oracles_per_tree():
+    rng = np.random.default_rng(61)
+    model = scaled_model(vocab_size=7, d=4, hidden_dim=3, seed=19, scale=0.5)
+    head = PretrainHead(np.random.default_rng(62).uniform(-0.8, 0.8, size=(7, 3)))
+    trees = mixed_forest(rng, 7) + [random_encoded_tree(rng, 7, max_nodes=15)
+                                    for _ in range(4)]
+    flat, _ = pack([flatten(t) for t in trees])
+    assert flat.n_trees == len(trees) and flat.depth == max(
+        flatten(t).depth for t in trees)
+    cache = forward(flat, model)
+    nll = _pack_loss(flat, model, head, None, None)
+    for t, tree in enumerate(trees):
+        h_ref, c_ref = oracles.node_state(tree, model)
+        np.testing.assert_allclose(cache.H[flat.roots[t]], h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.C[flat.roots[t]], c_ref, rtol=0, atol=1e-12)
+        assert nll[t] == pytest.approx(oracles.tree_nll(tree, model, head.U)[0],
+                                       abs=1e-12)
+
+
+def test_pack_tree_permutation_permutes_roots_only():
+    rng = np.random.default_rng(63)
+    model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=20)
+    head = PretrainHead(np.random.default_rng(64).uniform(-0.8, 0.8, size=(6, 3)))
+    flats = [flatten(t) for t in mixed_forest(rng, 6)]
+    flats += [flatten(random_encoded_tree(rng, 6, max_nodes=12)) for _ in range(5)]
+    perm = rng.permutation(len(flats))
+    a, _ = pack(flats)
+    b, _ = pack([flats[i] for i in perm])
+    ha, hb = forward(a, model).H, forward(b, model).H
+    np.testing.assert_allclose(hb[b.roots], ha[a.roots[perm]], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_pack_loss(b, model, head, None, None),
+                               _pack_loss(a, model, head, None, None)[perm],
+                               rtol=0, atol=1e-12)
+
+
+def test_masked_pack_backward_matches_finite_differences():
+    rng = np.random.default_rng(65)
+    model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=21)
+    trees = [EncodedTree(3), random_encoded_tree(rng, 5, max_nodes=8, min_nodes=4),
+             EncodedTree(1, (EncodedTree(2, (EncodedTree(4),)),)),
+             EncodedTree(0, tuple(EncodedTree(i) for i in range(4)))]
+    flats = [flatten(t) for t in trees]
+    mask_rng = np.random.default_rng(8)
+    masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
+    flat, packed_masks = pack(flats, masks)
+    assert _finite_difference_worst(flat, model, packed_masks) < 1e-4
+
+
+def test_non_finite_forward_names_the_first_bad_tree():
+    model = scaled_model()
+    model.embeddings.values[0, 4] = np.nan
+    # bad.mini turns non-finite only at its root, above the lone node of
+    # worse.mini; the message names the first tree, not the first row
+    flats = [flatten(EncodedTree(1, (EncodedTree(2),)), name="fine.mini"),
+             flatten(EncodedTree(4, (EncodedTree(2),)), name="bad.mini"),
+             flatten(EncodedTree(4), name="worse.mini")]
+    flat, _ = pack(flats)
+    with pytest.raises(ArithmeticError, match="bad.mini"):
+        forward(flat, model)
+
