@@ -1,4 +1,4 @@
-"""Run the Child-Sum Tree-LSTM forward pass over one encoded AST.
+"""Run the Child-Sum Tree-LSTM forward pass over one AST.
 
 Shows the encoding step (labels to vocabulary indices), the per-node hidden
 and memory states, two structural properties of the cell (children are
@@ -8,17 +8,21 @@ with every weight set to one.
 
 import numpy as np
 
-from treedefect import (EncodedTree, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        encode, flatten, forward, init_model, normalize_labels,
-                        param_arrays, parse_mini, t_lstm)
+from treedefect import (AstTree, UNK_TOKEN, Vocabulary, build_vocabulary, flatten,
+                        forward, init_model, normalize_labels, param_arrays,
+                        parse_mini)
 
 SOURCE = "int n = 3;\nwhile (n < 9) {\n  n = n + 1;\n}\n"
+
+
+def root_h(tree, model):
+    """Root hidden vector: flatten (which encodes the labels), then forward."""
+    return forward(flatten(tree, model.vocab), model).H[-1]
 
 
 def main():
     tree = normalize_labels(parse_mini(SOURCE))
     vocab = build_vocabulary([tree], size=32, min_count=1)
-    encoded = encode(tree, vocab)
     model = init_model(vocab, d=8, hidden_dim=4, seed=7)
     # fresh-init weights are +-0.05 and the states print as zeros; draw wider
     # weights so the walkthrough shows the gates actually doing something
@@ -26,7 +30,7 @@ def main():
     for arr in param_arrays(model).values():
         arr[...] = widen.uniform(-0.8, 0.8, size=arr.shape)
 
-    flat = flatten(encoded)
+    flat = flatten(tree, vocab)  # labels encoded to vocabulary indices
     cache = forward(flat, model)
     print("== per-node states (rows by height: leaves first, root last) ==")
     for i in range(flat.n):
@@ -34,18 +38,18 @@ def main():
         h = np.array2string(cache.H[i], precision=3, suppress_small=True)
         print(f"  {token:22s} h = {h}")
 
-    root = t_lstm(encoded, model)
-    print("\nroot hidden vector:", np.array2string(root.h, precision=4))
+    root = cache.H[-1]
+    print("\nroot hidden vector:", np.array2string(root, precision=4))
 
-    shuffled = EncodedTree(encoded.index, tuple(reversed(encoded.children)))
+    shuffled = AstTree(tree.label, tuple(reversed(tree.children)))
     print("children reversed, root unchanged:",
-          bool(np.allclose(t_lstm(shuffled, model).h, root.h, atol=1e-15)))
+          bool(np.allclose(root_h(shuffled, model), root, atol=1e-15)))
 
     zero = init_model(vocab, d=8, hidden_dim=4, seed=0)
     for arr in param_arrays(zero).values():
         arr[...] = 0.0
     print("zero model root is exactly zero:",
-          bool(np.all(t_lstm(encoded, zero).h == 0.0)))
+          bool(np.all(root_h(tree, zero) == 0.0)))
 
     # single leaf, d = hidden = 1, weights 1: c = sigmoid(1)*tanh(1)
     anchor = init_model(Vocabulary((UNK_TOKEN, "leaf")), d=1, hidden_dim=1, seed=0)
@@ -55,8 +59,8 @@ def main():
     anchor.input.W[0, 0] = 1.0
     anchor.cell.W[0, 0] = 1.0
     anchor.output.W[0, 0] = 1.0
-    state = t_lstm(EncodedTree(1), anchor)
-    print(f"unit-weight leaf anchor: c = {state.c[0]:.16f}, h = {state.h[0]:.16f}")
+    state = forward(flatten(AstTree("leaf"), anchor.vocab), anchor)
+    print(f"unit-weight leaf anchor: c = {state.C[0, 0]:.16f}, h = {state.H[0, 0]:.16f}")
 
 
 if __name__ == "__main__":

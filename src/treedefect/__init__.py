@@ -6,7 +6,7 @@ hidden vectors as file features, then train and evaluate defect classifiers
 under within-project and cross-project protocols.
 """
 
-from .classifiers import (FeatureMatrix, ForestConfig, ForestModel, LogisticModel,
+from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, LogisticModel,
                           bow_featurize, classifier_from_document,
                           classifier_to_document, featurize_corpus,
                           load_classifier, oob_predictions, predict,
@@ -14,34 +14,31 @@ from .classifiers import (FeatureMatrix, ForestConfig, ForestModel, LogisticMode
                           predict_proba_logistic, read_features_csv,
                           save_classifier, train_forest, train_logistic,
                           write_features_csv)
-from .corpus import (AstTree, EncodedTree, FileRecord, UNK_TOKEN, Vocabulary,
-                     build_vocabulary, cell, decode, encode, iter_nodes,
-                     node_count, normalize_label, normalize_labels, read_corpus,
-                     tree_depth, write_corpus)
-from .embedding import EmbeddingMatrix, ast2vec, init_embeddings
+from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
+                     cell, encode, iter_nodes, node_count, normalize_label,
+                     normalize_labels, read_corpus, tree_depth, write_corpus)
+from .embedding import EmbeddingMatrix, init_embeddings
 from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
                      TrainingDataError, TreeDefectError, UndefinedMetricError)
 from .evaluation import (ConfusionMatrix, MetricsReport, auc, confusion,
                          evaluate_predictions, f_measure, precision, recall,
                          report_from_json, report_to_json, report_to_row,
                          stratified_k_fold, write_report_csv, write_report_json)
-from .experiments import (ClassifierOptions, CvDescriptor, CvResult,
+from .experiments import (CvDescriptor, CvResult,
                           FoldFeatures, PairsDescriptor, ProjectStats,
                           average_report, cv_feature_folds, cv_from_folds,
                           dataset_stats, format_stats_table, parse_descriptor,
                           train_classifier, version_pair_run, within_project_cv)
 from .minilang import parse_mini
 from .pretrain import (EpochStats, PretrainHead, PretrainResult, RmspropState,
-                       TrainConfig, corpus_loss, gradients, init_head,
-                       loss_and_gradients, parent_distribution, perplexity,
-                       pretrain, pretrain_with_config, rmsprop_step,
-                       split_records, write_training_log)
+                       TrainConfig, corpus_loss, init_head, loss_and_gradients,
+                       perplexity, pretrain, rmsprop_step, split_records,
+                       write_training_log)
 from .rng import derive_seed, stream
 from .synthetic import generate_multi_cell, generate_records, generate_source
-from .treelstm import (DropoutMasks, FlatTree, GateParams, NodeState, TreeLstmModel,
-                       backward, flatten, forward, forward_root, init_model,
-                       load_model, model_from_document, model_to_document,
-                       pack, param_arrays, sample_masks, save_model, sigmoid,
-                       t_lstm)
+from .treelstm import (DropoutMasks, FlatTree, GateParams, TreeLstmModel, backward,
+                       flatten, forward, forward_root, init_model, load_model,
+                       model_from_document, model_to_document, pack, param_arrays,
+                       sample_masks, save_model, sigmoid)
 
 __version__ = "0.1.0"

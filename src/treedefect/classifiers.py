@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,44 @@ from . import jsonio
 from .corpus import FileRecord, Vocabulary, iter_nodes
 from .errors import DocumentError, TrainingDataError
 from .rng import stream
-from .treelstm import DEFAULT_DEPTH_LIMIT, TreeLstmModel, forward_root, sigmoid
+from .treelstm import TreeLstmModel, forward_root, sigmoid
+
+CLASSIFIER_KINDS = ("logistic", "forest")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
+
+
+@dataclass
+class ClassifierOptions:
+    """Classifier kind and hyperparameters: `l2` for logistic regression,
+    the rest for the random forest."""
+
+    kind: str = "forest"
+    l2: float = 1e-4
+    n_trees: int = 100
+    max_depth: int = 16
+    min_leaf: int = 1
+    features_per_split: int | None = None  # None: ceil(sqrt(dim))
+
+    def __post_init__(self):
+        if self.kind not in CLASSIFIER_KINDS:
+            raise ValueError(f"classifier kind must be one of {CLASSIFIER_KINDS}, "
+                             f"got {self.kind!r}")
+        if not (_is_number(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
+        sizes = {"n_trees": self.n_trees, "max_depth": self.max_depth,
+                 "min_leaf": self.min_leaf}
+        if self.features_per_split is not None:
+            sizes["features_per_split"] = self.features_per_split
+        for name, value in sizes.items():
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -49,12 +86,11 @@ class FeatureMatrix:
         return np.asarray(self.labels, dtype=np.intp)
 
 
-def featurize_corpus(records: list[FileRecord], model: TreeLstmModel,
-                     depth_limit: int = DEFAULT_DEPTH_LIMIT) -> FeatureMatrix:
+def featurize_corpus(records: list[FileRecord], model: TreeLstmModel) -> FeatureMatrix:
     """One row per record: the Tree-LSTM root hidden vector."""
     values = np.empty((len(records), model.hidden_dim))
     for i, record in enumerate(records):
-        values[i] = forward_root(record, model, depth_limit)
+        values[i] = forward_root(record, model)
     return FeatureMatrix([r.key for r in records], values, [r.label for r in records])
 
 
@@ -95,6 +131,10 @@ class LogisticModel:
     bias: float
     l2: float
     loss_history: list[float] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
 
 
 def _logistic_loss(X, y, w, b, l2) -> float:
@@ -144,21 +184,6 @@ def predict_proba_logistic(model: LogisticModel, x) -> float | np.ndarray:
 
 
 @dataclass
-class ForestConfig:
-    n_trees: int = 100
-    max_depth: int = 16
-    min_leaf: int = 1
-    features_per_split: int | None = None  # None: ceil(sqrt(dim))
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("forest sizes must be positive")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1")
-
-
-@dataclass
 class TreeNode:
     """Decision tree node: internal when left/right are set, else a leaf
     carrying (P(clean), P(defective))."""
@@ -177,11 +202,9 @@ class TreeNode:
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
-    n_trees: int
-    max_depth: int
-    min_leaf: int
-    features_per_split: int | None
+    options: ClassifierOptions
     seed: int
+    dim: int  # number of features the forest was trained on
     bootstrap_indices: list[np.ndarray] = field(default_factory=list, repr=False,
                                                 compare=False)
 
@@ -222,7 +245,7 @@ def _best_split(Xa, labels, idx, feats, min_leaf):
     return best
 
 
-def _build_tree(Xa, ya, idx, depth, cfg: ForestConfig, mtry: int,
+def _build_tree(Xa, ya, idx, depth, cfg: ClassifierOptions, mtry: int,
                 rng: np.random.Generator) -> TreeNode:
     labels = ya[idx]
     n1 = int(labels.sum())
@@ -240,22 +263,23 @@ def _build_tree(Xa, ya, idx, depth, cfg: ForestConfig, mtry: int,
     return TreeNode(feature, threshold, left, right)
 
 
-def train_forest(X, y=None, config: ForestConfig | None = None) -> ForestModel:
-    """Random forest of seeded-bootstrap Gini trees."""
-    if config is None:
-        config = ForestConfig()
+def train_forest(X, y=None, options: ClassifierOptions | None = None,
+                 seed: int = 0) -> ForestModel:
+    """Random forest of seeded-bootstrap Gini trees, sized by the forest
+    fields of `options`."""
+    if options is None:
+        options = ClassifierOptions()
     Xa, ya = _as_xy(X, y)
     n, dim = Xa.shape
-    mtry = config.features_per_split or ceil(sqrt(dim))
+    mtry = options.features_per_split or ceil(sqrt(dim))
     trees = []
     bootstraps = []
-    for t in range(config.n_trees):
-        rng = stream(config.seed, "bootstrap", t)
+    for t in range(options.n_trees):
+        rng = stream(seed, "bootstrap", t)
         sample = rng.integers(0, n, size=n)
         bootstraps.append(sample)
-        trees.append(_build_tree(Xa, ya.astype(np.intp), sample, 0, config, mtry, rng))
-    return ForestModel(trees, config.n_trees, config.max_depth, config.min_leaf,
-                       config.features_per_split, config.seed, bootstraps)
+        trees.append(_build_tree(Xa, ya.astype(np.intp), sample, 0, options, mtry, rng))
+    return ForestModel(trees, options, seed, dim, bootstraps)
 
 
 def _tree_proba(node: TreeNode, x: np.ndarray) -> float:
@@ -301,11 +325,16 @@ def predict(p) -> int | np.ndarray:
 
 
 def predict_proba(model, x) -> float | np.ndarray:
+    """P(defective) for one feature row or each row of a matrix."""
+    if not isinstance(model, (LogisticModel, ForestModel)):
+        raise TypeError(f"unknown classifier type {type(model).__name__}")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (model.dim,):
+        raise ValueError(f"features of shape {x.shape} for a classifier of "
+                         f"dimension {model.dim}")
     if isinstance(model, LogisticModel):
         return predict_proba_logistic(model, x)
-    if isinstance(model, ForestModel):
-        return predict_proba_forest(model, x)
-    raise TypeError(f"unknown classifier type {type(model).__name__}")
+    return predict_proba_forest(model, x)
 
 
 # --- serialization ---
@@ -324,49 +353,70 @@ def _tree_to_preorder(root: TreeNode) -> list[dict]:
     return nodes
 
 
-def _tree_from_preorder(nodes: list[dict], source: str) -> TreeNode:
-    pos = 0
+def _node_from_spec(spec, source: str) -> TreeNode:
+    if not isinstance(spec, dict):
+        raise DocumentError(f"{source}: tree node must be an object")
+    if "p" in spec:
+        p = spec["p"]
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
+            raise DocumentError(f"{source}: leaf probabilities must be a pair")
+        return TreeNode(proba=(float(p[0]), float(p[1])))
+    f, t = spec.get("f"), spec.get("t")
+    if not (_is_int(f) and f >= 0 and _is_number(t)):
+        raise DocumentError(f"{source}: tree node needs 'p', or an integer "
+                            "feature 'f' >= 0 and a number 't'")
+    return TreeNode(f, float(t))
 
-    def build() -> TreeNode:
-        nonlocal pos
-        if pos >= len(nodes):
-            raise DocumentError(f"{source}: truncated tree node list")
-        spec = nodes[pos]
-        pos += 1
-        if not isinstance(spec, dict):
-            raise DocumentError(f"{source}: tree node must be an object")
-        if "p" in spec:
-            p = spec["p"]
-            if (not isinstance(p, list) or len(p) != 2
-                    or not all(isinstance(v, (int, float)) for v in p)):
-                raise DocumentError(f"{source}: leaf probabilities must be a pair")
-            return TreeNode(proba=(float(p[0]), float(p[1])))
-        if "f" not in spec or "t" not in spec:
-            raise DocumentError(f"{source}: tree node needs 'f'/'t' or 'p'")
-        node = TreeNode(int(spec["f"]), float(spec["t"]))
-        node.left = build()
-        node.right = build()
-        return node
 
-    root = build()
-    if pos != len(nodes):
-        raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
+def _tree_from_preorder(nodes, source: str) -> TreeNode:
+    if not isinstance(nodes, list):
+        raise DocumentError(f"{source}: tree must be a list of nodes")
+    root = None
+    waiting: list[TreeNode] = []  # internal nodes still missing a child
+    for spec in nodes:
+        node = _node_from_spec(spec, source)
+        if waiting:
+            parent = waiting[-1]
+            if parent.left is None:
+                parent.left = node
+            else:
+                parent.right = node
+                waiting.pop()
+        elif root is None:
+            root = node
+        else:
+            raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
+        if not node.is_leaf:
+            waiting.append(node)
+    if root is None or waiting:
+        raise DocumentError(f"{source}: truncated tree node list")
     return root
 
 
 def classifier_to_document(model) -> dict:
     if isinstance(model, LogisticModel):
-        return {"format_version": 1, "kind": "logistic",
+        return {"format_version": 1, "kind": "logistic", "dim": model.dim,
                 "weights": model.weights.tolist(), "bias": float(model.bias),
                 "l2": float(model.l2)}
     if isinstance(model, ForestModel):
-        return {"format_version": 1, "kind": "forest",
-                "n_trees": model.n_trees, "max_depth": model.max_depth,
-                "min_leaf": model.min_leaf,
-                "features_per_split": model.features_per_split,
+        opts = model.options
+        return {"format_version": 1, "kind": "forest", "dim": model.dim,
+                "n_trees": opts.n_trees, "max_depth": opts.max_depth,
+                "min_leaf": opts.min_leaf,
+                "features_per_split": opts.features_per_split,
                 "seed": model.seed,
                 "trees": [_tree_to_preorder(t) for t in model.trees]}
     raise TypeError(f"unknown classifier type {type(model).__name__}")
+
+
+def _dim(doc, used: int, source: str) -> int:
+    """The document's feature dimension, which must be a positive integer
+    and cover the `used` features its model reads."""
+    dim = doc.get("dim")
+    if not (_is_int(dim) and dim >= max(used, 1)):
+        raise DocumentError(f"{source}: 'dim' must be an integer >= {max(used, 1)}, "
+                            f"got {dim!r}")
+    return dim
 
 
 def classifier_from_document(doc, source: str = "classifier"):
@@ -374,22 +424,34 @@ def classifier_from_document(doc, source: str = "classifier"):
         raise DocumentError(f"{source}: expected an object with format_version 1")
     kind = doc.get("kind")
     if kind == "logistic":
-        weights = np.asarray(doc.get("weights", None), dtype=float)
-        if weights.ndim != 1:
+        weights, bias, l2 = doc.get("weights"), doc.get("bias"), doc.get("l2")
+        if not (isinstance(weights, list) and all(map(_is_number, weights))):
             raise DocumentError(f"{source}: 'weights' must be a number array")
-        bias, l2 = doc.get("bias"), doc.get("l2")
-        if not isinstance(bias, (int, float)) or not isinstance(l2, (int, float)):
+        if not (_is_number(bias) and _is_number(l2)):
             raise DocumentError(f"{source}: 'bias' and 'l2' must be numbers")
-        return LogisticModel(weights, float(bias), float(l2))
+        if _dim(doc, len(weights), source) != len(weights):
+            raise DocumentError(f"{source}: 'dim' is {doc['dim']} but there are "
+                                f"{len(weights)} weights")
+        return LogisticModel(np.array(weights, dtype=float), float(bias), float(l2))
     if kind == "forest":
         trees_doc = doc.get("trees")
         if not isinstance(trees_doc, list) or not trees_doc:
             raise DocumentError(f"{source}: 'trees' must be a non-empty list")
         trees = [_tree_from_preorder(t, f"{source}.trees[{i}]")
                  for i, t in enumerate(trees_doc)]
-        return ForestModel(trees, len(trees), int(doc.get("max_depth", 0)),
-                           int(doc.get("min_leaf", 1)),
-                           doc.get("features_per_split"), int(doc.get("seed", 0)))
+        features = [node["f"] for t in trees_doc for node in t if "p" not in node]
+        dim = _dim(doc, max(features, default=-1) + 1, source)
+        seed = doc.get("seed")
+        if not _is_int(seed):
+            raise DocumentError(f"{source}: 'seed' must be an integer")
+        try:
+            options = ClassifierOptions("forest", n_trees=len(trees),
+                                        max_depth=doc.get("max_depth"),
+                                        min_leaf=doc.get("min_leaf"),
+                                        features_per_split=doc.get("features_per_split"))
+        except ValueError as exc:
+            raise DocumentError(f"{source}: {exc}") from exc
+        return ForestModel(trees, options, seed, dim)
     raise DocumentError(f"{source}: unknown classifier kind {kind!r}")
 
 
@@ -439,4 +501,6 @@ def read_features_csv(path) -> FeatureMatrix:
             values[r - 2] = [float(v) for v in row[4:]]
         except ValueError as exc:
             raise DocumentError(f"{path}:{r}: bad feature value") from exc
+        if not np.all(np.isfinite(values[r - 2])):
+            raise DocumentError(f"{path}:{r}: feature values must be finite")
     return FeatureMatrix(keys, values, labels)

@@ -9,49 +9,79 @@ Exit codes: 0 success, 1 a produced report carries undefined-metric flags,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import jsonio
-from .classifiers import (FeatureMatrix, bow_featurize, featurize_corpus,
+from .classifiers import (ClassifierOptions, bow_featurize, featurize_corpus,
                           load_classifier, predict, predict_proba, read_features_csv,
                           save_classifier, write_features_csv)
-from .corpus import (FileRecord, Vocabulary, build_vocabulary, corpus_from_document,
-                     normalize_labels, read_corpus, write_corpus)
+from .corpus import (FileRecord, Vocabulary, build_vocabulary, check_depth,
+                     corpus_from_document, normalize_labels, read_corpus, write_corpus)
 from .errors import DocumentError, TreeDefectError
 from .evaluation import evaluate_predictions, write_report_csv, write_report_json
-from .experiments import (ClassifierOptions, CvDescriptor, PairsDescriptor,
+from .experiments import (CvDescriptor, PairsDescriptor, average_report,
                           cv_from_folds, cv_feature_folds, dataset_stats,
                           format_stats_table, parse_descriptor, train_classifier,
                           version_pair_run)
 from .minilang import parse_mini
 from .pretrain import TrainConfig, pretrain, write_training_log
-from .treelstm import forward_root, load_model, save_model
+from .treelstm import load_model, save_model
 
 
-def _load_config_file(path: str, defaults: dict) -> dict:
-    doc = jsonio.read(path)
+def _add_flags(p: argparse.ArgumentParser, cls, names: tuple[str, ...]) -> None:
+    """One --flag per field of dataclass `cls` in `names`, typed like the
+    field. Unset flags stay None, so --config and then the dataclass default
+    fill in."""
+    hints = typing.get_type_hints(cls)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for name in names:
+        hint = hints[name]
+        members = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        default = defaults[name]
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=next((t for t in (int, float) if t in members), str),
+                       help=f"default: {shown}")
+
+
+_TRAIN_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+_CLASSIFIER_FLAGS = tuple(f.name for f in dataclasses.fields(ClassifierOptions)
+                          if f.name != "kind")
+
+
+def _config_file(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict:
+    if not args.config:
+        return {}
+    doc = jsonio.read(args.config)
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: config must be an object")
-    unknown = [k for k in doc if k not in defaults]
+        raise DocumentError(f"{args.config}: config must be an object")
+    unknown = [k for k in doc if k not in allowed]
     if unknown:
-        raise DocumentError(f"{path}: unknown config key {unknown[0]!r}")
+        raise DocumentError(f"{args.config}: unknown config key {unknown[0]!r}")
     return doc
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults."""
-    opts = dict(defaults)
-    if getattr(args, "config", None):
-        opts.update(_load_config_file(args.config, defaults))
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
-    return opts
+def _options(cls, args: argparse.Namespace, config: dict, **fixed):
+    """Dataclass `cls` from flags > config file > the dataclass defaults."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            values[f.name] = flag
+        elif f.name in config:
+            values[f.name] = config[f.name]
+    if "split" in values:
+        values["split"] = _parse_split(values["split"])
+    try:
+        return cls(**{**values, **fixed})
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"bad option: {exc}") from exc
 
 
 def _parse_split(value) -> tuple[float, float, float]:
@@ -66,67 +96,6 @@ def _parse_split(value) -> tuple[float, float, float]:
     if len(fractions) != 3:
         raise DocumentError(f"bad split {value!r}: expected three fractions")
     return fractions
-
-
-_TRAIN_DEFAULTS = {
-    "seed": 0, "learning_rate": 0.001, "rms_decay": 0.9, "rms_epsilon": 1e-6,
-    "dropout_rate": 0.5, "max_epochs": 30, "patience": 5, "batch_size": 8,
-    "split": "0.8,0.1,0.1", "embedding_dim": 32, "hidden_dim": None,
-    "vocab_size": 10000, "min_count": 2, "depth_limit": 10000,
-}
-
-_CLASSIFIER_DEFAULTS = {
-    "l2": 1e-4, "n_trees": 100, "max_depth": 16, "min_leaf": 1,
-    "features_per_split": None,
-}
-
-
-def _train_config(opts: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            learning_rate=opts["learning_rate"], rms_decay=opts["rms_decay"],
-            rms_epsilon=opts["rms_epsilon"], dropout_rate=opts["dropout_rate"],
-            max_epochs=opts["max_epochs"], patience=opts["patience"],
-            seed=opts["seed"], split=_parse_split(opts["split"]),
-            batch_size=opts["batch_size"], embedding_dim=opts["embedding_dim"],
-            hidden_dim=opts["hidden_dim"], vocab_size=opts["vocab_size"],
-            min_count=opts["min_count"], depth_limit=opts["depth_limit"])
-    except ValueError as exc:
-        raise DocumentError(f"bad training option: {exc}") from exc
-
-
-def _classifier_options(kind: str, opts: dict) -> ClassifierOptions:
-    try:
-        return ClassifierOptions(kind, opts["l2"], opts["n_trees"],
-                                 opts["max_depth"], opts["min_leaf"],
-                                 opts["features_per_split"])
-    except ValueError as exc:
-        raise DocumentError(f"bad classifier option: {exc}") from exc
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--rms-decay", type=float, dest="rms_decay")
-    p.add_argument("--rms-epsilon", type=float, dest="rms_epsilon")
-    p.add_argument("--dropout-rate", type=float, dest="dropout_rate")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--split", help="train,val,test fractions, e.g. 0.8,0.1,0.1")
-    p.add_argument("--embedding-dim", type=int, dest="embedding_dim")
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--min-count", type=int, dest="min_count")
-    p.add_argument("--depth-limit", type=int, dest="depth_limit")
-
-
-def _add_classifier_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l2", type=float)
-    p.add_argument("--n-trees", type=int, dest="n_trees")
-    p.add_argument("--max-depth", type=int, dest="max_depth")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf")
-    p.add_argument("--features-per-split", type=int, dest="features_per_split")
 
 
 def _read_labels_file(path: str) -> dict[str, int]:
@@ -177,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 records.extend(corpus_from_document(jsonio.read(path), str(path)))
                 continue
             source = path.read_text(encoding="utf-8")
-            tree = normalize_labels(parse_mini(source))
+            tree = check_depth(normalize_labels(parse_mini(source)))
             records.append(FileRecord(file_id, args.project, args.version,
                                       labels.get(file_id), tree))
         except (TreeDefectError, OSError, UnicodeDecodeError) as exc:
@@ -222,8 +191,7 @@ def _load_vocab_file(path: str) -> Vocabulary:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, _TRAIN_DEFAULTS)
-    config = _train_config(opts)
+    config = _options(TrainConfig, args, _config_file(args, _TRAIN_FLAGS))
     records = read_corpus(args.corpus)
     vocab = _load_vocab_file(args.vocab) if args.vocab else None
     result = pretrain(records, config, vocab)
@@ -239,22 +207,13 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _featurize_tree(records, model, depth_limit: int, jobs: int) -> FeatureMatrix:
-    if jobs <= 1 or len(records) < 2:
-        return featurize_corpus(records, model, depth_limit)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda r: forward_root(r, model, depth_limit), records))
-    return FeatureMatrix([r.key for r in records], np.stack(rows),
-                         [r.label for r in records])
-
-
 def cmd_featurize(args: argparse.Namespace) -> int:
     records = read_corpus(args.corpus)
     if args.method == "tree":
         if not args.model:
             raise DocumentError("--model is required for --method tree")
         model, _ = load_model(args.model)
-        features = _featurize_tree(records, model, args.depth_limit, args.jobs)
+        features = featurize_corpus(records, model)
     else:
         if args.model:
             vocab = load_model(args.model)[0].vocab
@@ -270,10 +229,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train_classifier(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, {**_CLASSIFIER_DEFAULTS, "seed": 0})
+    config = _config_file(args, (*_CLASSIFIER_FLAGS, "seed"))
+    options = _options(ClassifierOptions, args, config, kind=args.classifier)
+    seed = _options(TrainConfig, args, config).seed  # only --seed and "seed" apply
     features = read_features_csv(args.features)
-    options = _classifier_options(args.classifier, opts)
-    model = train_classifier(features, options, opts["seed"])
+    model = train_classifier(features, options, seed)
     save_classifier(args.output, model)
     print(f"wrote {args.classifier} classifier to {args.output}")
     return 0
@@ -282,6 +242,9 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     features = read_features_csv(args.features)
     clf = load_classifier(args.classifier_file)
+    if features.dim != clf.dim:
+        raise DocumentError(f"{args.features}: {features.dim} features per row, but "
+                            f"{args.classifier_file} expects {clf.dim}")
     scores = np.asarray(predict_proba(clf, features.values))
     preds = predict(scores)
     report = evaluate_predictions(preds, features.label_array(), scores,
@@ -296,14 +259,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _merge_options(args, {**_TRAIN_DEFAULTS, **_CLASSIFIER_DEFAULTS})
-    config = _train_config(opts)
+    file_config = _config_file(args, _TRAIN_FLAGS + _CLASSIFIER_FLAGS)
+    config = _options(TrainConfig, args, file_config)
     records = read_corpus(args.corpus)
     descriptor = parse_descriptor(jsonio.read(args.descriptor), str(args.descriptor))
+    options = _options(ClassifierOptions, args, file_config, kind=descriptor.classifier)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(descriptor, CvDescriptor):
-        options = _classifier_options(descriptor.classifier, opts)
         result = cv_from_folds(cv_feature_folds(records, descriptor.k, config), options)
         reports = [*result.folds, result.average]
         write_report_csv(out_dir / "report.csv", reports)
@@ -311,19 +274,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         avg = result.average
     else:
         assert isinstance(descriptor, PairsDescriptor)
-        options = _classifier_options(descriptor.classifier, opts)
-
-        def run_pair(pair):
-            return version_pair_run(pair[0], pair[1], records, options, config)
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(run_pair, descriptor.pairs))
-        else:
-            reports = [run_pair(p) for p in descriptor.pairs]
+        reports = [version_pair_run(train, test, records, options, config)
+                   for train, test in descriptor.pairs]
         write_report_csv(out_dir / "report.csv", reports)
-        from .experiments import average_report
-
         avg = average_report(reports, cell=("pairs:average", "pairs:average"))
         write_report_json(out_dir / "report.json", reports, avg)
     auc_text = "undefined" if avg.auc is None else f"{avg.auc:.4f}"
@@ -368,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vocab", help="build a vocabulary file from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--size", type=int, default=10000)
-    p.add_argument("--min-count", type=int, default=2, dest="min_count")
+    p.add_argument("--size", type=int, default=TrainConfig.vocab_size)
+    p.add_argument("--min-count", type=int, default=TrainConfig.min_count,
+                   dest="min_count")
     p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("pretrain", help="pretrain the Tree-LSTM on a corpus")
@@ -378,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="write the per-epoch training log CSV here")
     p.add_argument("--vocab", help="use a prebuilt vocabulary file")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    _add_train_flags(p)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("featurize", help="write per-file feature vectors")
@@ -388,17 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocabulary file (bow method without a model)")
     p.add_argument("--method", choices=("tree", "bow"), default="tree")
     p.add_argument("--threshold", type=int, default=5, help="bow binarization count")
-    p.add_argument("--depth-limit", type=int, default=10000, dest="depth_limit")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train-classifier", help="train a classifier on features")
     p.add_argument("--features", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--classifier", choices=("logistic", "forest"), default="forest")
-    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    _add_classifier_flags(p)
+    _add_flags(p, TrainConfig, ("seed",))
+    _add_flags(p, ClassifierOptions, _CLASSIFIER_FLAGS)
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("evaluate", help="evaluate a classifier on labeled features")
@@ -415,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptor", required=True, help="experiment descriptor JSON")
     p.add_argument("--output-dir", required=True, dest="output_dir")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_train_flags(p)
-    _add_classifier_flags(p)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
+    _add_flags(p, ClassifierOptions, _CLASSIFIER_FLAGS)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("stats", help="print per-project dataset statistics")

@@ -3,7 +3,9 @@
 A corpus is a list of FileRecord entries, each tying a (project, version,
 file_id) key and an optional defect label to one AST. Trees are immutable;
 every traversal here is iterative so deeply nested inputs cannot overflow the
-interpreter stack.
+interpreter stack. Trees entering the pipeline (parsed sources, corpus
+documents) may be at most MAX_TREE_DEPTH nodes deep, so that every corpus
+document the package writes can be read back.
 
 On disk a corpus is a JSON document::
 
@@ -22,12 +24,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from . import jsonio
-from .errors import DocumentError
+from .errors import DepthLimitError, DocumentError
 
 UNK_TOKEN = "<unk>"
+
+# Deepest tree (in nodes, root to leaf) accepted from sources or documents.
+# Sources within minilang.MAX_NESTING reach 127; JSON round-trips of a corpus
+# document fail near 490 levels under the default interpreter stack.
+MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
 STRING_LITERAL_LABEL = "StringLiteralExpr"
@@ -39,14 +48,6 @@ class AstTree:
 
     label: str
     children: tuple["AstTree", ...] = ()
-
-
-@dataclass(frozen=True)
-class EncodedTree:
-    """AST node with its label replaced by a vocabulary index."""
-
-    index: int
-    children: tuple["EncodedTree", ...] = ()
 
 
 @dataclass
@@ -62,7 +63,7 @@ class FileRecord:
         return (self.project, self.version, self.file_id)
 
 
-def iter_nodes(tree: AstTree | EncodedTree) -> Iterator[Any]:
+def iter_nodes(tree: AstTree) -> Iterator[AstTree]:
     """All nodes in preorder (parent before children, left to right)."""
     stack = [tree]
     while stack:
@@ -71,11 +72,11 @@ def iter_nodes(tree: AstTree | EncodedTree) -> Iterator[Any]:
         stack.extend(reversed(node.children))
 
 
-def node_count(tree: AstTree | EncodedTree) -> int:
+def node_count(tree: AstTree) -> int:
     return sum(1 for _ in iter_nodes(tree))
 
 
-def tree_depth(tree: AstTree | EncodedTree) -> int:
+def tree_depth(tree: AstTree) -> int:
     """Depth in nodes along the longest root-to-leaf path (single node: 1)."""
     best = 0
     stack = [(tree, 1)]
@@ -98,8 +99,18 @@ def normalize_label(label: str) -> str:
     return label
 
 
-def _rebuild(tree: Any, make_node) -> Any:
-    """Post-order rebuild of a tree through `make_node(node, children)`."""
+def check_depth(tree: AstTree) -> AstTree:
+    """`tree`, or DepthLimitError when it is deeper than MAX_TREE_DEPTH."""
+    depth = tree_depth(tree)
+    if depth > MAX_TREE_DEPTH:
+        raise DepthLimitError(f"AST is {depth} nodes deep, deeper than the limit "
+                              f"of {MAX_TREE_DEPTH}")
+    return tree
+
+
+def fold_tree(tree: AstTree, make_node: Callable[[AstTree, tuple], Any]) -> Any:
+    """Post-order fold: `make_node(node, results of its children)` for every
+    node, children left to right before their parent; returns the root's."""
     out: list[Any] = []
     work: list[tuple[Any, bool]] = [(tree, False)]
     while work:
@@ -119,7 +130,7 @@ def _rebuild(tree: Any, make_node) -> Any:
 
 def normalize_labels(tree: AstTree) -> AstTree:
     """Copy of `tree` with every label passed through normalize_label."""
-    return _rebuild(tree, lambda node, ch: AstTree(normalize_label(node.label), ch))
+    return fold_tree(tree, lambda node, ch: AstTree(normalize_label(node.label), ch))
 
 
 @dataclass
@@ -174,40 +185,31 @@ def build_vocabulary(trees: list[AstTree], size: int = 10000, min_count: int = 2
     return Vocabulary((UNK_TOKEN, *kept[: size - 1]))
 
 
-def encode(tree: AstTree, vocab: Vocabulary) -> EncodedTree:
-    """Tree with labels mapped to vocabulary indices (OOV to the unknown)."""
+def encode(labels: Sequence[str], vocab: Vocabulary) -> np.ndarray:
+    """Vocabulary index of each label (out of vocabulary: the unknown index)."""
     to_index = vocab.token_to_index
-    return _rebuild(tree, lambda node, ch: EncodedTree(to_index.get(node.label, 0), ch))
-
-
-def decode(tree: EncodedTree, vocab: Vocabulary) -> AstTree:
-    """Inverse of encode up to OOV collapse; indices must be in range."""
-    tokens = vocab.tokens
-    n = len(tokens)
-
-    def make(node: EncodedTree, children: tuple[AstTree, ...]) -> AstTree:
-        if not 0 <= node.index < n:
-            raise IndexError(f"token index {node.index} out of range [0, {n})")
-        return AstTree(tokens[node.index], children)
-
-    return _rebuild(tree, make)
+    return np.array([to_index.get(label, 0) for label in labels], dtype=np.intp)
 
 
 def tree_to_json(tree: AstTree) -> dict:
-    return _rebuild(tree, lambda node, ch: {"label": node.label, "children": list(ch)})
+    return fold_tree(tree, lambda node, ch: {"label": node.label, "children": list(ch)})
 
 
 def tree_from_json(obj: Any, path: str = "tree") -> AstTree:
     """Validate and convert a JSON object into an AstTree.
 
     Errors name the offending location as a JSON path, e.g.
-    ``files[3].tree.children[0]``.
+    ``files[3].tree.children[0]``; a tree deeper than MAX_TREE_DEPTH is a
+    DepthLimitError naming `path`.
     """
     out: list[AstTree] = []
-    work: list[tuple[Any, str, bool]] = [(obj, path, False)]
+    work: list[tuple[Any, str, int]] = [(obj, path, 1)]
     while work:
-        node, where, expanded = work.pop()
-        if not expanded:
+        node, where, depth = work.pop()
+        if depth:
+            if depth > MAX_TREE_DEPTH:
+                raise DepthLimitError(f"{path}: tree is deeper than the limit of "
+                                      f"{MAX_TREE_DEPTH} nodes")
             if not isinstance(node, dict):
                 raise DocumentError(f"{where}: node must be an object, got {type(node).__name__}")
             unknown = set(node) - {"label", "children"}
@@ -219,9 +221,9 @@ def tree_from_json(obj: Any, path: str = "tree") -> AstTree:
             children = node.get("children")
             if not isinstance(children, list):
                 raise DocumentError(f"{where}: 'children' must be a list")
-            work.append((node, where, True))
+            work.append((node, where, 0))  # depth 0: children are built
             for i in range(len(children) - 1, -1, -1):
-                work.append((children[i], f"{where}.children[{i}]", False))
+                work.append((children[i], f"{where}.children[{i}]", depth + 1))
         else:
             k = len(node["children"])
             children_nodes = tuple(out[len(out) - k:]) if k else ()

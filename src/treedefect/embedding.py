@@ -1,4 +1,4 @@
-"""Token embedding matrix and the ast2vec lookup."""
+"""Token embedding matrix: one column per vocabulary token."""
 
 from __future__ import annotations
 
@@ -54,13 +54,3 @@ def init_embeddings(d: int, vocab_size: int, seed: int = 0,
     values = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d, vocab_size))
     return EmbeddingMatrix(values)
 
-
-def ast2vec(index: int, matrix: EmbeddingMatrix) -> np.ndarray:
-    """Read-only view of the embedding column for one vocabulary index."""
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise IndexError(f"token index must be an integer, got {type(index).__name__}")
-    if not 0 <= index < matrix.vocab_size:
-        raise IndexError(f"token index {index} out of range [0, {matrix.vocab_size})")
-    column = matrix.values[:, int(index)]
-    column.flags.writeable = False
-    return column

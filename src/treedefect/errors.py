@@ -33,7 +33,7 @@ class CorpusError(TreeDefectError):
 
 
 class DepthLimitError(TreeDefectError):
-    """Tree nesting deeper than the configured limit."""
+    """AST deeper than corpus.MAX_TREE_DEPTH."""
 
 
 class TrainingDataError(TreeDefectError):

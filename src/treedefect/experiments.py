@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classifiers import (FeatureMatrix, ForestConfig, featurize_corpus, predict,
-                          predict_proba, train_forest, train_logistic)
+from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, FeatureMatrix,
+                          featurize_corpus, predict, predict_proba, train_forest,
+                          train_logistic)
 from .corpus import FileRecord, cell
 from .errors import CorpusError, DocumentError
 from .evaluation import (ConfusionMatrix, MetricsReport, evaluate_predictions,
@@ -23,30 +24,10 @@ from .evaluation import (ConfusionMatrix, MetricsReport, evaluate_predictions,
 from .pretrain import PretrainResult, TrainConfig, pretrain
 from .rng import derive_seed
 
-CLASSIFIER_KINDS = ("logistic", "forest")
-
-
-@dataclass
-class ClassifierOptions:
-    kind: str = "forest"
-    l2: float = 1e-4
-    n_trees: int = 100
-    max_depth: int = 16
-    min_leaf: int = 1
-    features_per_split: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ValueError(f"classifier kind must be one of {CLASSIFIER_KINDS}, "
-                             f"got {self.kind!r}")
-
-
 def train_classifier(features: FeatureMatrix, options: ClassifierOptions, seed: int):
     if options.kind == "logistic":
         return train_logistic(features, l2=options.l2)
-    config = ForestConfig(options.n_trees, options.max_depth, options.min_leaf,
-                          options.features_per_split, seed)
-    return train_forest(features, config=config)
+    return train_forest(features, options=options, seed=seed)
 
 
 @dataclass
@@ -83,11 +64,8 @@ def cv_feature_folds(records: list[FileRecord], k: int = 10,
         test_recs = [records[j] for j in test_idx]
         fold_seed = derive_seed(config.seed, "cv", i)
         result = pretrain(train_recs, replace(config, seed=fold_seed))
-        out.append(FoldFeatures(
-            i, fold_seed,
-            featurize_corpus(train_recs, result.model, config.depth_limit),
-            featurize_corpus(test_recs, result.model, config.depth_limit),
-            result))
+        out.append(FoldFeatures(i, fold_seed, featurize_corpus(train_recs, result.model),
+                                featurize_corpus(test_recs, result.model), result))
     return out
 
 
@@ -162,8 +140,8 @@ def version_pair_run(train_cell: tuple[str, str], test_cell: tuple[str, str],
         raise CorpusError(f"test cell {test_name} has unlabeled files")
     pair_seed = derive_seed(config.seed, "pair", train_name, test_name)
     result = pretrain(train_recs, replace(config, seed=pair_seed))
-    train_features = featurize_corpus(train_recs, result.model, config.depth_limit)
-    test_features = featurize_corpus(test_recs, result.model, config.depth_limit)
+    train_features = featurize_corpus(train_recs, result.model)
+    test_features = featurize_corpus(test_recs, result.model)
     clf = train_classifier(train_features, options,
                            derive_seed(pair_seed, "classifier", options.kind))
     scores = np.asarray(predict_proba(clf, test_features.values))

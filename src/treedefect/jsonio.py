@@ -3,12 +3,13 @@
 All artifacts are written with sorted keys, compact separators and a trailing
 newline so identical inputs produce byte-identical files. Floats go through
 Python's repr (shortest round-trip), so values survive a write/read cycle
-exactly.
+exactly. Writes are atomic: a temporary file renamed over the target.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -20,7 +21,16 @@ def dumps(doc: Any) -> str:
 
 
 def write(path: str | Path, doc: Any) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    """Write `doc` to a temporary file beside `path`, then rename it over
+    `path`, so a failed write leaves any previous file as it was."""
+    path = Path(path)
+    text = dumps(doc)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
 def read(path: str | Path) -> Any:
@@ -37,3 +47,5 @@ def parse(text: str, source: str = "<string>") -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{source}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{source}: JSON nested too deeply to read") from exc

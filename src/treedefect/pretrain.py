@@ -16,17 +16,16 @@ seeds and corpora give bit-identical models.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import FileRecord, Vocabulary, build_vocabulary, encode
+from .corpus import FileRecord, Vocabulary, build_vocabulary
 from .errors import CorpusError
 from .rng import stream
-from .treelstm import (DEFAULT_DEPTH_LIMIT, DropoutMasks, FlatTree, TreeLstmModel,
-                       backward, flatten, forward, init_model, pack, param_arrays,
-                       sample_masks)
+from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
+                       forward, init_model, pack, param_arrays, sample_masks)
 
 HEAD_INIT_SCALE = 0.05
 
@@ -72,7 +71,6 @@ class TrainConfig:
     hidden_dim: int | None = None
     vocab_size: int = 10000
     min_count: int = 2
-    depth_limit: int = DEFAULT_DEPTH_LIMIT
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -125,18 +123,6 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return Z
 
 
-def parent_distribution(children_states, head: PretrainHead) -> np.ndarray:
-    """Softmax over the vocabulary of head.U times the average child h."""
-    if len(children_states) == 0:
-        raise ValueError("parent_distribution requires at least one child state")
-    g = np.mean([s.h for s in children_states], axis=0)
-    z = head.U @ g
-    z = z - z.max()
-    p = np.exp(z)
-    p /= p.sum()
-    return p
-
-
 def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
                masks: DropoutMasks | None, grads: dict[str, np.ndarray] | None,
                scale: float = 1.0) -> np.ndarray:
@@ -173,8 +159,8 @@ def _require_trees(trees) -> None:
         raise CorpusError("corpus of trees is empty")
 
 
-def _flatten_all(trees, depth_limit: int) -> list[FlatTree]:
-    return [t if isinstance(t, FlatTree) else flatten(t, depth_limit) for t in trees]
+def _flatten_all(trees, vocab: Vocabulary) -> list[FlatTree]:
+    return [t if isinstance(t, FlatTree) else flatten(t, vocab) for t in trees]
 
 
 def _chunks(flats: list[FlatTree], masks: list[DropoutMasks] | None):
@@ -191,16 +177,16 @@ def _chunks(flats: list[FlatTree], masks: list[DropoutMasks] | None):
 
 
 def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
-                masks: list[DropoutMasks] | None = None,
-                depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
-    """Mean NLL of true parent labels over all internal nodes of `trees`.
+                masks: list[DropoutMasks] | None = None) -> float:
+    """Mean NLL of true parent labels over all internal nodes of `trees`
+    (AstTrees, encoded through the model's vocabulary, or FlatTrees).
 
     `masks` (one DropoutMasks per tree, from sample_masks) makes this the
     training-time loss; None evaluates without dropout.
     """
     _require_trees(trees)
     total, count = 0.0, 0
-    for flat, packed_masks in _chunks(_flatten_all(trees, depth_limit), masks):
+    for flat, packed_masks in _chunks(_flatten_all(trees, model.vocab), masks):
         total += float(_pack_loss(flat, model, head, packed_masks, None).sum())
         count += flat.n_internal
     if count == 0:
@@ -209,13 +195,12 @@ def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
 
 
 def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
-                       masks: list[DropoutMasks] | None = None,
-                       depth_limit: int = DEFAULT_DEPTH_LIMIT
+                       masks: list[DropoutMasks] | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Corpus loss plus exact reverse-mode gradients for every tensor
     (embeddings, four gate groups, head); dropout masks are held fixed."""
     _require_trees(trees)
-    flats = _flatten_all(trees, depth_limit)
+    flats = _flatten_all(trees, model.vocab)
     count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
@@ -229,16 +214,9 @@ def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
     return total / count, grads
 
 
-def gradients(trees, model: TreeLstmModel, head: PretrainHead,
-              masks: list[DropoutMasks] | None = None,
-              depth_limit: int = DEFAULT_DEPTH_LIMIT) -> dict[str, np.ndarray]:
-    return loss_and_gradients(trees, model, head, masks, depth_limit)[1]
-
-
-def perplexity(model: TreeLstmModel, head: PretrainHead, trees,
-               depth_limit: int = DEFAULT_DEPTH_LIMIT) -> float:
+def perplexity(model: TreeLstmModel, head: PretrainHead, trees) -> float:
     """exp(corpus loss) with dropout disabled; |V| for a uniform predictor."""
-    return float(np.exp(corpus_loss(trees, model, head, None, depth_limit)))
+    return float(np.exp(corpus_loss(trees, model, head)))
 
 
 def split_records(records: list[FileRecord], fractions: tuple[float, float, float],
@@ -297,8 +275,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
     head = init_head(len(vocab), model.hidden_dim, config.seed)
 
     def flats_of(recs):
-        return [flatten(encode(r.tree, vocab), config.depth_limit, name=r.file_id)
-                for r in recs]
+        return [flatten(r.tree, vocab, r.file_id) for r in recs]
 
     train_flats, val_flats, test_flats = map(flats_of, (train_recs, val_recs, test_recs))
     result = PretrainResult(model, head)
@@ -356,11 +333,6 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
     result.val_perplexity = best_perp
     result.test_perplexity = perplexity(model, head, test_flats)
     return result
-
-
-def pretrain_with_config(records, config: TrainConfig, seed: int) -> PretrainResult:
-    """pretrain under `config` with its seed replaced by `seed`."""
-    return pretrain(records, replace(config, seed=seed))
 
 
 def write_training_log(path, log: list[EpochStats]) -> None:

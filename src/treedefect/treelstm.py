@@ -22,8 +22,8 @@ forward evaluates every node of every tree as a leaf in one vectorised step,
 then recomputes the nodes of height 1, 2, ... across all trees at once with a
 few matrix products on contiguous row ranges, summing children with
 np.add.reduceat over parent-grouped edges. Backward walks the same levels
-from the top down. Nothing recurses, so depth is bounded by the configured
-limit rather than the interpreter stack.
+from the top down. Nothing recurses, so any tree depth fits the interpreter
+stack.
 
 During pretraining an optional dropout mask pair is applied to the embedding
 input w_t and to the aggregate h~ (inverted scaling, so inference needs no
@@ -39,12 +39,10 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .corpus import EncodedTree, Vocabulary
+from .corpus import AstTree, Vocabulary, encode, fold_tree
 from .embedding import EmbeddingMatrix, INIT_SCALE, init_embeddings
-from .errors import DepthLimitError, DocumentError
+from .errors import DocumentError
 from .rng import stream
-
-DEFAULT_DEPTH_LIMIT = 10000
 
 GATE_NAMES = ("forget", "input", "cell", "output")
 
@@ -59,12 +57,6 @@ class GateParams:
     W: np.ndarray  # (hidden_dim, d)
     U: np.ndarray  # (hidden_dim, hidden_dim)
     b: np.ndarray  # (hidden_dim,)
-
-
-@dataclass
-class NodeState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -117,7 +109,7 @@ def param_arrays(model: TreeLstmModel) -> dict[str, np.ndarray]:
 
 @dataclass
 class FlatTree:
-    """Array form of one EncodedTree, or of a packed forest of them.
+    """Array form of one AstTree, or of a packed forest of them.
 
     Nodes are ordered by height (0 at a leaf, one more than the tallest child
     otherwise), ties kept in tree order and then post-order, so children
@@ -186,43 +178,28 @@ def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray
                     new_start, tree[order], new_pos[roots], names)
 
 
-def flatten(tree: EncodedTree, depth_limit: int = DEFAULT_DEPTH_LIMIT,
-            name: str | None = None) -> FlatTree:
-    indices: list[int] = []
+def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
+    """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
+    id) is kept for error messages."""
+    labels: list[str] = []
     height: list[int] = []
     counts: list[int] = []
     edge_child: list[int] = []
-    positions: list[int] = []
-    work: list[tuple[EncodedTree, int, bool]] = [(tree, 1, False)]
-    while work:
-        node, depth, expanded = work.pop()
-        if not expanded:
-            if depth > depth_limit:
-                where = f" in {name}" if name else ""
-                raise DepthLimitError(
-                    f"tree depth exceeds the limit of {depth_limit} nodes{where}")
-            work.append((node, depth, True))
-            for child in reversed(node.children):
-                work.append((child, depth + 1, False))
-        else:
-            k = len(node.children)
-            if k:
-                child_pos = positions[-k:]
-                del positions[-k:]
-                edge_child.extend(child_pos)
-                height.append(1 + max(height[c] for c in child_pos))
-            else:
-                height.append(0)
-            counts.append(k)
-            positions.append(len(indices))
-            indices.append(node.index)
-    n = len(indices)
+
+    def add(node: AstTree, child_pos: tuple[int, ...]) -> int:
+        edge_child.extend(child_pos)
+        height.append(1 + max([height[c] for c in child_pos]) if child_pos else 0)
+        counts.append(len(child_pos))
+        labels.append(node.label)
+        return len(labels) - 1
+
+    fold_tree(tree, add)
+    n = len(labels)
     heights = np.asarray(height, dtype=np.intp)
     edge_start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=edge_start[1:])
-    return _sorted_by_height(np.argsort(heights, kind="stable"),
-                             np.asarray(indices, dtype=np.intp), heights,
-                             np.asarray(edge_child, dtype=np.intp), edge_start,
+    return _sorted_by_height(np.argsort(heights, kind="stable"), encode(labels, vocab),
+                             heights, np.asarray(edge_child, dtype=np.intp), edge_start,
                              np.zeros(n, dtype=np.intp), np.array([n - 1]), (name,))
 
 
@@ -408,23 +385,9 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     np.add.at(grads["embeddings"].T, flat.indices, dX)
 
 
-def t_lstm(node: EncodedTree, model: TreeLstmModel,
-           depth_limit: int = DEFAULT_DEPTH_LIMIT) -> NodeState:
-    """(h, c) at the root of `node`."""
-    flat = flatten(node, depth_limit)
-    cache = forward(flat, model)
-    return NodeState(cache.H[-1].copy(), cache.C[-1].copy())
-
-
-def forward_root(record, model: TreeLstmModel,
-                 depth_limit: int = DEFAULT_DEPTH_LIMIT) -> np.ndarray:
+def forward_root(record, model: TreeLstmModel) -> np.ndarray:
     """Root hidden vector of one FileRecord: the file's feature vector."""
-    from .corpus import encode  # local import to avoid cycle at module load
-
-    encoded = encode(record.tree, model.vocab)
-    flat = flatten(encoded, depth_limit, name=record.file_id)
-    cache = forward(flat, model)
-    return cache.H[-1].copy()
+    return forward(flatten(record.tree, model.vocab, record.file_id), model).H[-1].copy()
 
 
 def model_to_document(model: TreeLstmModel, head_u: np.ndarray) -> dict:

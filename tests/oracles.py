@@ -15,10 +15,15 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def token_index(vocab, label):
+    """Position of `label` in the vocabulary's token list; 0 when absent."""
+    return vocab.tokens.index(label) if label in vocab.tokens else 0
+
+
 def node_state(tree, model):
     """(h, c) at the root by direct recursive evaluation of the five gate
     equations (per-child forget gates, summed child hidden states)."""
-    w = model.embeddings.values[:, tree.index]
+    w = model.embeddings.values[:, token_index(model.vocab, tree.label)]
     child_states = [node_state(child, model) for child in tree.children]
     h_sum = np.zeros(model.hidden_dim)
     fc_sum = np.zeros(model.hidden_dim)
@@ -57,17 +62,23 @@ def sequential_lstm_chain(indices, model):
     return h, c
 
 
+def parent_distribution(child_h, head_u):
+    """Softmax over the vocabulary of head_u times the average child h."""
+    if len(child_h) == 0:
+        raise ValueError("parent_distribution requires at least one child state")
+    z = head_u @ np.mean(child_h, axis=0)
+    z = z - z.max()
+    return np.exp(z) / np.exp(z).sum()
+
+
 def tree_nll(tree, model, head_u):
-    """(summed NLL, internal count) over internal nodes: softmax(head_u @
-    mean child h) must predict the parent's own index."""
+    """(summed NLL, internal count) over internal nodes: the parent
+    distribution of the children must predict the parent's own token."""
     total, count = 0.0, 0
     if tree.children:
         child_h = [node_state(child, model)[0] for child in tree.children]
-        g = np.mean(child_h, axis=0)
-        z = head_u @ g
-        z = z - z.max()
-        p = np.exp(z) / np.exp(z).sum()
-        total += -np.log(p[tree.index])
+        p = parent_distribution(child_h, head_u)
+        total += -np.log(p[token_index(model.vocab, tree.label)])
         count += 1
         for child in tree.children:
             t, c = tree_nll(child, model, head_u)

@@ -13,20 +13,20 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (ClassifierOptions, EncodedTree, FileRecord,
+from treedefect import (AstTree, ClassifierOptions, FileRecord,
                         TrainConfig, auc, confusion, cv_feature_folds,
                         cv_from_folds, dataset_stats, f_measure,
                         featurize_corpus, generate_multi_cell,
                         generate_records, init_head, init_model,
                         loss_and_gradients, normalize_labels, param_arrays,
                         parse_descriptor, parse_mini, precision, pretrain,
-                        recall, save_model, stratified_k_fold, t_lstm,
+                        recall, save_model, stratified_k_fold,
                         version_pair_run, write_features_csv,
                         write_report_csv, write_report_json)
 from treedefect.pretrain import PretrainHead, corpus_loss, perplexity
 from treedefect import jsonio
 
-from conftest import random_encoded_tree, small_vocab
+from conftest import random_tree, root_state, small_vocab
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 
@@ -58,10 +58,10 @@ def _scaled_model_and_head(seed: int, d: int = 3, hidden: int = 3,
     return model, head
 
 
-def _permuted(tree: EncodedTree, rng) -> EncodedTree:
+def _permuted(tree: AstTree, rng) -> AstTree:
     children = tuple(_permuted(c, rng) for c in tree.children)
     order = rng.permutation(len(children))
-    return EncodedTree(tree.index, tuple(children[i] for i in order))
+    return AstTree(tree.label, tuple(children[i] for i in order))
 
 
 def _run_pipeline(out_dir: Path):
@@ -94,10 +94,9 @@ def test_criterion_1_gradient_check():
     start = time.monotonic()
     worst = 0.0
     for k in range(20):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=8, min_nodes=2)
+        tree = random_tree(rng, vocab_size=6, max_nodes=8, min_nodes=2)
         while not tree.children:  # loss needs at least one internal node
-            tree = random_encoded_tree(rng, vocab_size=6, max_nodes=8,
-                                       min_nodes=2)
+            tree = random_tree(rng, vocab_size=6, max_nodes=8, min_nodes=2)
         model, head = _scaled_model_and_head(seed=k)
         _, grads = loss_and_gradients([tree], model, head)
         tensors = dict(param_arrays(model))
@@ -125,8 +124,8 @@ def test_criterion_2_forward_oracle():
     model, _ = _scaled_model_and_head(seed=31, d=4, hidden=3, vocab_size=6)
     worst = 0.0
     for _ in range(100):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=15)
-        state = t_lstm(tree, model)
+        tree = random_tree(rng, vocab_size=6, max_nodes=15)
+        state = root_state(tree, model)
         h_ref, c_ref = oracles.node_state(tree, model)
         worst = max(worst, float(np.abs(state.h - h_ref).max()),
                     float(np.abs(state.c - c_ref).max()))
@@ -142,9 +141,9 @@ def test_criterion_3_analytic_anchors():
     h_max = 0.0
     trees = []
     for _ in range(10):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=12, min_nodes=2)
+        tree = random_tree(rng, vocab_size=6, max_nodes=12, min_nodes=2)
         trees.append(tree)
-        h_max = max(h_max, float(np.abs(t_lstm(tree, zero).h).max()))
+        h_max = max(h_max, float(np.abs(root_state(tree, zero).h).max()))
     model, _ = _scaled_model_and_head(seed=43)
     uniform = PretrainHead(np.zeros((6, 3)))
     loss_err = abs(corpus_loss(trees, model, uniform) - math.log(6))
@@ -159,10 +158,10 @@ def test_criterion_4_child_permutation_invariance():
     model, _ = _scaled_model_and_head(seed=57, d=3, hidden=3)
     worst = 0.0
     for _ in range(200):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=14)
+        tree = random_tree(rng, vocab_size=6, max_nodes=14)
         shuffled = _permuted(tree, rng)
-        a = t_lstm(tree, model)
-        b = t_lstm(shuffled, model)
+        a = root_state(tree, model)
+        b = root_state(shuffled, model)
         worst = max(worst, float(np.abs(a.h - b.h).max()),
                     float(np.abs(a.c - b.c).max()))
     ok = worst <= 1e-12

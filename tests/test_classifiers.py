@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, FeatureMatrix, FileRecord, ForestConfig,
+from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         ForestModel, LogisticModel, TrainingDataError,
                         UNK_TOKEN, Vocabulary, bow_featurize,
                         classifier_from_document, classifier_to_document,
@@ -123,7 +123,7 @@ def test_predict_thresholds():
 
 def test_forest_learns_separable_data():
     X, y = separable(seed=2)
-    model = train_forest(X, y, ForestConfig(n_trees=15, seed=3))
+    model = train_forest(X, y, ClassifierOptions(n_trees=15), seed=3)
     proba = predict_proba_forest(model, X)
     assert np.mean(predict(proba) == y) == 1.0
     assert 0.0 <= predict_proba_forest(model, X[0]) <= 1.0
@@ -131,9 +131,9 @@ def test_forest_learns_separable_data():
 
 def test_forest_deterministic_in_seed():
     X, y = separable(seed=3)
-    a = train_forest(X, y, ForestConfig(n_trees=8, seed=5))
-    b = train_forest(X, y, ForestConfig(n_trees=8, seed=5))
-    c = train_forest(X, y, ForestConfig(n_trees=8, seed=6))
+    a = train_forest(X, y, ClassifierOptions(n_trees=8), seed=5)
+    b = train_forest(X, y, ClassifierOptions(n_trees=8), seed=5)
+    c = train_forest(X, y, ClassifierOptions(n_trees=8), seed=6)
     grid = np.random.default_rng(0).normal(0, 1.5, size=(20, 2))
     np.testing.assert_array_equal(predict_proba_forest(a, grid),
                                   predict_proba_forest(b, grid))
@@ -148,8 +148,8 @@ def test_single_stump_matches_threshold_oracle():
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     assert oracles.best_threshold_accuracy(x, y) == 1.0
     model = train_forest(x.reshape(-1, 1), y,
-                         ForestConfig(n_trees=1, max_depth=1,
-                                      features_per_split=1, seed=0))
+                         ClassifierOptions(n_trees=1, max_depth=1,
+                                           features_per_split=1), seed=0)
     acc = np.mean(predict(predict_proba_forest(model, x.reshape(-1, 1))) == y)
     assert acc == 1.0
 
@@ -160,8 +160,8 @@ def test_forest_tie_breaks_to_lowest_feature():
     x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     X = np.column_stack([x, x])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    model = train_forest(X, y, ForestConfig(n_trees=20, max_depth=1,
-                                            features_per_split=2, seed=1))
+    model = train_forest(X, y, ClassifierOptions(n_trees=20, max_depth=1,
+                                                 features_per_split=2), seed=1)
     for tree in model.trees:
         if not tree.is_leaf:
             assert tree.feature == 0
@@ -171,7 +171,7 @@ def test_decision_boundary_is_left_inclusive():
     node = TreeNode(feature=0, threshold=0.5,
                     left=TreeNode(proba=(1.0, 0.0)),
                     right=TreeNode(proba=(0.0, 1.0)))
-    model = ForestModel([node], 1, 1, 1, None, 0)
+    model = ForestModel([node], ClassifierOptions(n_trees=1, max_depth=1), 0, dim=1)
     assert predict_proba_forest(model, np.array([0.5])) == 0.0  # x <= thr: left
     assert predict_proba_forest(model, np.array([0.5000001])) == 1.0
 
@@ -183,12 +183,11 @@ def test_forest_single_class_rejected():
 
 def test_oob_predictions():
     X, y = separable(n=30, seed=4)
-    model = train_forest(X, y, ForestConfig(n_trees=30, seed=7))
+    model = train_forest(X, y, ClassifierOptions(n_trees=30), seed=7)
     proba, covered = oob_predictions(model, X)
     assert covered.all()  # 30 trees leave every row out at least once
     assert np.mean(predict(proba[covered]) == y[covered]) >= 0.9
-    stripped = ForestModel(model.trees, model.n_trees, model.max_depth,
-                           model.min_leaf, model.features_per_split, model.seed)
+    stripped = ForestModel(model.trees, model.options, model.seed, model.dim)
     with pytest.raises(ValueError):
         oob_predictions(stripped, X)
 
@@ -209,7 +208,7 @@ def test_logistic_roundtrip(tmp_path):
 
 def test_forest_roundtrip(tmp_path):
     X, y = separable(seed=6)
-    model = train_forest(X, y, ForestConfig(n_trees=6, seed=9))
+    model = train_forest(X, y, ClassifierOptions(n_trees=6), seed=9)
     path = tmp_path / "forest.json"
     save_classifier(path, model)
     first = path.read_bytes()
@@ -236,6 +235,45 @@ def test_classifier_document_validation():
     with pytest.raises(DocumentError):
         classifier_from_document({"format_version": 1, "kind": "logistic",
                                   "weights": [[1.0]], "bias": 0.0, "l2": 0.0})
+
+
+def test_classifier_documents_record_and_check_dim():
+    X, y = separable(seed=7)
+    forest = classifier_to_document(train_forest(X, y, ClassifierOptions(n_trees=3),
+                                                 seed=1))
+    logistic = classifier_to_document(train_logistic(X, y))
+    assert forest["dim"] == 2 and logistic["dim"] == 2
+    assert classifier_from_document(forest).dim == 2
+    assert classifier_from_document(logistic).dim == 2
+    uses_feature_1 = [[{"f": 1, "t": 0.0}, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]]
+    for doc, dim in ((forest, 0), (forest, None), (forest, "2"), (forest, True),
+                     ({**forest, "trees": uses_feature_1}, 1),
+                     (logistic, 1), (logistic, 3), (logistic, None)):
+        with pytest.raises(DocumentError, match="dim"):
+            classifier_from_document({**doc, "dim": dim})
+    for doc in (forest, logistic):
+        with pytest.raises(ValueError, match="dimension 2"):
+            predict_proba(classifier_from_document(doc), np.zeros((3, 1)))
+
+
+def test_malformed_classifier_documents_are_document_errors():
+    X, y = separable(seed=8)
+    forest = classifier_to_document(train_forest(X, y, ClassifierOptions(n_trees=2),
+                                                 seed=1))
+    logistic = classifier_to_document(train_logistic(X, y))
+    bad_nodes = ({"f": "x", "t": 0.5}, {"f": -1, "t": 0.5}, {"f": 0, "t": "x"},
+                 {"f": 0, "t": float("nan")}, {"p": [0.5, "x"]}, 7)
+    for node in bad_nodes:
+        doc = {**forest, "trees": [[node, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]]}
+        with pytest.raises(DocumentError, match="node|leaf"):
+            classifier_from_document(doc)
+    for weights in (["a", 1.0], [None, 1.0], [float("inf"), 1.0], "12"):
+        with pytest.raises(DocumentError, match="weights"):
+            classifier_from_document({**logistic, "weights": weights})
+    for key, value in (("max_depth", 0), ("min_leaf", "1"), ("seed", 1.5),
+                       ("features_per_split", 0)):
+        with pytest.raises(DocumentError, match=key):
+            classifier_from_document({**forest, key: value})
 
 
 def test_predict_proba_dispatch():
@@ -277,5 +315,10 @@ def test_features_csv_validation(tmp_path):
     path.write_text("project,version,file_id,label,f0\np,1,a,1\n", encoding="utf-8")
     with pytest.raises(DocumentError, match="columns"):
         read_features_csv(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"project,version,file_id,label,f0\np,1,a,1,{value}\n",
+                        encoding="utf-8")
+        with pytest.raises(DocumentError, match=r"bad\.csv:2: feature values must be finite"):
+            read_features_csv(path)
     with pytest.raises(DocumentError):
         read_features_csv(tmp_path / "missing.csv")

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from treedefect import (generate_multi_cell, generate_records, read_corpus,
                         read_features_csv, write_corpus)
 from treedefect.cli import main
+from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
 
 GOOD_SOURCE = "int i = 0;\nwhile (i < 3) {\n  work(i);\n  i = i + 1;\n}\n"
@@ -161,16 +163,6 @@ def test_featurize_tree_output(workspace):
     assert set(features.labels) <= {0, 1}
 
 
-def test_featurize_jobs_identical_bytes(tmp_path, workspace):
-    solo = tmp_path / "solo.csv"
-    pooled = tmp_path / "pooled.csv"
-    for path, jobs in ((solo, "1"), (pooled, "3")):
-        assert main(["featurize", "--corpus", str(workspace["corpus"]),
-                     "--model", str(workspace["model"]),
-                     "--output", str(path), "--jobs", jobs]) == 0
-    assert solo.read_bytes() == pooled.read_bytes()
-
-
 def test_featurize_bow(tmp_path, workspace):
     vocab = tmp_path / "vocab.json"
     main(["vocab", "--corpus", str(workspace["corpus"]), "--output", str(vocab),
@@ -275,21 +267,23 @@ def test_experiment_pairs_and_jobs(tmp_path, capsys):
         '{"train":{"project":"p","version":"2.0"},"test":{"project":"p","version":"1.0"}}]}\n',
         encoding="utf-8")
     solo = tmp_path / "solo"
-    pooled = tmp_path / "pooled"
-    for out_dir, jobs in ((solo, "1"), (pooled, "2")):
-        code = main(["experiment", "--corpus", str(corpus),
-                     "--descriptor", str(descriptor), "--output-dir", str(out_dir),
-                     "--jobs", jobs, *FAST_TRAIN, "--max-epochs", "1"])
-        assert code in (0, 1)
+    code = main(["experiment", "--corpus", str(corpus),
+                 "--descriptor", str(descriptor), "--output-dir", str(solo),
+                 *FAST_TRAIN, "--max-epochs", "1"])
+    assert code in (0, 1)
     capsys.readouterr()
     lines = (solo / "report.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3  # header and one row per pair, average only in JSON
     assert lines[1].startswith("p:1.0,p:2.0,")
     assert lines[2].startswith("p:2.0,p:1.0,")
-    assert (solo / "report.csv").read_bytes() == (pooled / "report.csv").read_bytes()
-    assert (solo / "report.json").read_bytes() == (pooled / "report.json").read_bytes()
     doc = read(solo / "report.json")
     assert doc["average"]["cell_train"] == "pairs:average"
+    # the thread pool measured slower than one thread and was removed
+    for removed in (["--jobs", "2"], ["--depth-limit", "50"]):
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "--corpus", str(corpus), "--descriptor",
+                  str(descriptor), "--output-dir", str(solo), *removed])
+        assert info.value.code == 2
 
 
 def test_stats_command(tmp_path, workspace, capsys):
@@ -308,19 +302,116 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_internal_error_exit_3(tmp_path, workspace, capsys):
+def test_internal_error_exit_3(tmp_path, workspace, capsys, monkeypatch):
+    import treedefect.cli
+
+    def broken(*args):
+        raise RuntimeError("simulated bug")
+
+    # a fault inside the library, not in the input, is reported as internal
+    monkeypatch.setattr(treedefect.cli, "predict_proba", broken)
     clf = tmp_path / "clf.json"
     main(["train-classifier", "--features", str(workspace["features"]),
           "--output", str(clf), "--classifier", "logistic"])
-    # feature width no longer matches the classifier: a contract violation
-    narrow = tmp_path / "narrow.csv"
-    narrow.write_text("project,version,file_id,label,f0\np,1,a,1,0.5\np,1,b,0,0.1\n",
-                      encoding="utf-8")
-    code = main(["evaluate", "--features", str(narrow),
+    code = main(["evaluate", "--features", str(workspace["features"]),
                  "--classifier-file", str(clf),
                  "--output", str(tmp_path / "r.csv")])
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+NARROW_CSV = "project,version,file_id,label,f0\np,1,a,1,0.5\np,1,b,0,0.1\n"
+
+
+@pytest.mark.parametrize("kind", ["logistic", "forest"])
+def test_evaluate_feature_dimension_mismatch_is_bad_input(tmp_path, workspace, capsys,
+                                                          kind):
+    clf = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(workspace["features"]),
+                 "--output", str(clf), "--classifier", kind, "--n-trees", "4"]) == 0
+    assert read(clf)["dim"] == 4
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text(NARROW_CSV, encoding="utf-8")
+    report = tmp_path / "r.csv"
+    assert main(["evaluate", "--features", str(narrow), "--classifier-file", str(clf),
+                 "--output", str(report)]) == 2
+    assert "1 features per row" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_evaluate_malformed_inputs_are_bad_input(tmp_path, workspace):
+    def evaluate(features, clf):
+        return main(["evaluate", "--features", str(features), "--classifier-file",
+                     str(clf), "--output", str(tmp_path / "r.csv")])
+
+    forest = tmp_path / "forest.json"
+    logistic = tmp_path / "logistic.json"
+    for kind, path in (("forest", forest), ("logistic", logistic)):
+        assert main(["train-classifier", "--features", str(workspace["features"]),
+                     "--output", str(path), "--classifier", kind,
+                     "--n-trees", "2"]) == 0
+    doc = read(forest)
+    doc["trees"][0][0] = {"f": "x", "t": 0.5}
+    bad = tmp_path / "bad-forest.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert evaluate(workspace["features"], bad) == 2
+    doc = read(logistic)
+    doc["weights"][0] = "heavy"
+    bad = tmp_path / "bad-logistic.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert evaluate(workspace["features"], bad) == 2
+    lines = workspace["features"].read_text(encoding="utf-8").splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:-1] + ["nan"])
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert evaluate(nan_csv, logistic) == 2
+
+
+def test_train_classifier_bad_options_are_bad_input(tmp_path, workspace, capsys):
+    out = tmp_path / "clf.json"
+    for kind, flag, value in (("forest", "--n-trees", "0"), ("logistic", "--l2", "-1"),
+                              ("forest", "--min-leaf", "0"), ("logistic", "--l2", "nan")):
+        assert main(["train-classifier", "--features", str(workspace["features"]),
+                     "--output", str(out), "--classifier", kind, flag, value]) == 2
+        assert "bad option" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_ingest_left_associative_chain_deeper_than_limit(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "good.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    (src / "chain.mini").write_text("x = 1" + " + 1" * 2999 + ";\n", encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", str(src), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "chain.mini" in err and f"limit of {MAX_TREE_DEPTH}" in err
+    assert not out.exists()
+    assert main(["ingest", str(src), "--output", str(out), "--skip-bad"]) == 0
+    assert [r.file_id for r in read_corpus(out)] == ["good.mini"]
+
+
+def test_corpus_documents_too_deep_are_bad_input(tmp_path, capsys):
+    def document(levels):
+        return ('{"format_version":1,"files":[{"file_id":"a","project":"p",'
+                '"version":"1","label":0,"tree":'
+                + '{"label":"y","children":[' * (levels - 1)
+                + '{"label":"x","children":[]}' + "]}" * (levels - 1) + "}]}\n")
+
+    for levels, message in ((700, "nested too deeply"),
+                            (MAX_TREE_DEPTH + 1, f"limit of {MAX_TREE_DEPTH}")):
+        path = tmp_path / f"deep{levels}.json"
+        path.write_text(document(levels), encoding="utf-8")
+        assert main(["stats", "--corpus", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "corpus.json"
+        assert main(["ingest", str(path), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["ingest", str(path), "--output", str(out), "--skip-bad"]) == 2
+        assert "no valid input files" in capsys.readouterr().err
+    path = tmp_path / "ok.json"
+    path.write_text(document(MAX_TREE_DEPTH), encoding="utf-8")
+    assert main(["stats", "--corpus", str(path)]) == 0
 
 
 def test_usage_error_exit_2():

@@ -1,14 +1,16 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from treedefect import (AstTree, EncodedTree, FileRecord, UNK_TOKEN, Vocabulary,
-                        build_vocabulary, decode, encode, iter_nodes, node_count,
-                        normalize_label, normalize_labels, read_corpus, tree_depth,
-                        write_corpus)
-from treedefect.corpus import (cell, corpus_from_document, corpus_to_document,
-                               tree_from_json, tree_to_json)
-from treedefect.errors import DocumentError
+from treedefect import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
+                        encode, flatten, iter_nodes, node_count, normalize_label,
+                        normalize_labels, read_corpus, tree_depth, write_corpus)
+from treedefect import jsonio
+from treedefect.corpus import (MAX_TREE_DEPTH, cell, corpus_from_document,
+                               corpus_to_document, tree_from_json, tree_to_json)
+from treedefect.errors import DepthLimitError, DocumentError
 
 
 def leaf(label):
@@ -96,13 +98,14 @@ def test_build_vocabulary_never_emits_unk_token():
 
 def test_encode_decode_roundtrip_and_oov():
     vocab = build_vocabulary([SAMPLE], min_count=1)
-    encoded = encode(SAMPLE, vocab)
-    assert isinstance(encoded, EncodedTree)
-    assert decode(encoded, vocab) == SAMPLE
-    oov = encode(leaf("never-seen"), vocab)
-    assert oov.index == vocab.unk_index
+    labels = [n.label for n in iter_nodes(SAMPLE)]
+    encoded = encode(labels, vocab)
+    assert encoded.dtype == np.intp and encoded.shape == (len(labels),)
+    assert [vocab.token(i) for i in encoded] == labels
+    oov = encode(["never-seen"], vocab)
+    assert oov.tolist() == [vocab.unk_index]
     with pytest.raises(IndexError):
-        decode(EncodedTree(len(vocab)), vocab)
+        vocab.token(len(vocab))
 
 
 def test_tree_json_roundtrip():
@@ -131,11 +134,13 @@ def test_deep_tree_operations_are_iterative():
     normalized = normalize_labels(tree)
     assert normalized.label == "y"
     vocab = build_vocabulary([tree], min_count=1)
-    decoded = decode(encode(tree, vocab), vocab)
-    # dataclass == would itself recurse on a 30k-deep chain, so walk instead
-    assert [n.label for n in iter_nodes(decoded)] == [n.label for n in iter_nodes(tree)]
-    round_tripped = tree_from_json(tree_to_json(tree))
-    assert node_count(round_tripped) == 10001
+    flat = flatten(tree, vocab)
+    # a chain's height order is its preorder reversed
+    assert [vocab.token(i) for i in flat.indices] == [n.label for n in iter_nodes(tree)][::-1]
+    obj = tree_to_json(tree)
+    # documents are written iteratively, but read back only up to MAX_TREE_DEPTH
+    with pytest.raises(DepthLimitError, match="deeper than the limit"):
+        tree_from_json(obj)
 
 
 def make_records():
@@ -209,3 +214,34 @@ def test_cell_selection():
     records = make_records()
     assert [r.file_id for r in cell(records, "proj", "1.0")] == ["a.mini", "b.mini"]
     assert cell(records, "proj", "9.9") == []
+
+
+_LABELS = st.sampled_from(["a", "y", UNK_TOKEN, "IntegerLiteralExpr", '"s"', "é"]) | st.text(
+    min_size=1, max_size=3)
+# one (label, side leaves, position of the deeper node among them) per level
+_LEVELS = st.lists(st.tuples(_LABELS, st.lists(_LABELS, max_size=2), st.integers(0, 2)),
+                   min_size=1, max_size=MAX_TREE_DEPTH)
+
+
+def spine_tree(levels):
+    """Tree with one node per level on its deepest path, leaf level first.
+    Drawn as flat levels because hypothesis reports examples by repr, which
+    recurses once per level of a tree."""
+    tree = AstTree(levels[0][0])
+    for label, side, at in levels[1:]:
+        kids = [AstTree(s) for s in side]
+        kids.insert(min(at, len(kids)), tree)
+        tree = AstTree(label, tuple(kids))
+    return tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LEVELS)
+@example([("y", [], 0)] * MAX_TREE_DEPTH)
+def test_trees_up_to_max_depth_roundtrip_through_json(levels):
+    tree = spine_tree(levels)
+    assert tree_depth(tree) == len(levels)
+    back = tree_from_json(jsonio.parse(jsonio.dumps(tree_to_json(tree))))
+    # dataclass == recurses once per level, so compare preorder shapes instead
+    assert ([(n.label, len(n.children)) for n in iter_nodes(back)]
+            == [(n.label, len(n.children)) for n in iter_nodes(tree)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treedefect import EmbeddingMatrix, ast2vec, init_embeddings
+from treedefect import EmbeddingMatrix, init_embeddings
 
 
 def test_init_shape_and_range():
@@ -40,39 +40,3 @@ def test_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
         EmbeddingMatrix(np.array([[0.0, np.nan]]))
 
-
-def test_ast2vec_returns_column_view():
-    emb = init_embeddings(3, 9, seed=1)
-    vec = ast2vec(4, emb)
-    assert vec.shape == (3,)
-    assert np.array_equal(vec, emb.values[:, 4])
-    # view, not copy: edits to the matrix show through
-    emb.values[0, 4] = 0.5
-    assert vec[0] == 0.5
-
-
-def test_ast2vec_result_is_read_only():
-    emb = init_embeddings(2, 5, seed=1)
-    vec = ast2vec(0, emb)
-    with pytest.raises(ValueError):
-        vec[0] = 1.0
-    # the backing matrix stays writeable
-    emb.values[0, 0] = 1.0
-
-
-def test_ast2vec_index_errors():
-    emb = init_embeddings(2, 5, seed=1)
-    with pytest.raises(IndexError):
-        ast2vec(5, emb)
-    with pytest.raises(IndexError):
-        ast2vec(-1, emb)
-    with pytest.raises(IndexError):
-        ast2vec(1.5, emb)
-    with pytest.raises(IndexError):
-        ast2vec(True, emb)
-
-
-def test_ast2vec_accepts_numpy_integers():
-    emb = init_embeddings(2, 5, seed=1)
-    vec = ast2vec(np.int64(3), emb)
-    assert np.array_equal(vec, emb.values[:, 3])

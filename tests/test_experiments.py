@@ -37,6 +37,12 @@ def stats_records():
 def test_classifier_options_validation():
     with pytest.raises(ValueError, match="kind"):
         ClassifierOptions(kind="svm")
+    assert ClassifierOptions(l2=0, features_per_split=3).l2 == 0
+    for kwargs in ({"l2": -1.0}, {"l2": float("nan")}, {"l2": "1"}, {"n_trees": 0},
+                   {"max_depth": 0}, {"min_leaf": 0}, {"features_per_split": 0},
+                   {"n_trees": 2.5}, {"max_depth": True}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ClassifierOptions(**kwargs)
 
 
 def test_train_classifier_dispatch_and_seed():

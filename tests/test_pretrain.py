@@ -1,21 +1,21 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, CorpusError, NodeState, PretrainHead, RmspropState,
+from treedefect import (AstTree, CorpusError, PretrainHead, RmspropState,
                         TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        corpus_loss, encode, flatten, generate_records,
-                        init_head, init_model, loss_and_gradients, node_count,
-                        param_arrays, parent_distribution, perplexity,
-                        pretrain, pretrain_with_config, rmsprop_step,
-                        sample_masks, split_records, write_training_log)
+                        corpus_loss, flatten, generate_records, init_model,
+                        loss_and_gradients, node_count, param_arrays,
+                        perplexity, pretrain, rmsprop_step, sample_masks,
+                        split_records, write_training_log)
 from treedefect.pretrain import PACK_NODES
 from treedefect.rng import stream
 
-from conftest import random_encoded_tree, small_vocab
+from conftest import node, random_tree, small_vocab
 from test_treelstm import scaled_model
 
 
@@ -24,37 +24,39 @@ def scaled_head(vocab_size, hidden_dim, seed, scale=0.8):
     return PretrainHead(rng.uniform(-scale, scale, size=(vocab_size, hidden_dim)))
 
 
+# The head's parent distribution lives in the oracle that corpus_loss and the
+# pack loss are checked against; these anchor that oracle.
 def test_parent_distribution_anchors():
     # z = [0, ln 3] on a unit child state: p = [1/4, 3/4] exactly
     head = PretrainHead(np.array([[0.0], [math.log(3.0)]]))
-    child = NodeState(h=np.array([1.0]), c=np.array([0.0]))
-    p = parent_distribution([child], head)
+    child = np.array([1.0])
+    p = oracles.parent_distribution([child], head.U)
     np.testing.assert_allclose(p, [0.25, 0.75], rtol=0, atol=1e-12)
     assert -math.log(p[0]) == pytest.approx(2 * math.log(2), abs=1e-12)
     # z = [1, 0]: p = [e/(e+1), 1/(e+1)]
     head = PretrainHead(np.array([[1.0], [0.0]]))
-    p = parent_distribution([child], head)
+    p = oracles.parent_distribution([child], head.U)
     np.testing.assert_allclose(p, [0.7310585786300049, 0.2689414213699951],
                                rtol=0, atol=1e-12)
 
 
 def test_parent_distribution_averages_children():
     head = PretrainHead(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-    a = NodeState(h=np.array([2.0, 0.0]), c=np.zeros(2))
-    b = NodeState(h=np.array([0.0, 4.0]), c=np.zeros(2))
-    averaged = parent_distribution([a, b], head)
-    merged = NodeState(h=np.array([1.0, 2.0]), c=np.zeros(2))
-    np.testing.assert_allclose(averaged, parent_distribution([merged], head),
+    a = np.array([2.0, 0.0])
+    b = np.array([0.0, 4.0])
+    averaged = oracles.parent_distribution([a, b], head.U)
+    merged = np.array([1.0, 2.0])
+    np.testing.assert_allclose(averaged, oracles.parent_distribution([merged], head.U),
                                rtol=0, atol=1e-15)
     assert averaged.shape == (3,)
     assert averaged.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        parent_distribution([], head)
+        oracles.parent_distribution([], head.U)
 
 
 def test_parent_distribution_large_logits_stable():
     head = PretrainHead(np.array([[800.0], [-800.0]]))
-    p = parent_distribution([NodeState(h=np.array([1.0]), c=np.zeros(1))], head)
+    p = oracles.parent_distribution([np.array([1.0])], head.U)
     assert np.all(np.isfinite(p))
     np.testing.assert_allclose(p, [1.0, 0.0], rtol=0, atol=1e-12)
 
@@ -66,7 +68,7 @@ def test_zero_model_loss_is_log_vocab():
         arr[...] = 0.0
     head = PretrainHead(np.zeros((6, 3)))
     rng = np.random.default_rng(31)
-    trees = [random_encoded_tree(rng, vocab_size=6, max_nodes=12, min_nodes=2)
+    trees = [random_tree(rng, vocab_size=6, max_nodes=12, min_nodes=2)
              for _ in range(8)]
     loss = corpus_loss(trees, model, head)
     assert loss == pytest.approx(math.log(6), abs=1e-12)
@@ -77,7 +79,7 @@ def test_corpus_loss_matches_recursive_oracle():
     rng = np.random.default_rng(37)
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=14)
     head = scaled_head(6, 3, seed=14)
-    trees = [random_encoded_tree(rng, vocab_size=6, max_nodes=14, min_nodes=2)
+    trees = [random_tree(rng, vocab_size=6, max_nodes=14, min_nodes=2)
              for _ in range(15)]
     loss = corpus_loss(trees, model, head)
     ref = oracles.corpus_loss(trees, model, head.U)
@@ -89,16 +91,15 @@ def test_corpus_loss_edge_cases():
     head = scaled_head(6, 3, seed=15)
     with pytest.raises(CorpusError):
         corpus_loss([], model, head)
-    from treedefect import EncodedTree
     with pytest.raises(CorpusError, match="internal"):
-        corpus_loss([EncodedTree(1), EncodedTree(2)], model, head)
+        corpus_loss([node(1), node(2)], model, head)
 
 
 def test_corpus_duplication_leaves_loss_and_gradients_unchanged():
     rng = np.random.default_rng(41)
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=16)
     head = scaled_head(6, 3, seed=16)
-    trees = [random_encoded_tree(rng, vocab_size=6, max_nodes=10, min_nodes=2)
+    trees = [random_tree(rng, vocab_size=6, max_nodes=10, min_nodes=2)
              for _ in range(4)]
     loss_once, grads_once = loss_and_gradients(trees, model, head)
     loss_twice, grads_twice = loss_and_gradients(trees + trees, model, head)
@@ -113,7 +114,7 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
     head = scaled_head(6, 3, seed=22)
     trees = []
     while sum(node_count(t) for t in trees) <= 2 * PACK_NODES:
-        trees.append(random_encoded_tree(rng, vocab_size=6, max_nodes=30))
+        trees.append(random_tree(rng, vocab_size=6, max_nodes=30))
     counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
     total = sum(counts)
     ref = sum(oracles.tree_nll(t, model, head.U)[0] for t in trees) / total
@@ -154,7 +155,7 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(43)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=17)
     head = scaled_head(5, 2, seed=17)
-    trees = [random_encoded_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
+    trees = [random_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
              for _ in range(3)]
     assert _fd_corpus_worst(trees, model, head) < 1e-4
 
@@ -163,9 +164,9 @@ def test_loss_gradients_with_dropout_match_finite_differences():
     rng = np.random.default_rng(47)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=18)
     head = scaled_head(5, 2, seed=18)
-    trees = [random_encoded_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
+    trees = [random_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
              for _ in range(3)]
-    flats = [flatten(t) for t in trees]
+    flats = [flatten(t, model.vocab) for t in trees]
     mask_rng = np.random.default_rng(3)
     masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
     assert _fd_corpus_worst(flats, model, head, masks) < 1e-4
@@ -262,7 +263,7 @@ def test_pretrain_restores_best_snapshot():
     config = small_config(max_epochs=5, seed=21)
     result = pretrain(records, config)
     _, val_recs, _ = split_records(records, config.split, config.seed)
-    val_flats = [flatten(encode(r.tree, result.model.vocab)) for r in val_recs]
+    val_flats = [flatten(r.tree, result.model.vocab) for r in val_recs]
     assert perplexity(result.model, result.head, val_flats) == result.val_perplexity
 
 
@@ -292,9 +293,9 @@ def test_pretrain_uses_given_vocab_and_train_split_vocab():
 def test_pretrain_with_config_overrides_seed():
     records = generate_records(n=20, seed=19)
     config = small_config(max_epochs=1)
-    a = pretrain_with_config(records, config, seed=100)
-    b = pretrain_with_config(records, config, seed=100)
-    c = pretrain_with_config(records, config, seed=101)
+    a = pretrain(records, replace(config, seed=100))
+    b = pretrain(records, replace(config, seed=100))
+    c = pretrain(records, replace(config, seed=101))
     np.testing.assert_array_equal(a.model.embeddings.values, b.model.embeddings.values)
     assert not np.array_equal(a.model.embeddings.values, c.model.embeddings.values)
 

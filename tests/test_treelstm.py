@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, DepthLimitError, DropoutMasks, EncodedTree,
-                        FileRecord, FlatTree, UNK_TOKEN, Vocabulary, backward,
-                        flatten, forward, forward_root, init_model, load_model,
-                        model_from_document, model_to_document, pack,
-                        param_arrays, sample_masks, save_model, sigmoid, t_lstm)
-from treedefect.errors import DocumentError
+from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
+                        Vocabulary, backward, flatten, forward, forward_root,
+                        init_model, load_model, model_from_document,
+                        model_to_document, pack, param_arrays, sample_masks,
+                        save_model, sigmoid)
+from treedefect.corpus import MAX_TREE_DEPTH, check_depth
+from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
 
-from conftest import random_encoded_tree, small_vocab
+from conftest import node, random_tree, root_state, small_vocab
 
 
 def scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=0, scale=0.8):
@@ -27,7 +28,7 @@ def scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=0, scale=0.8):
 def permuted(tree, rng):
     children = tuple(permuted(c, rng) for c in tree.children)
     order = rng.permutation(len(children))
-    return EncodedTree(tree.index, tuple(children[i] for i in order))
+    return AstTree(tree.label, tuple(children[i] for i in order))
 
 
 def test_sigmoid_anchors_and_stability():
@@ -51,7 +52,7 @@ def test_single_leaf_scalar_anchors():
     model.cell.W[0, 0] = 1.0
     model.output.W[0, 0] = 1.0
     model.forget.W[0, 0] = 123.0  # no children, so the forget gate never fires
-    state = t_lstm(EncodedTree(1), model)
+    state = root_state(AstTree("w"), model)
     assert state.c[0] == pytest.approx(0.5567699411459397, abs=1e-12)
     assert state.h[0] == pytest.approx(0.3696063529357058, abs=1e-12)
 
@@ -60,8 +61,8 @@ def test_forward_matches_recursive_oracle():
     rng = np.random.default_rng(101)
     model = scaled_model(vocab_size=7, d=4, hidden_dim=3, seed=1)
     for _ in range(30):
-        tree = random_encoded_tree(rng, vocab_size=7, max_nodes=15)
-        state = t_lstm(tree, model)
+        tree = random_tree(rng, vocab_size=7, max_nodes=15)
+        state = root_state(tree, model)
         h_ref, c_ref = oracles.node_state(tree, model)
         np.testing.assert_allclose(state.h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.c, c_ref, rtol=0, atol=1e-12)
@@ -70,11 +71,11 @@ def test_forward_matches_recursive_oracle():
 def test_path_tree_equals_sequential_lstm():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=2)
     indices = [4, 1, 5, 2, 3]
-    tree = EncodedTree(indices[0])
+    tree = node(indices[0])
     for idx in indices[1:]:
-        tree = EncodedTree(idx, (tree,))
+        tree = node(idx, (tree,))
     # the chain oracle consumes leaf-to-root order; the tree is rooted at the end
-    state = t_lstm(tree, model)
+    state = root_state(tree, model)
     h_ref, c_ref = oracles.sequential_lstm_chain(indices, model)
     np.testing.assert_allclose(state.h, h_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(state.c, c_ref, rtol=0, atol=1e-12)
@@ -87,7 +88,7 @@ def test_leaf_uses_empty_aggregate():
     cb = np.tanh(model.cell.W @ w + model.cell.b)
     o = oracles.sigmoid(model.output.W @ w + model.output.b)
     c = i * cb
-    state = t_lstm(EncodedTree(2), model)
+    state = root_state(node(2), model)
     np.testing.assert_allclose(state.c, c, rtol=0, atol=1e-14)
     np.testing.assert_allclose(state.h, o * np.tanh(c), rtol=0, atol=1e-14)
 
@@ -98,8 +99,8 @@ def test_zero_model_hidden_state_is_exactly_zero():
         arr[...] = 0.0
     rng = np.random.default_rng(5)
     for _ in range(10):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=12)
-        state = t_lstm(tree, model)
+        tree = random_tree(rng, vocab_size=6, max_nodes=12)
+        state = root_state(tree, model)
         assert np.all(state.h == 0.0)
         assert np.all(state.c == 0.0)
 
@@ -108,18 +109,17 @@ def test_child_permutation_invariance():
     rng = np.random.default_rng(11)
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=4)
     for _ in range(25):
-        tree = random_encoded_tree(rng, vocab_size=6, max_nodes=14)
+        tree = random_tree(rng, vocab_size=6, max_nodes=14)
         shuffled = permuted(tree, rng)
-        a = t_lstm(tree, model)
-        b = t_lstm(shuffled, model)
+        a = root_state(tree, model)
+        b = root_state(shuffled, model)
         np.testing.assert_allclose(a.h, b.h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.c, b.c, rtol=0, atol=1e-12)
 
 
 def test_flatten_layout():
-    tree = EncodedTree(0, (EncodedTree(1),
-                           EncodedTree(2, (EncodedTree(3), EncodedTree(4)))))
-    flat = flatten(tree)
+    tree = node(0, (node(1), node(2, (node(3), node(4)))))
+    flat = flatten(tree, small_vocab(5))
     assert flat.indices.tolist() == [1, 3, 4, 2, 0]  # by height, root last
     assert [flat.edge_child[flat.edge_start[i]:flat.edge_start[i + 1]].tolist()
             for i in range(flat.n)] == [[], [], [], [1, 2], [0, 3]]
@@ -132,29 +132,25 @@ def test_flatten_layout():
 
 
 def test_depth_limit():
-    tree = EncodedTree(1)
-    for _ in range(50):
-        tree = EncodedTree(2, (tree,))
-    flatten(tree, depth_limit=51)
-    with pytest.raises(DepthLimitError):
-        flatten(tree, depth_limit=50)
-    with pytest.raises(DepthLimitError, match="deep.mini"):
-        ast = AstTree("x")
-        for _ in range(50):
-            ast = AstTree("y", (ast,))
-        record = FileRecord("deep.mini", "p", "1", 0, ast)
-        model = scaled_model()
-        forward_root(record, model, depth_limit=10)
+    # the limit guards where trees enter (corpus.check_depth); the passes
+    # themselves iterate, so a deeper tree still flattens and runs
+    tree = node(1)
+    for _ in range(MAX_TREE_DEPTH):
+        tree = node(2, (tree,))
+    assert check_depth(tree.children[0]) is tree.children[0]
+    with pytest.raises(DepthLimitError, match=str(MAX_TREE_DEPTH)):
+        check_depth(tree)
+    assert flatten(tree, small_vocab()).depth == MAX_TREE_DEPTH + 1
+    record = FileRecord("deep.mini", "p", "1", 0, tree)
+    assert np.all(np.isfinite(forward_root(record, scaled_model())))
 
 
 def test_forward_root_matches_encode_then_t_lstm():
-    from treedefect import encode
-
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=6)
     ast = AstTree("tok1", (AstTree("tok2"), AstTree("never-seen")))
     record = FileRecord("a.mini", "p", "1", 1, ast)
     vec = forward_root(record, model)
-    state = t_lstm(encode(ast, model.vocab), model)
+    state = root_state(ast, model)
     np.testing.assert_array_equal(vec, state.h)
 
 
@@ -162,11 +158,11 @@ def test_non_finite_forward_raises():
     model = scaled_model()
     model.embeddings.values[0, 1] = np.nan
     with pytest.raises(ArithmeticError):
-        t_lstm(EncodedTree(1), model)
+        root_state(node(1), model)
 
 
 def test_sample_masks_values_and_validation():
-    flat = flatten(EncodedTree(0, (EncodedTree(1), EncodedTree(2))))
+    flat = flatten(node(0, (node(1), node(2))), small_vocab(3))
     rng = np.random.default_rng(0)
     masks = sample_masks(flat, 0.5, d=4, hidden_dim=3, rng=rng)
     assert masks.w.shape == (3, 4) and masks.agg.shape == (3, 3)
@@ -182,8 +178,8 @@ def test_sample_masks_values_and_validation():
 
 def test_identity_masks_do_not_change_forward():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=7)
-    tree = random_encoded_tree(np.random.default_rng(8), vocab_size=6, max_nodes=10)
-    flat = flatten(tree)
+    tree = random_tree(np.random.default_rng(8), vocab_size=6, max_nodes=10)
+    flat = flatten(tree, model.vocab)
     ones = DropoutMasks(np.ones((flat.n, model.d)), np.ones((flat.n, model.hidden_dim)))
     plain = forward(flat, model)
     masked = forward(flat, model, ones)
@@ -195,7 +191,7 @@ def _finite_difference_worst(tree, model, masks=None, eps=1e-5):
     """Worst per-element relative error between backward() and central
     differences of loss(theta) = sum of all hidden states. `tree` may also
     be a FlatTree, such as a pack."""
-    flat = tree if isinstance(tree, FlatTree) else flatten(tree)
+    flat = tree if isinstance(tree, FlatTree) else flatten(tree, model.vocab)
     params = param_arrays(model)
 
     def loss():
@@ -224,20 +220,20 @@ def _finite_difference_worst(tree, model, masks=None, eps=1e-5):
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(21)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=9)
-    tree = random_encoded_tree(rng, vocab_size=5, max_nodes=8, min_nodes=4)
+    tree = random_tree(rng, vocab_size=5, max_nodes=8, min_nodes=4)
     assert _finite_difference_worst(tree, model) < 1e-4
 
 
 def test_backward_matches_finite_differences_single_leaf():
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=10)
-    assert _finite_difference_worst(EncodedTree(3), model) < 1e-4
+    assert _finite_difference_worst(node(3), model) < 1e-4
 
 
 def test_backward_with_dropout_masks_matches_finite_differences():
     rng = np.random.default_rng(22)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=11)
-    tree = random_encoded_tree(rng, vocab_size=5, max_nodes=8, min_nodes=4)
-    flat = flatten(tree)
+    tree = random_tree(rng, vocab_size=5, max_nodes=8, min_nodes=4)
+    flat = flatten(tree, model.vocab)
     masks = sample_masks(flat, 0.5, model.d, model.hidden_dim, np.random.default_rng(7))
     assert _finite_difference_worst(tree, model, masks) < 1e-4
 
@@ -316,29 +312,29 @@ def test_model_document_validation():
 def mixed_forest(rng, vocab_size):
     """A single node, a chain, a wide tree, and a tree 15 levels deep with
     side branches at every level, shaped like the benchmark's deep sources."""
-    chain = EncodedTree(1)
+    chain = node(1)
     for idx in (2, 3, 4, 0, 5, 1, 2, 3):
-        chain = EncodedTree(idx % vocab_size, (chain,))
-    wide = EncodedTree(2, tuple(EncodedTree(i % vocab_size) for i in range(12)))
-    deep = EncodedTree(int(rng.integers(vocab_size)))
+        chain = node(idx % vocab_size, (chain,))
+    wide = node(2, tuple(node(i % vocab_size) for i in range(12)))
+    deep = node(int(rng.integers(vocab_size)))
     for _ in range(14):
-        side = [random_encoded_tree(rng, vocab_size, max_nodes=8, min_nodes=2)
+        side = [random_tree(rng, vocab_size, max_nodes=8, min_nodes=2)
                 for _ in range(int(rng.integers(2, 6)))]
         kids = [deep, *side]
-        deep = EncodedTree(int(rng.integers(vocab_size)),
+        deep = node(int(rng.integers(vocab_size)),
                            tuple(kids[i] for i in rng.permutation(len(kids))))
-    return [EncodedTree(3), chain, wide, deep]
+    return [node(3), chain, wide, deep]
 
 
 def test_pack_matches_recursive_oracles_per_tree():
     rng = np.random.default_rng(61)
     model = scaled_model(vocab_size=7, d=4, hidden_dim=3, seed=19, scale=0.5)
     head = PretrainHead(np.random.default_rng(62).uniform(-0.8, 0.8, size=(7, 3)))
-    trees = mixed_forest(rng, 7) + [random_encoded_tree(rng, 7, max_nodes=15)
+    trees = mixed_forest(rng, 7) + [random_tree(rng, 7, max_nodes=15)
                                     for _ in range(4)]
-    flat, _ = pack([flatten(t) for t in trees])
+    flat, _ = pack([flatten(t, model.vocab) for t in trees])
     assert flat.n_trees == len(trees) and flat.depth == max(
-        flatten(t).depth for t in trees)
+        flatten(t, model.vocab).depth for t in trees)
     cache = forward(flat, model)
     nll = _pack_loss(flat, model, head, None, None)
     for t, tree in enumerate(trees):
@@ -353,8 +349,8 @@ def test_pack_tree_permutation_permutes_roots_only():
     rng = np.random.default_rng(63)
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=20)
     head = PretrainHead(np.random.default_rng(64).uniform(-0.8, 0.8, size=(6, 3)))
-    flats = [flatten(t) for t in mixed_forest(rng, 6)]
-    flats += [flatten(random_encoded_tree(rng, 6, max_nodes=12)) for _ in range(5)]
+    flats = [flatten(t, model.vocab) for t in mixed_forest(rng, 6)]
+    flats += [flatten(random_tree(rng, 6, max_nodes=12), model.vocab) for _ in range(5)]
     perm = rng.permutation(len(flats))
     a, _ = pack(flats)
     b, _ = pack([flats[i] for i in perm])
@@ -368,10 +364,10 @@ def test_pack_tree_permutation_permutes_roots_only():
 def test_masked_pack_backward_matches_finite_differences():
     rng = np.random.default_rng(65)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=21)
-    trees = [EncodedTree(3), random_encoded_tree(rng, 5, max_nodes=8, min_nodes=4),
-             EncodedTree(1, (EncodedTree(2, (EncodedTree(4),)),)),
-             EncodedTree(0, tuple(EncodedTree(i) for i in range(4)))]
-    flats = [flatten(t) for t in trees]
+    trees = [node(3), random_tree(rng, 5, max_nodes=8, min_nodes=4),
+             node(1, (node(2, (node(4),)),)),
+             node(0, tuple(node(i) for i in range(4)))]
+    flats = [flatten(t, model.vocab) for t in trees]
     mask_rng = np.random.default_rng(8)
     masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
     flat, packed_masks = pack(flats, masks)
@@ -383,9 +379,9 @@ def test_non_finite_forward_names_the_first_bad_tree():
     model.embeddings.values[0, 4] = np.nan
     # bad.mini turns non-finite only at its root, above the lone node of
     # worse.mini; the message names the first tree, not the first row
-    flats = [flatten(EncodedTree(1, (EncodedTree(2),)), name="fine.mini"),
-             flatten(EncodedTree(4, (EncodedTree(2),)), name="bad.mini"),
-             flatten(EncodedTree(4), name="worse.mini")]
+    flats = [flatten(node(1, (node(2),)), model.vocab, name="fine.mini"),
+             flatten(node(4, (node(2),)), model.vocab, name="bad.mini"),
+             flatten(node(4), model.vocab, name="worse.mini")]
     flat, _ = pack(flats)
     with pytest.raises(ArithmeticError, match="bad.mini"):
         forward(flat, model)
