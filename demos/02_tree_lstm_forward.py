@@ -9,8 +9,7 @@ with every weight set to one.
 import numpy as np
 
 from treedefect import (AstTree, UNK_TOKEN, Vocabulary, build_vocabulary, flatten,
-                        forward, init_model, normalize_labels, param_arrays,
-                        parse_mini)
+                        forward, init_model, normalize_labels, parse_mini)
 
 SOURCE = "int n = 3;\nwhile (n < 9) {\n  n = n + 1;\n}\n"
 
@@ -27,7 +26,7 @@ def main():
     # fresh-init weights are +-0.05 and the states print as zeros; draw wider
     # weights so the walkthrough shows the gates actually doing something
     widen = np.random.default_rng(7)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = widen.uniform(-0.8, 0.8, size=arr.shape)
 
     flat = flatten(tree, vocab)  # labels encoded to vocabulary indices
@@ -46,19 +45,18 @@ def main():
           bool(np.allclose(root_h(shuffled, model), root, atol=1e-15)))
 
     zero = init_model(vocab, d=8, hidden_dim=4, seed=0)
-    for arr in param_arrays(zero).values():
+    for arr in zero.params.values():
         arr[...] = 0.0
     print("zero model root is exactly zero:",
           bool(np.all(root_h(tree, zero) == 0.0)))
 
     # single leaf, d = hidden = 1, weights 1: c = sigmoid(1)*tanh(1)
     anchor = init_model(Vocabulary((UNK_TOKEN, "leaf")), d=1, hidden_dim=1, seed=0)
-    for arr in param_arrays(anchor).values():
+    for arr in anchor.params.values():
         arr[...] = 0.0
-    anchor.embeddings.values[0, 1] = 1.0
-    anchor.input.W[0, 0] = 1.0
-    anchor.cell.W[0, 0] = 1.0
-    anchor.output.W[0, 0] = 1.0
+    anchor.params["embeddings"][0, 1] = 1.0
+    for name in ("input.W", "cell.W", "output.W"):
+        anchor.params[name][0, 0] = 1.0
     state = forward(flatten(AstTree("leaf"), anchor.vocab), anchor)
     print(f"unit-weight leaf anchor: c = {state.C[0, 0]:.16f}, h = {state.H[0, 0]:.16f}")
 

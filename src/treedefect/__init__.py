@@ -9,15 +9,13 @@ under within-project and cross-project protocols.
 from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, LogisticModel,
                           bow_featurize, classifier_from_document,
                           classifier_to_document, featurize_corpus,
-                          load_classifier, oob_predictions, predict,
-                          predict_proba, predict_proba_forest,
-                          predict_proba_logistic, read_features_csv,
-                          save_classifier, train_forest, train_logistic,
-                          write_features_csv)
+                          load_classifier, predict, predict_proba,
+                          predict_proba_forest, predict_proba_logistic,
+                          read_features_csv, save_classifier, train_forest,
+                          train_logistic, write_features_csv)
 from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
                      cell, encode, iter_nodes, node_count, normalize_label,
                      normalize_labels, read_corpus, tree_depth, write_corpus)
-from .embedding import EmbeddingMatrix, init_embeddings
 from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
                      TrainingDataError, TreeDefectError, UndefinedMetricError)
 from .evaluation import (ConfusionMatrix, MetricsReport, auc, confusion,
@@ -30,15 +28,15 @@ from .experiments import (CvDescriptor, CvResult,
                           dataset_stats, format_stats_table, parse_descriptor,
                           train_classifier, version_pair_run, within_project_cv)
 from .minilang import parse_mini
-from .pretrain import (EpochStats, PretrainHead, PretrainResult, RmspropState,
-                       TrainConfig, corpus_loss, init_head, loss_and_gradients,
+from .pretrain import (EpochStats, PretrainHead, PretrainResult, TrainConfig,
+                       corpus_loss, init_head, loss_and_gradients,
                        perplexity, pretrain, rmsprop_step, split_records,
                        write_training_log)
 from .rng import derive_seed, stream
 from .synthetic import generate_multi_cell, generate_records, generate_source
-from .treelstm import (DropoutMasks, FlatTree, GateParams, TreeLstmModel, backward,
-                       flatten, forward, forward_root, init_model, load_model,
-                       model_from_document, model_to_document, pack, param_arrays,
-                       sample_masks, save_model, sigmoid)
+from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
+                       forward, forward_root, init_model, load_model,
+                       model_from_document, model_to_document, pack, sample_masks,
+                       save_model, sigmoid)
 
 __version__ = "0.1.0"

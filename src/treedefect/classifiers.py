@@ -205,8 +205,6 @@ class ForestModel:
     options: ClassifierOptions
     seed: int
     dim: int  # number of features the forest was trained on
-    bootstrap_indices: list[np.ndarray] = field(default_factory=list, repr=False,
-                                                compare=False)
 
 
 def _leaf(labels: np.ndarray) -> TreeNode:
@@ -273,13 +271,11 @@ def train_forest(X, y=None, options: ClassifierOptions | None = None,
     n, dim = Xa.shape
     mtry = options.features_per_split or ceil(sqrt(dim))
     trees = []
-    bootstraps = []
     for t in range(options.n_trees):
         rng = stream(seed, "bootstrap", t)
         sample = rng.integers(0, n, size=n)
-        bootstraps.append(sample)
         trees.append(_build_tree(Xa, ya.astype(np.intp), sample, 0, options, mtry, rng))
-    return ForestModel(trees, options, seed, dim, bootstraps)
+    return ForestModel(trees, options, seed, dim)
 
 
 def _tree_proba(node: TreeNode, x: np.ndarray) -> float:
@@ -293,27 +289,6 @@ def predict_proba_forest(model: ForestModel, x) -> float | np.ndarray:
     if x.ndim == 1:
         return sum(_tree_proba(t, x) for t in model.trees) / len(model.trees)
     return np.array([predict_proba_forest(model, row) for row in x])
-
-
-def oob_predictions(model: ForestModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-bag probabilities. Returns (proba, covered) where covered[i] is
-    False when every tree saw row i in its bootstrap (proba then 0)."""
-    if not model.bootstrap_indices:
-        raise ValueError("model was not trained in this process; no bootstrap info")
-    Xa = np.asarray(X.values if isinstance(X, FeatureMatrix) else X, dtype=float)
-    n = len(Xa)
-    total = np.zeros(n)
-    votes = np.zeros(n)
-    for tree, sample in zip(model.trees, model.bootstrap_indices):
-        out = np.ones(n, dtype=bool)
-        out[np.unique(sample)] = False
-        for i in np.flatnonzero(out):
-            total[i] += _tree_proba(tree, Xa[i])
-            votes[i] += 1
-    covered = votes > 0
-    proba = np.zeros(n)
-    proba[covered] = total[covered] / votes[covered]
-    return proba, covered
 
 
 def predict(p) -> int | np.ndarray:
@@ -466,13 +441,11 @@ def load_classifier(path):
 # --- feature file I/O (CSV) ---
 
 def write_features_csv(path, features: FeatureMatrix) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["project", "version", "file_id", "label",
-                         *(f"f{i}" for i in range(features.dim))])
-        for key, label, row in zip(features.keys, features.labels, features.values):
-            writer.writerow([*key, "" if label is None else label,
-                             *(repr(float(v)) for v in row)])
+    header = ["project", "version", "file_id", "label",
+              *(f"f{i}" for i in range(features.dim))]
+    rows = ([*key, "" if label is None else label, *(repr(float(v)) for v in row)]
+            for key, label, row in zip(features.keys, features.labels, features.values))
+    jsonio.write_csv(path, [header, *rows])
 
 
 def read_features_csv(path) -> FeatureMatrix:

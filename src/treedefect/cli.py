@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 a produced report carries undefined-metric flags,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 import types
@@ -99,8 +100,6 @@ def _parse_split(value) -> tuple[float, float, float]:
 
 
 def _read_labels_file(path: str) -> dict[str, int]:
-    import csv
-
     labels = {}
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
@@ -172,7 +171,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_vocab(args: argparse.Namespace) -> int:
     records = read_corpus(args.corpus)
-    vocab = build_vocabulary([r.tree for r in records], args.size, args.min_count)
+    try:
+        vocab = build_vocabulary([r.tree for r in records], args.size, args.min_count)
+    except ValueError as exc:  # --size or --min-count below 1
+        raise DocumentError(f"bad option: {exc}") from exc
     jsonio.write(args.output, {"format_version": 1, "tokens": list(vocab.tokens)})
     print(f"wrote vocabulary of {len(vocab)} tokens to {args.output}")
     return 0
@@ -221,7 +223,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             vocab = _load_vocab_file(args.vocab)
         else:
             raise DocumentError("--method bow needs --model or --vocab for the vocabulary")
-        features = bow_featurize(records, vocab, args.threshold)
+        try:
+            features = bow_featurize(records, vocab, args.threshold)
+        except ValueError as exc:  # --threshold below 1
+            raise DocumentError(f"bad option: {exc}") from exc
     write_features_csv(args.output, features)
     print(f"wrote {len(features.keys)} feature rows of dimension {features.dim} "
           f"to {args.output}")
@@ -291,15 +296,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = dataset_stats(records)
     print(format_stats_table(stats))
     if args.output:
-        import csv
-
-        with Path(args.output).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["project", "versions", "files", "mean_files",
-                             "mean_defective", "pct_defective"])
-            for s in stats:
-                writer.writerow([s.project, s.versions, s.files, s.mean_files,
-                                 s.mean_defective, f"{s.pct_defective:.2f}"])
+        jsonio.write_csv(args.output, [
+            ["project", "versions", "files", "mean_files", "mean_defective",
+             "pct_defective"],
+            *([s.project, s.versions, s.files, s.mean_files, s.mean_defective,
+               f"{s.pct_defective:.2f}"] for s in stats)])
     return 0
 
 

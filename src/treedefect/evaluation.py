@@ -7,9 +7,7 @@ over experiment cells stay well defined.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -151,11 +149,7 @@ def report_to_row(report: MetricsReport) -> list[str]:
 
 
 def write_report_csv(path, reports: list[MetricsReport]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_COLUMNS)
-        for report in reports:
-            writer.writerow(report_to_row(report))
+    jsonio.write_csv(path, [_REPORT_COLUMNS, *map(report_to_row, reports)])
 
 
 def report_to_json(report: MetricsReport) -> dict:

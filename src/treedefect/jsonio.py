@@ -1,15 +1,19 @@
-"""Deterministic JSON reading and writing.
+"""Deterministic artifact I/O: JSON documents and CSV tables.
 
-All artifacts are written with sorted keys, compact separators and a trailing
-newline so identical inputs produce byte-identical files. Floats go through
-Python's repr (shortest round-trip), so values survive a write/read cycle
-exactly. Writes are atomic: a temporary file renamed over the target.
+JSON documents are written with sorted keys, compact separators and a
+trailing newline so identical inputs produce byte-identical files. Floats go
+through Python's repr (shortest round-trip), so values survive a write/read
+cycle exactly. CSV tables end every line with "\n". Every write is atomic: a
+temporary file renamed over the target.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -20,17 +24,28 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def write(path: str | Path, doc: Any) -> None:
-    """Write `doc` to a temporary file beside `path`, then rename it over
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
     `path`, so a failed write leaves any previous file as it was."""
     path = Path(path)
-    text = dumps(doc)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful rename
+
+
+def write(path: str | Path, doc: Any) -> None:
+    """Write `doc` as a deterministic JSON document, atomically."""
+    write_text(path, dumps(doc))
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write `rows`, the header first, as one CSV table."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    write_text(path, buffer.getvalue())
 
 
 def read(path: str | Path) -> Any:

@@ -15,17 +15,16 @@ seeds and corpora give bit-identical models.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import jsonio
 from .corpus import FileRecord, Vocabulary, build_vocabulary
 from .errors import CorpusError
 from .rng import stream
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
-                       forward, init_model, pack, param_arrays, sample_masks)
+                       forward, init_model, pack, sample_masks)
 
 HEAD_INIT_SCALE = 0.05
 
@@ -48,10 +47,8 @@ class PretrainHead:
             raise ValueError("head weights must be finite")
 
 
-def init_head(vocab_size: int, hidden_dim: int, seed: int = 0,
-              rng: np.random.Generator | None = None) -> PretrainHead:
-    if rng is None:
-        rng = stream(seed, "init", "head")
+def init_head(vocab_size: int, hidden_dim: int, seed: int = 0) -> PretrainHead:
+    rng = stream(seed, "init", "head")
     return PretrainHead(rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE,
                                     size=(vocab_size, hidden_dim)))
 
@@ -81,12 +78,16 @@ class TrainConfig:
             raise ValueError(f"rms_epsilon must be > 0, got {self.rms_epsilon}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        ints = {"seed": None, "max_epochs": 0, "patience": 1, "batch_size": 1,
+                "embedding_dim": 1, "hidden_dim": 1, "vocab_size": 1, "min_count": 1}
+        for name, least in ints.items():
+            value = getattr(self, name)
+            if name == "hidden_dim" and value is None:
+                continue  # hidden_dim defaults to embedding_dim
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if len(self.split) != 3 or any(f <= 0 for f in self.split):
             raise ValueError(f"split must be three positive fractions, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -94,26 +95,18 @@ class TrainConfig:
         self.split = tuple(float(f) for f in self.split)
 
 
-@dataclass
-class RmspropState:
-    mean_square: dict[str, np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "RmspropState":
-        return cls({name: np.zeros_like(arr) for name, arr in params.items()})
-
-
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                 state: RmspropState, config: TrainConfig) -> tuple[dict, RmspropState]:
-    """In-place update: ms <- rho ms + (1-rho) g^2; theta <- theta - eta g/sqrt(ms+eps)."""
+                 mean_square: dict[str, np.ndarray], config: TrainConfig) -> None:
+    """In-place update of `params` and of the running `mean_square` (same
+    keys, zeros at the start): ms <- rho ms + (1-rho) g^2;
+    theta <- theta - eta g/sqrt(ms+eps)."""
     rho, eta, eps = config.rms_decay, config.learning_rate, config.rms_epsilon
     for name, theta in params.items():
         g = grads[name]
-        ms = state.mean_square[name]
+        ms = mean_square[name]
         ms *= rho
         ms += (1.0 - rho) * g * g
         theta -= eta * g / np.sqrt(ms + eps)
-    return params, state
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
@@ -204,8 +197,7 @@ def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
     count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
-    params = param_arrays(model)
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     grads["head.U"] = np.zeros_like(head.U)
     scale = 1.0 / count
     total = 0.0
@@ -283,9 +275,8 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
         result.test_perplexity = perplexity(model, head, test_flats)
         return result
 
-    params = param_arrays(model)
-    params["head.U"] = head.U
-    state = RmspropState.zeros_like(params)
+    params = {**model.params, "head.U": head.U}
+    mean_square = {name: np.zeros_like(arr) for name, arr in params.items()}
     batch_rng = stream(config.seed, "batches")
     dropout_rng = stream(config.seed, "dropout")
     best_perp = np.inf
@@ -309,7 +300,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
                 raise ArithmeticError(f"{exc} (epoch {epoch}, batch {number})") from exc
             epoch_nll += loss * count
             epoch_nodes += count
-            rmsprop_step(params, grads, state, config)
+            rmsprop_step(params, grads, mean_square, config)
         if epoch_nodes == 0:
             raise CorpusError("training partition has no internal nodes")
         try:
@@ -336,9 +327,6 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
 
 
 def write_training_log(path, log: list[EpochStats]) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_perplexity", "improved"])
-        for row in log:
-            writer.writerow([row.epoch, repr(row.train_loss),
-                             repr(row.val_perplexity), int(row.improved)])
+    jsonio.write_csv(path, [["epoch", "train_loss", "val_perplexity", "improved"],
+                            *([row.epoch, repr(row.train_loss), repr(row.val_perplexity),
+                               int(row.improved)] for row in log)])

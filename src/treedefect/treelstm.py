@@ -32,6 +32,7 @@ adjustment).
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,11 +41,11 @@ import numpy as np
 
 from . import jsonio
 from .corpus import AstTree, Vocabulary, encode, fold_tree
-from .embedding import EmbeddingMatrix, INIT_SCALE, init_embeddings
 from .errors import DocumentError
 from .rng import stream
 
 GATE_NAMES = ("forget", "input", "cell", "output")
+INIT_SCALE = 0.05
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -53,58 +54,48 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GateParams:
-    W: np.ndarray  # (hidden_dim, d)
-    U: np.ndarray  # (hidden_dim, hidden_dim)
-    b: np.ndarray  # (hidden_dim,)
-
-
-@dataclass
 class TreeLstmModel:
+    """The vocabulary and every trainable tensor, keyed by name:
+    "embeddings" (d, |V|), whose column i embeds vocabulary index i, and for
+    each gate in GATE_NAMES "<gate>.W" (hidden_dim, d), "<gate>.U"
+    (hidden_dim, hidden_dim) and "<gate>.b" (hidden_dim,)."""
+
     vocab: Vocabulary
-    embeddings: EmbeddingMatrix
-    forget: GateParams
-    input: GateParams
-    cell: GateParams
-    output: GateParams
-    hidden_dim: int
+    params: dict[str, np.ndarray]
 
     @property
     def d(self) -> int:
-        return self.embeddings.dim
+        return self.params["embeddings"].shape[0]
 
-    def gates(self) -> tuple[tuple[str, GateParams], ...]:
-        return (("forget", self.forget), ("input", self.input),
-                ("cell", self.cell), ("output", self.output))
+    @property
+    def hidden_dim(self) -> int:
+        return self.params["forget.b"].shape[0]
 
 
-def init_model(vocab: Vocabulary, d: int = 32, hidden_dim: int | None = None,
+def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None = None,
                seed: int = 0) -> TreeLstmModel:
     """Model with uniform [-0.05, 0.05] weights and zero biases, drawn from
     the "init" stream of `seed` in a fixed order (embeddings, then W and U of
-    forget/input/cell/output)."""
+    forget/input/cell/output). Warns when `d` is not smaller than |V|."""
     if hidden_dim is None:
         hidden_dim = d
+    if d < 1:
+        raise ValueError(f"embedding dimension must be >= 1, got {d}")
     if hidden_dim < 1:
         raise ValueError(f"hidden_dim must be >= 1, got {hidden_dim}")
+    if d >= len(vocab):
+        warnings.warn(
+            f"embedding dimension {d} is not smaller than the vocabulary size {len(vocab)}",
+            stacklevel=2,
+        )
     rng = stream(seed, "init")
-    embeddings = init_embeddings(d, len(vocab), rng=rng)
-    gates = []
-    for _ in GATE_NAMES:
-        W = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, d))
-        U = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, hidden_dim))
-        gates.append(GateParams(W, U, np.zeros(hidden_dim)))
-    return TreeLstmModel(vocab, embeddings, *gates, hidden_dim=hidden_dim)
-
-
-def param_arrays(model: TreeLstmModel) -> dict[str, np.ndarray]:
-    """Live views of every trainable tensor, keyed by a stable name."""
-    out = {"embeddings": model.embeddings.values}
-    for name, gate in model.gates():
-        out[f"{name}.W"] = gate.W
-        out[f"{name}.U"] = gate.U
-        out[f"{name}.b"] = gate.b
-    return out
+    params = {"embeddings": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d, len(vocab)))}
+    for name in GATE_NAMES:
+        params[f"{name}.W"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, d))
+        params[f"{name}.U"] = rng.uniform(-INIT_SCALE, INIT_SCALE,
+                                          size=(hidden_dim, hidden_dim))
+        params[f"{name}.b"] = np.zeros(hidden_dim)
+    return TreeLstmModel(vocab, params)
 
 
 @dataclass
@@ -268,17 +259,16 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     Raises ArithmeticError naming the first tree with a non-finite hidden
     state.
     """
-    n, hd = flat.n, model.hidden_dim
-    X = model.embeddings.values.T[flat.indices]
+    n, hd, p = flat.n, model.hidden_dim, model.params
+    X = p["embeddings"].T[flat.indices]
     if masks is not None:
         X = X * masks.w
-    gf, gi, gc, go = model.forget, model.input, model.cell, model.output
     # x-dependent gate terms for all nodes in four matmuls
-    AF = (X @ gf.W.T + gf.b)[flat.edge_parent]  # one row per edge
-    AI = X @ gi.W.T + gi.b
-    AC = X @ gc.W.T + gc.b
-    AO = X @ go.W.T + go.b
-    UfT, UiT, UcT, UoT = gf.U.T, gi.U.T, gc.U.T, go.U.T
+    AF = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]  # one row per edge
+    AI = X @ p["input.W"].T + p["input.b"]
+    AC = X @ p["cell.W"].T + p["cell.b"]
+    AO = X @ p["output.W"].T + p["output.b"]
+    UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in GATE_NAMES)
     # every node as a leaf (h~ = 0, no forget terms) in one step; each level
     # above the leaves then overwrites its nodes, whose children are final
     I = sigmoid(AI)
@@ -326,10 +316,9 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     `dH` holds the loss gradient injected at each node's hidden state and is
     consumed (mutated): levels are visited from the top down, and each adds
     its contribution to its children's rows of `dH` before they are visited.
-    Parameter gradients are added into `grads` (keys as in param_arrays).
+    Parameter gradients are added into `grads` (keys as in model.params).
     """
-    n, hd = flat.n, model.hidden_dim
-    gf, gi, gc, go = model.forget, model.input, model.cell, model.output
+    n, hd, p = flat.n, model.hidden_dim, model.params
     masks = cache.masks
     edge_start = flat.edge_start
     dC = np.zeros((n, hd))
@@ -360,10 +349,10 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
             dAf[e0:e1] = da_f
             # each child has one parent, so no index repeats within a level
             dC[ch] += f * dc_e
-            dht = da_i @ gi.U + da_c @ gc.U + da_o @ go.U
+            dht = da_i @ p["input.U"] + da_c @ p["cell.U"] + da_o @ p["output.U"]
             if masks is not None:
                 dht *= masks.agg[lo:hi]
-            dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ gf.U
+            dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ p["forget.U"]
     X, HT, H = cache.X, cache.HT, cache.H
     grads["input.W"] += dAi.T @ X
     grads["input.U"] += dAi.T @ HT
@@ -374,12 +363,12 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     grads["output.W"] += dAo.T @ X
     grads["output.U"] += dAo.T @ HT
     grads["output.b"] += dAo.sum(axis=0)
-    dX = dAi @ gi.W + dAc @ gc.W + dAo @ go.W
+    dX = dAi @ p["input.W"] + dAc @ p["cell.W"] + dAo @ p["output.W"]
     if flat.n_edges:
         grads["forget.W"] += dAf.T @ X[flat.edge_parent]
         grads["forget.U"] += dAf.T @ H[flat.edge_child]
         grads["forget.b"] += dAf.sum(axis=0)
-        np.add.at(dX, flat.edge_parent, dAf @ gf.W)
+        np.add.at(dX, flat.edge_parent, dAf @ p["forget.W"])
     if masks is not None:
         dX *= masks.w
     np.add.at(grads["embeddings"].T, flat.indices, dX)
@@ -396,11 +385,11 @@ def model_to_document(model: TreeLstmModel, head_u: np.ndarray) -> dict:
         "d": model.d,
         "hidden_dim": model.hidden_dim,
         "vocab": list(model.vocab.tokens),
-        "embeddings": model.embeddings.values.tolist(),
+        "embeddings": model.params["embeddings"].tolist(),
         "head": {"U": head_u.tolist()},
     }
-    for name, gate in model.gates():
-        doc[name] = {"W": gate.W.tolist(), "U": gate.U.tolist(), "b": gate.b.tolist()}
+    for name in GATE_NAMES:
+        doc[name] = {part: model.params[f"{name}.{part}"].tolist() for part in "WUb"}
     return doc
 
 
@@ -432,22 +421,19 @@ def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.n
     d, hd = doc.get("d"), doc.get("hidden_dim")
     if not isinstance(d, int) or not isinstance(hd, int) or d < 1 or hd < 1:
         raise DocumentError(f"{source}: 'd' and 'hidden_dim' must be positive integers")
-    emb = EmbeddingMatrix(_array_field(doc, "embeddings", (d, len(tokens)), source))
-    gates = []
+    params = {"embeddings": _array_field(doc, "embeddings", (d, len(tokens)), source)}
+    shapes = {"W": (hd, d), "U": (hd, hd), "b": (hd,)}
     for name in GATE_NAMES:
         group = doc.get(name)
         if not isinstance(group, dict):
             raise DocumentError(f"{source}: missing gate group {name!r}")
-        gates.append(GateParams(
-            _array_field(group, "W", (hd, d), f"{source}.{name}"),
-            _array_field(group, "U", (hd, hd), f"{source}.{name}"),
-            _array_field(group, "b", (hd,), f"{source}.{name}"),
-        ))
+        for part, shape in shapes.items():
+            params[f"{name}.{part}"] = _array_field(group, part, shape, f"{source}.{name}")
     head_group = doc.get("head")
     if not isinstance(head_group, dict):
         raise DocumentError(f"{source}: missing field 'head'")
     head_u = _array_field(head_group, "U", (len(tokens), hd), f"{source}.head")
-    return TreeLstmModel(vocab, emb, *gates, hidden_dim=hd), head_u
+    return TreeLstmModel(vocab, params), head_u
 
 
 def save_model(path, model: TreeLstmModel, head_u: np.ndarray) -> None:

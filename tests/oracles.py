@@ -23,41 +23,43 @@ def token_index(vocab, label):
 def node_state(tree, model):
     """(h, c) at the root by direct recursive evaluation of the five gate
     equations (per-child forget gates, summed child hidden states)."""
-    w = model.embeddings.values[:, token_index(model.vocab, tree.label)]
+    p = model.params
+    w = p["embeddings"][:, token_index(model.vocab, tree.label)]
     child_states = [node_state(child, model) for child in tree.children]
     h_sum = np.zeros(model.hidden_dim)
     fc_sum = np.zeros(model.hidden_dim)
     for h_k, c_k in child_states:
-        f_k = sigmoid(model.forget.W @ w + model.forget.U @ h_k + model.forget.b)
+        f_k = sigmoid(p["forget.W"] @ w + p["forget.U"] @ h_k + p["forget.b"])
         h_sum = h_sum + h_k
         fc_sum = fc_sum + f_k * c_k
-    i_t = sigmoid(model.input.W @ w + model.input.U @ h_sum + model.input.b)
-    c_tilde = np.tanh(model.cell.W @ w + model.cell.U @ h_sum + model.cell.b)
+    i_t = sigmoid(p["input.W"] @ w + p["input.U"] @ h_sum + p["input.b"])
+    c_tilde = np.tanh(p["cell.W"] @ w + p["cell.U"] @ h_sum + p["cell.b"])
     c_t = i_t * c_tilde + fc_sum
-    o_t = sigmoid(model.output.W @ w + model.output.U @ h_sum + model.output.b)
+    o_t = sigmoid(p["output.W"] @ w + p["output.U"] @ h_sum + p["output.b"])
     return o_t * np.tanh(c_t), c_t
 
 
 def sequential_lstm_chain(indices, model):
     """n-step sequential LSTM with per-step forget gates, equivalent to the
     tree recursion on a path tree whose leaf is indices[0]."""
+    p = model.params
     h = np.zeros(model.hidden_dim)
     c = np.zeros(model.hidden_dim)
     first = True
     for index in indices:
-        w = model.embeddings.values[:, index]
+        w = p["embeddings"][:, index]
         if first:
             h_in = np.zeros(model.hidden_dim)
             fc = np.zeros(model.hidden_dim)
             first = False
         else:
-            f = sigmoid(model.forget.W @ w + model.forget.U @ h + model.forget.b)
+            f = sigmoid(p["forget.W"] @ w + p["forget.U"] @ h + p["forget.b"])
             h_in = h
             fc = f * c
-        i = sigmoid(model.input.W @ w + model.input.U @ h_in + model.input.b)
-        cb = np.tanh(model.cell.W @ w + model.cell.U @ h_in + model.cell.b)
+        i = sigmoid(p["input.W"] @ w + p["input.U"] @ h_in + p["input.b"])
+        cb = np.tanh(p["cell.W"] @ w + p["cell.U"] @ h_in + p["cell.b"])
         c = i * cb + fc
-        o = sigmoid(model.output.W @ w + model.output.U @ h_in + model.output.b)
+        o = sigmoid(p["output.W"] @ w + p["output.U"] @ h_in + p["output.b"])
         h = o * np.tanh(c)
     return h, c
 

@@ -18,7 +18,7 @@ from treedefect import (AstTree, ClassifierOptions, FileRecord,
                         cv_from_folds, dataset_stats, f_measure,
                         featurize_corpus, generate_multi_cell,
                         generate_records, init_head, init_model,
-                        loss_and_gradients, normalize_labels, param_arrays,
+                        loss_and_gradients, normalize_labels,
                         parse_descriptor, parse_mini, precision, pretrain,
                         recall, save_model, stratified_k_fold,
                         version_pair_run, write_features_csv,
@@ -52,7 +52,7 @@ def _scaled_model_and_head(seed: int, d: int = 3, hidden: int = 3,
     model = init_model(small_vocab(vocab_size), d=d, hidden_dim=hidden, seed=seed)
     head = init_head(vocab_size, hidden, seed=seed)
     rng = np.random.default_rng(seed + 99991)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = rng.uniform(-0.8, 0.8, size=arr.shape)
     head.U[...] = rng.uniform(-0.8, 0.8, size=head.U.shape)
     return model, head
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_check():
             tree = random_tree(rng, vocab_size=6, max_nodes=8, min_nodes=2)
         model, head = _scaled_model_and_head(seed=k)
         _, grads = loss_and_gradients([tree], model, head)
-        tensors = dict(param_arrays(model))
+        tensors = dict(model.params)
         tensors["head.U"] = head.U
         for name, arr in tensors.items():
             analytic = grads[name]
@@ -136,7 +136,7 @@ def test_criterion_2_forward_oracle():
 def test_criterion_3_analytic_anchors():
     rng = np.random.default_rng(303)
     zero = init_model(small_vocab(6), d=3, hidden_dim=3, seed=0)
-    for arr in param_arrays(zero).values():
+    for arr in zero.params.values():
         arr[...] = 0.0
     h_max = 0.0
     trees = []

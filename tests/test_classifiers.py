@@ -8,8 +8,8 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         ForestModel, LogisticModel, TrainingDataError,
                         UNK_TOKEN, Vocabulary, bow_featurize,
                         classifier_from_document, classifier_to_document,
-                        featurize_corpus, load_classifier, oob_predictions,
-                        predict, predict_proba, predict_proba_forest,
+                        featurize_corpus, load_classifier, predict,
+                        predict_proba, predict_proba_forest,
                         predict_proba_logistic, read_features_csv,
                         save_classifier, train_forest, train_logistic,
                         write_features_csv)
@@ -137,8 +137,7 @@ def test_forest_deterministic_in_seed():
     grid = np.random.default_rng(0).normal(0, 1.5, size=(20, 2))
     np.testing.assert_array_equal(predict_proba_forest(a, grid),
                                   predict_proba_forest(b, grid))
-    assert any(not np.array_equal(sa, sc) for sa, sc in
-               zip(a.bootstrap_indices, c.bootstrap_indices))
+    assert classifier_to_document(a)["trees"] != classifier_to_document(c)["trees"]
 
 
 def test_single_stump_matches_threshold_oracle():
@@ -179,17 +178,6 @@ def test_decision_boundary_is_left_inclusive():
 def test_forest_single_class_rejected():
     with pytest.raises(TrainingDataError):
         train_forest(np.zeros((4, 2)), np.array([0, 0, 0, 0]))
-
-
-def test_oob_predictions():
-    X, y = separable(n=30, seed=4)
-    model = train_forest(X, y, ClassifierOptions(n_trees=30), seed=7)
-    proba, covered = oob_predictions(model, X)
-    assert covered.all()  # 30 trees leave every row out at least once
-    assert np.mean(predict(proba[covered]) == y[covered]) >= 0.9
-    stripped = ForestModel(model.trees, model.options, model.seed, model.dim)
-    with pytest.raises(ValueError):
-        oob_predictions(stripped, X)
 
 
 def test_logistic_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,8 +108,13 @@ def test_ingest_missing_input(tmp_path):
                  "--output", str(tmp_path / "c.json")]) == 2
 
 
-def test_vocab_command(tmp_path, workspace):
+def test_vocab_command(tmp_path, workspace, capsys):
     out = tmp_path / "vocab.json"
+    for flag in ("--size", "--min-count"):
+        assert main(["vocab", "--corpus", str(workspace["corpus"]),
+                     "--output", str(out), flag, "0"]) == 2
+        assert "bad option" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["vocab", "--corpus", str(workspace["corpus"]),
                  "--output", str(out), "--min-count", "1"]) == 0
     doc = read(out)
@@ -156,6 +162,21 @@ def test_pretrain_config_file_and_flag_precedence(tmp_path, workspace):
                  "--output", str(out), "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--embedding-dim", "0"], ["--hidden-dim", "0"],
+                                   ["--vocab-size", "0"], ["--min-count", "0"],
+                                   ["--config", "float-epochs.json"]],
+                         ids=["embedding-dim", "hidden-dim", "vocab-size", "min-count",
+                              "float-max-epochs-in-config"])
+def test_pretrain_bad_training_options_are_bad_input(tmp_path, workspace, capsys,
+                                                     monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    Path("float-epochs.json").write_text('{"max_epochs": 1.5}\n', encoding="utf-8")
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]),
+                 "--output", "model.json", *flags]) == 2
+    assert "bad option" in capsys.readouterr().err
+    assert not Path("model.json").exists()
+
+
 def test_featurize_tree_output(workspace):
     features = read_features_csv(workspace["features"])
     assert features.dim == 4
@@ -178,6 +199,9 @@ def test_featurize_bow(tmp_path, workspace):
                  "--method", "bow", "--output", str(out)]) == 2
     assert main(["featurize", "--corpus", str(workspace["corpus"]),
                  "--method", "tree", "--output", str(out)]) == 2
+    assert main(["featurize", "--corpus", str(workspace["corpus"]),
+                 "--method", "bow", "--vocab", str(vocab),
+                 "--threshold", "0", "--output", str(out)]) == 2
 
 
 def test_train_classifier_and_evaluate(tmp_path, workspace, capsys):

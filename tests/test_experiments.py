@@ -1,11 +1,11 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from treedefect import (AstTree, ClassifierOptions, CorpusError, FileRecord,
                         ForestModel, LogisticModel, TrainConfig,
-                        average_report, build_vocabulary, cv_feature_folds,
+                        average_report, build_vocabulary,
+                        classifier_to_document, cv_feature_folds,
                         cv_from_folds, dataset_stats, format_stats_table,
                         generate_multi_cell, generate_records,
                         parse_descriptor, train_classifier, version_pair_run,
@@ -57,10 +57,9 @@ def test_train_classifier_dispatch_and_seed():
     forest_b = train_classifier(features, ClassifierOptions(kind="forest", n_trees=4), 7)
     forest_c = train_classifier(features, ClassifierOptions(kind="forest", n_trees=4), 8)
     assert isinstance(forest_a, ForestModel)
-    for sa, sb in zip(forest_a.bootstrap_indices, forest_b.bootstrap_indices):
-        np.testing.assert_array_equal(sa, sb)
-    assert any(not np.array_equal(sa, sc) for sa, sc in
-               zip(forest_a.bootstrap_indices, forest_c.bootstrap_indices))
+    doc_a, doc_c = classifier_to_document(forest_a), classifier_to_document(forest_c)
+    assert classifier_to_document(forest_b) == doc_a
+    assert doc_c["trees"] != doc_a["trees"]
 
 
 def test_dataset_stats_per_project():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, CorpusError, PretrainHead, RmspropState,
-                        TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        corpus_loss, flatten, generate_records, init_model,
-                        loss_and_gradients, node_count, param_arrays,
-                        perplexity, pretrain, rmsprop_step, sample_masks,
-                        split_records, write_training_log)
+from treedefect import (AstTree, CorpusError, PretrainHead, TrainConfig, UNK_TOKEN,
+                        Vocabulary, build_vocabulary, corpus_loss, flatten,
+                        generate_records, init_model, loss_and_gradients,
+                        node_count, perplexity, pretrain, rmsprop_step,
+                        sample_masks, split_records, write_training_log)
 from treedefect.pretrain import PACK_NODES
 from treedefect.rng import stream
 
@@ -64,7 +63,7 @@ def test_parent_distribution_large_logits_stable():
 def test_zero_model_loss_is_log_vocab():
     vocab = small_vocab(6)
     model = init_model(vocab, d=3, hidden_dim=3, seed=0)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = 0.0
     head = PretrainHead(np.zeros((6, 3)))
     rng = np.random.default_rng(31)
@@ -131,7 +130,7 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
 
 
 def _fd_corpus_worst(trees, model, head, masks=None, eps=1e-5):
-    params = dict(param_arrays(model))
+    params = dict(model.params)
     params["head.U"] = head.U
     _, grads = loss_and_gradients(trees, model, head, masks)
     worst = 0.0
@@ -176,10 +175,9 @@ def test_rmsprop_first_step_anchor():
     # ms = 0.1, step = -0.001 / sqrt(0.1 + 1e-6)
     params = {"x": np.array([0.0])}
     grads = {"x": np.array([1.0])}
-    state = RmspropState.zeros_like(params)
-    out, state = rmsprop_step(params, grads, state, TrainConfig())
-    assert out is params  # updated in place
-    assert state.mean_square["x"][0] == pytest.approx(0.1, abs=1e-15)
+    mean_square = {"x": np.zeros(1)}
+    assert rmsprop_step(params, grads, mean_square, TrainConfig()) is None  # in place
+    assert mean_square["x"][0] == pytest.approx(0.1, abs=1e-15)
     assert params["x"][0] == pytest.approx(-0.003162261848898663, abs=1e-15)
     # epsilon sits inside the square root, not outside
     ms = (1.0 - 0.9) * 1.0 * 1.0
@@ -191,18 +189,20 @@ def test_rmsprop_first_step_anchor():
 
 def test_rmsprop_accumulates_mean_square():
     params = {"x": np.array([0.0])}
-    state = RmspropState.zeros_like(params)
+    mean_square = {"x": np.zeros(1)}
     config = TrainConfig()
-    rmsprop_step(params, {"x": np.array([1.0])}, state, config)
-    rmsprop_step(params, {"x": np.array([2.0])}, state, config)
-    assert state.mean_square["x"][0] == pytest.approx(0.9 * 0.1 + 0.1 * 4.0, abs=1e-15)
+    rmsprop_step(params, {"x": np.array([1.0])}, mean_square, config)
+    rmsprop_step(params, {"x": np.array([2.0])}, mean_square, config)
+    assert mean_square["x"][0] == pytest.approx(0.9 * 0.1 + 0.1 * 4.0, abs=1e-15)
 
 
 def test_train_config_validation():
     for kwargs in ({"learning_rate": 0.0}, {"rms_decay": 1.0}, {"rms_epsilon": 0.0},
                    {"dropout_rate": 1.0}, {"max_epochs": -1}, {"patience": 0},
                    {"batch_size": 0}, {"split": (0.5, 0.5, 0.0)},
-                   {"split": (0.6, 0.3, 0.2)}):
+                   {"split": (0.6, 0.3, 0.2)}, {"embedding_dim": 0}, {"hidden_dim": 0},
+                   {"vocab_size": 0}, {"min_count": 0}, {"max_epochs": 1.5},
+                   {"batch_size": True}, {"seed": 1.0}):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
@@ -237,8 +237,8 @@ def test_pretrain_zero_epochs_returns_initial_model():
     assert result.test_perplexity is not None and result.test_perplexity > 0
     fresh = init_model(result.model.vocab, config.embedding_dim,
                        config.hidden_dim, config.seed)
-    np.testing.assert_array_equal(result.model.embeddings.values,
-                                  fresh.embeddings.values)
+    np.testing.assert_array_equal(result.model.params["embeddings"],
+                                  fresh.params["embeddings"])
 
 
 def test_pretrain_deterministic_and_bookkeeping():
@@ -246,8 +246,8 @@ def test_pretrain_deterministic_and_bookkeeping():
     config = small_config()
     a = pretrain(records, config)
     b = pretrain(records, config)
-    for key, arr in param_arrays(a.model).items():
-        np.testing.assert_array_equal(param_arrays(b.model)[key], arr)
+    for key, arr in a.model.params.items():
+        np.testing.assert_array_equal(b.model.params[key], arr)
     np.testing.assert_array_equal(a.head.U, b.head.U)
     assert [s.val_perplexity for s in a.log] == [s.val_perplexity for s in b.log]
     assert 1 <= len(a.log) <= config.max_epochs
@@ -296,8 +296,8 @@ def test_pretrain_with_config_overrides_seed():
     a = pretrain(records, replace(config, seed=100))
     b = pretrain(records, replace(config, seed=100))
     c = pretrain(records, replace(config, seed=101))
-    np.testing.assert_array_equal(a.model.embeddings.values, b.model.embeddings.values)
-    assert not np.array_equal(a.model.embeddings.values, c.model.embeddings.values)
+    np.testing.assert_array_equal(a.model.params["embeddings"], b.model.params["embeddings"])
+    assert not np.array_equal(a.model.params["embeddings"], c.model.params["embeddings"])
 
 
 def test_pretrain_rejects_empty_corpus():
@@ -331,7 +331,7 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
 
     def poisoned_init(*args, **kwargs):
         model = real_init(*args, **kwargs)
-        model.embeddings.values[:, vocab.index("poison")] = np.nan
+        model.params["embeddings"][:, vocab.index("poison")] = np.nan
         return model
 
     monkeypatch.setattr(module, "init_model", poisoned_init)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
                         Vocabulary, backward, flatten, forward, forward_root,
-                        init_model, load_model, model_from_document,
-                        model_to_document, pack, param_arrays, sample_masks,
-                        save_model, sigmoid)
+                        init_head, init_model, load_model, model_from_document,
+                        model_to_document, pack, sample_masks, save_model,
+                        sigmoid)
 from treedefect.corpus import MAX_TREE_DEPTH, check_depth
 from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
+from treedefect.treelstm import GATE_NAMES
 
 from conftest import node, random_tree, root_state, small_vocab
 
@@ -20,7 +22,7 @@ def scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=0, scale=0.8):
     region, so comparisons and finite differences have signal."""
     model = init_model(small_vocab(vocab_size), d=d, hidden_dim=hidden_dim, seed=seed)
     rng = np.random.default_rng(seed + 99991)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = rng.uniform(-scale, scale, size=arr.shape)
     return model
 
@@ -45,13 +47,13 @@ def test_single_leaf_scalar_anchors():
     # d = hidden_dim = 1, w = 1, W_in = W_ce = W_out = 1, U and b zero:
     # c = sigmoid(1) * tanh(1), h = sigmoid(1) * tanh(c)
     model = init_model(Vocabulary((UNK_TOKEN, "w")), d=1, hidden_dim=1, seed=0)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = 0.0
-    model.embeddings.values[0, 1] = 1.0
-    model.input.W[0, 0] = 1.0
-    model.cell.W[0, 0] = 1.0
-    model.output.W[0, 0] = 1.0
-    model.forget.W[0, 0] = 123.0  # no children, so the forget gate never fires
+    model.params["embeddings"][0, 1] = 1.0
+    model.params["input.W"][0, 0] = 1.0
+    model.params["cell.W"][0, 0] = 1.0
+    model.params["output.W"][0, 0] = 1.0
+    model.params["forget.W"][0, 0] = 123.0  # no children, so the forget gate never fires
     state = root_state(AstTree("w"), model)
     assert state.c[0] == pytest.approx(0.5567699411459397, abs=1e-12)
     assert state.h[0] == pytest.approx(0.3696063529357058, abs=1e-12)
@@ -83,10 +85,10 @@ def test_path_tree_equals_sequential_lstm():
 
 def test_leaf_uses_empty_aggregate():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=2, seed=3)
-    w = model.embeddings.values[:, 2]
-    i = oracles.sigmoid(model.input.W @ w + model.input.b)
-    cb = np.tanh(model.cell.W @ w + model.cell.b)
-    o = oracles.sigmoid(model.output.W @ w + model.output.b)
+    w = model.params["embeddings"][:, 2]
+    i = oracles.sigmoid(model.params["input.W"] @ w + model.params["input.b"])
+    cb = np.tanh(model.params["cell.W"] @ w + model.params["cell.b"])
+    o = oracles.sigmoid(model.params["output.W"] @ w + model.params["output.b"])
     c = i * cb
     state = root_state(node(2), model)
     np.testing.assert_allclose(state.c, c, rtol=0, atol=1e-14)
@@ -95,7 +97,7 @@ def test_leaf_uses_empty_aggregate():
 
 def test_zero_model_hidden_state_is_exactly_zero():
     model = init_model(small_vocab(6), d=3, hidden_dim=3, seed=0)
-    for arr in param_arrays(model).values():
+    for arr in model.params.values():
         arr[...] = 0.0
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -156,7 +158,7 @@ def test_forward_root_matches_encode_then_t_lstm():
 
 def test_non_finite_forward_raises():
     model = scaled_model()
-    model.embeddings.values[0, 1] = np.nan
+    model.params["embeddings"][0, 1] = np.nan
     with pytest.raises(ArithmeticError):
         root_state(node(1), model)
 
@@ -192,7 +194,7 @@ def _finite_difference_worst(tree, model, masks=None, eps=1e-5):
     differences of loss(theta) = sum of all hidden states. `tree` may also
     be a FlatTree, such as a pack."""
     flat = tree if isinstance(tree, FlatTree) else flatten(tree, model.vocab)
-    params = param_arrays(model)
+    params = model.params
 
     def loss():
         return float(forward(flat, model, masks).H.sum())
@@ -243,21 +245,16 @@ def test_init_model_deterministic():
     a = init_model(vocab, d=4, hidden_dim=3, seed=5)
     b = init_model(vocab, d=4, hidden_dim=3, seed=5)
     c = init_model(vocab, d=4, hidden_dim=3, seed=6)
-    for key, arr in param_arrays(a).items():
-        np.testing.assert_array_equal(arr, param_arrays(b)[key])
-    assert not np.array_equal(a.embeddings.values, c.embeddings.values)
-    for _, gate in a.gates():
-        assert np.all(gate.b == 0.0)
-        assert gate.W.shape == (3, 4) and gate.U.shape == (3, 3)
+    for key, arr in a.params.items():
+        np.testing.assert_array_equal(arr, b.params[key])
+    assert not np.array_equal(a.params["embeddings"], c.params["embeddings"])
+    for gate in GATE_NAMES:
+        assert np.all(a.params[f"{gate}.b"] == 0.0)
+        assert a.params[f"{gate}.W"].shape == (3, 4)
+        assert a.params[f"{gate}.U"].shape == (3, 3)
     # embeddings come first from the shared init stream
     expected = stream(5, "init").uniform(-0.05, 0.05, size=(4, 8))
-    np.testing.assert_array_equal(a.embeddings.values, expected)
-
-
-def test_param_arrays_are_live_views():
-    model = init_model(small_vocab(4), d=2, hidden_dim=2, seed=0)
-    param_arrays(model)["forget.W"][0, 0] = 0.25
-    assert model.forget.W[0, 0] == 0.25
+    np.testing.assert_array_equal(a.params["embeddings"], expected)
 
 
 def test_model_file_roundtrip(tmp_path):
@@ -270,8 +267,8 @@ def test_model_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded_head, head_u)
     assert loaded.vocab.tokens == model.vocab.tokens
     assert loaded.hidden_dim == model.hidden_dim
-    for key, arr in param_arrays(model).items():
-        np.testing.assert_array_equal(param_arrays(loaded)[key], arr)
+    for key, arr in model.params.items():
+        np.testing.assert_array_equal(loaded.params[key], arr)
     save_model(path, loaded, loaded_head)
     assert path.read_bytes() == first
 
@@ -307,6 +304,27 @@ def test_model_document_validation():
     bad["head"] = {}
     with pytest.raises(DocumentError, match="head"):
         model_from_document(bad)
+
+
+@pytest.mark.filterwarnings("ignore:embedding dimension")
+@settings(max_examples=40, deadline=None)
+@given(vocab_size=st.integers(1, 12), d=st.integers(1, 6), hidden_dim=st.integers(1, 6),
+       seed=st.integers(0, 2**63 - 1))
+def test_model_documents_survive_save_load_save(tmp_path_factory, vocab_size, d,
+                                                hidden_dim, seed):
+    model = init_model(small_vocab(vocab_size), d, hidden_dim, seed)
+    head = init_head(vocab_size, hidden_dim, seed)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, model, head.U)
+    first = path.read_bytes()
+    loaded, head_u = load_model(path)
+    assert loaded.vocab.tokens == model.vocab.tokens
+    assert list(loaded.params) == list(model.params)
+    for key, arr in model.params.items():
+        np.testing.assert_array_equal(loaded.params[key], arr)
+    np.testing.assert_array_equal(head_u, head.U)
+    save_model(path, loaded, head_u)
+    assert path.read_bytes() == first
 
 
 def mixed_forest(rng, vocab_size):
@@ -376,7 +394,7 @@ def test_masked_pack_backward_matches_finite_differences():
 
 def test_non_finite_forward_names_the_first_bad_tree():
     model = scaled_model()
-    model.embeddings.values[0, 4] = np.nan
+    model.params["embeddings"][0, 4] = np.nan
     # bad.mini turns non-finite only at its root, above the lone node of
     # worse.mini; the message names the first tree, not the first row
     flats = [flatten(node(1, (node(2),)), model.vocab, name="fine.mini"),
