@@ -14,7 +14,7 @@ from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, Logisti
                           read_features_csv, save_classifier, train_forest,
                           train_logistic, write_features_csv)
 from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
-                     cell, encode, iter_nodes, node_count, normalize_label,
+                     cell, encode, iter_nodes, normalize_label,
                      normalize_labels, read_corpus, tree_depth, write_corpus)
 from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
                      TrainingDataError, TreeDefectError, UndefinedMetricError)
@@ -26,7 +26,7 @@ from .experiments import (CvDescriptor, CvResult,
                           FoldFeatures, PairsDescriptor, ProjectStats,
                           average_report, cv_feature_folds, cv_from_folds,
                           dataset_stats, format_stats_table, parse_descriptor,
-                          train_classifier, version_pair_run, within_project_cv)
+                          train_classifier, version_pair_run)
 from .minilang import parse_mini
 from .pretrain import (EpochStats, PretrainHead, PretrainResult, TrainConfig,
                        corpus_loss, init_head, loss_and_gradients,

@@ -95,7 +95,7 @@ def featurize_corpus(records: list[FileRecord], model: TreeLstmModel) -> Feature
 
 
 def bow_featurize(records: list[FileRecord], vocab: Vocabulary,
-                  threshold: int = 5) -> FeatureMatrix:
+                  threshold: int) -> FeatureMatrix:
     """Two-bin bag of words: coordinate v is 1 iff the token count >= threshold."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")

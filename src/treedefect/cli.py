@@ -270,7 +270,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     descriptor = parse_descriptor(jsonio.read(args.descriptor), str(args.descriptor))
     options = _options(ClassifierOptions, args, file_config, kind=descriptor.classifier)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except jsonio.PATH_ERRORS as exc:
+        raise DocumentError(f"{out_dir}: {exc.strerror or exc}") from exc
     if isinstance(descriptor, CvDescriptor):
         result = cv_from_folds(cv_feature_folds(records, descriptor.k, config), options)
         reports = [*result.folds, result.average]

@@ -33,6 +33,11 @@ from .errors import DepthLimitError, DocumentError
 
 UNK_TOKEN = "<unk>"
 
+# Default vocabulary cap and least label count, of build_vocabulary and
+# TrainConfig alike.
+VOCAB_SIZE = 10000
+MIN_COUNT = 2
+
 # Deepest tree (in nodes, root to leaf) accepted from sources or documents.
 # Sources within minilang.MAX_NESTING reach 127; JSON round-trips of a corpus
 # document fail near 490 levels under the default interpreter stack.
@@ -70,10 +75,6 @@ def iter_nodes(tree: AstTree) -> Iterator[AstTree]:
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
-
-
-def node_count(tree: AstTree) -> int:
-    return sum(1 for _ in iter_nodes(tree))
 
 
 def tree_depth(tree: AstTree) -> int:
@@ -164,7 +165,8 @@ class Vocabulary:
         return self.tokens[index]
 
 
-def build_vocabulary(trees: list[AstTree], size: int = 10000, min_count: int = 2) -> Vocabulary:
+def build_vocabulary(trees: list[AstTree], size: int = VOCAB_SIZE,
+                     min_count: int = MIN_COUNT) -> Vocabulary:
     """Most popular labels across `trees`, capped at `size` entries total.
 
     The cap includes the unknown sentinel, so at most size-1 corpus tokens are

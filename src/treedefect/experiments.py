@@ -109,16 +109,6 @@ def cv_from_folds(fold_features: list[FoldFeatures],
     return CvResult(reports, avg, sum(1 for r in reports if r.auc is None))
 
 
-def within_project_cv(records: list[FileRecord], k: int = 10,
-                      options: ClassifierOptions | None = None,
-                      config: TrainConfig | None = None) -> CvResult:
-    """k-fold stratified CV: per fold, pretrain and featurize on the training
-    folds only, train the classifier, evaluate on the held-out fold."""
-    if options is None:
-        options = ClassifierOptions()
-    return cv_from_folds(cv_feature_folds(records, k, config), options)
-
-
 def version_pair_run(train_cell: tuple[str, str], test_cell: tuple[str, str],
                      records: list[FileRecord],
                      options: ClassifierOptions | None = None,

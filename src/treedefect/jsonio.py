@@ -19,6 +19,11 @@ from typing import Any
 
 from .errors import DocumentError
 
+# OSErrors that a bad output path causes, reported as bad input. Others, such
+# as a full disk, are not input errors and pass through unchanged.
+PATH_ERRORS = (FileExistsError, FileNotFoundError, IsADirectoryError,
+               NotADirectoryError, PermissionError)
+
 
 def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -26,12 +31,15 @@ def dumps(doc: Any) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
-    `path`, so a failed write leaves any previous file as it was."""
+    `path`, so a failed write leaves any previous file as it was. A path that
+    cannot be written raises DocumentError."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
+    except PATH_ERRORS as exc:
+        raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful rename
 

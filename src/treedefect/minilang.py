@@ -15,16 +15,21 @@ Grammar (EBNF)::
                 calls IDENT "(" [expr {"," expr}] ")", IDENT, INT, STRING
 
 Types are int, float, string, bool. Line comments (//) and block comments
-(/* */) are skipped. The AST keeps no punctuation or delimiter nodes: labels
-are production names (CompilationUnit, VariableDeclaration, AssignStmt,
-IfStmt, WhileStmt, ForStmt, BlockStmt, ExprStmt, MethodCallExpr), operator
-symbols for unary/binary nodes, identifier and type-keyword text for names,
-and raw literal text for literals (collapse values with
+(/* */) are skipped. The lexer matches one lexeme at a time with one regular
+expression and cuts each run of word characters into integers (str.isdigit
+runs) and one identifier or keyword (str.isalpha or "_" first), so Unicode
+text lexes as Python classifies it. Binary operators are parsed by precedence
+climbing over _BINARY_LEVELS. The AST keeps no punctuation or delimiter
+nodes: labels are production names (CompilationUnit, VariableDeclaration,
+AssignStmt, IfStmt, WhileStmt, ForStmt, BlockStmt, ExprStmt, MethodCallExpr),
+operator symbols for unary/binary nodes, identifier and type-keyword text for
+names, and raw literal text for literals (collapse values with
 corpus.normalize_labels afterwards).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .corpus import AstTree
@@ -32,13 +37,20 @@ from .errors import MiniSyntaxError
 
 TYPE_KEYWORDS = ("int", "float", "string", "bool")
 _KEYWORDS = frozenset(TYPE_KEYWORDS) | {"if", "else", "while", "for"}
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=", "&&", "||")
-_ONE_CHAR = "+-*/<>!=(){};,"
+# Tried in order: whitespace and comments, a word run, a string, an operator.
+# "/*" is no operator, so an unclosed comment, like a lone '"', matches nothing.
+_LEXEME = re.compile(
+    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)'
+    r'|(?P<word>\w+)'
+    r'|(?P<string>"[^"\n]*")'
+    r'|(?P<op><=|>=|==|!=|&&|\|\||/(?!\*)|[-+*<>!=(){};,])',
+    re.DOTALL)
 
 # Statements, expressions and "!" operands that may be open at once. One level
-# costs at most ten interpreter frames (an expression, the binary precedence
-# levels, unary and primary before the next parenthesis), so the deepest input
-# stays far inside Python's default recursion limit of 1000.
+# costs at most ten interpreter frames (expression, seven _binary when each
+# parenthesis is the right operand of all six operator levels, unary, primary),
+# four for plain parentheses. At this limit the two shapes parse with recursion
+# limits of 634 and 262 (Python 3.11), inside the default of 1000.
 MAX_NESTING = 64
 
 
@@ -52,76 +64,46 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance(1)
-            if i >= n:
-                raise MiniSyntaxError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_line, start_col = i, line, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            text = source[start:i]
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start_line, start_col))
-            continue
-        if ch.isdigit():
-            start, start_line, start_col = i, line, col
-            while i < n and source[i].isdigit():
-                advance(1)
-            tokens.append(Token("int", source[start:i], start_line, start_col))
-            continue
-        if ch == '"':
-            start, start_line, start_col = i, line, col
-            advance(1)
-            while i < n and source[i] not in '"\n':
-                advance(1)
-            if i >= n or source[i] == "\n":
-                raise MiniSyntaxError("unterminated string literal", start_line, start_col)
-            advance(1)
-            tokens.append(Token("string", source[start:i], start_line, start_col))
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token("op", two, line, col))
-            advance(2)
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("op", ch, line, col))
-            advance(1)
-            continue
-        raise MiniSyntaxError(f"unexpected character {ch!r}", line, col)
+    pos, line, line_start = 0, 1, 0  # line_start: offset of the current line
+    while pos < len(source):
+        m = _LEXEME.match(source, pos)
+        if m is None:
+            col = pos - line_start + 1
+            if source.startswith("/*", pos):
+                raise MiniSyntaxError("unterminated block comment", line, col)
+            if source[pos] == '"':
+                raise MiniSyntaxError("unterminated string literal", line, col)
+            raise MiniSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "word":
+            while pos < end:
+                ch, col = source[pos], pos - line_start + 1
+                if ch.isalpha() or ch == "_":
+                    word = source[pos:end]
+                    kind = "keyword" if word in _KEYWORDS else "ident"
+                    tokens.append(Token(kind, word, line, col))
+                    break
+                if not ch.isdigit():
+                    raise MiniSyntaxError(f"unexpected character {ch!r}", line, col)
+                digits = pos + 1
+                while digits < end and source[digits].isdigit():
+                    digits += 1
+                tokens.append(Token("int", source[pos:digits], line, col))
+                pos = digits
+        else:
+            tokens.append(Token(kind, text, line, pos - line_start + 1))
+        pos = end
     return tokens
 
 
 # Binary operators from loosest to tightest binding.
 _BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"), ("*", "/"))
+_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 class _Parser:
@@ -285,15 +267,12 @@ class _Parser:
         self.nesting -= 1
         return node
 
-    def _binary(self, level: int) -> AstTree:
-        if level == len(_BINARY_LEVELS):
-            return self.unary()
-        node = self._binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while (tok := self.peek()) is not None and tok.kind == "op" and tok.text in ops:
+    def _binary(self, min_level: int) -> AstTree:
+        """Precedence climbing over the left-associative levels >= min_level."""
+        node = self.unary()
+        while (tok := self.peek()) is not None and _LEVEL.get(tok.text, -1) >= min_level:
             self.take()
-            rhs = self._binary(level + 1)
-            node = AstTree(tok.text, (node, rhs))
+            node = AstTree(tok.text, (node, self._binary(_LEVEL[tok.text] + 1)))
         return node
 
     def unary(self) -> AstTree:

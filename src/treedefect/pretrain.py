@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .corpus import FileRecord, Vocabulary, build_vocabulary
+from .corpus import MIN_COUNT, VOCAB_SIZE, FileRecord, Vocabulary, build_vocabulary
 from .errors import CorpusError
 from .rng import stream
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
@@ -66,8 +66,8 @@ class TrainConfig:
     batch_size: int = 8
     embedding_dim: int = 32
     hidden_dim: int | None = None
-    vocab_size: int = 10000
-    min_count: int = 2
+    vocab_size: int = VOCAB_SIZE
+    min_count: int = MIN_COUNT
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -326,6 +326,27 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, target", [
+    ("stats", "nodir/x.csv"),   # missing directory
+    ("vocab", "nodir/v.json"),
+    ("stats", "adir"),          # an existing directory
+    ("experiment", "afile"),    # an existing file as the output directory
+])
+def test_unwritable_output_is_an_input_error(tmp_path, workspace, capsys, command, target):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    descriptor = tmp_path / "cv.json"
+    descriptor.write_text('{"experiment":"cv","k":3,"classifier":"forest"}\n',
+                          encoding="utf-8")
+    out = tmp_path / target
+    flag = (["--descriptor", str(descriptor), "--output-dir"] if command == "experiment"
+            else ["--output"])
+    assert main([command, "--corpus", str(workspace["corpus"]), *flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out}: " in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_internal_error_exit_3(tmp_path, workspace, capsys, monkeypatch):
     import treedefect.cli
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from treedefect import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        encode, flatten, iter_nodes, node_count, normalize_label,
+                        encode, flatten, iter_nodes, normalize_label,
                         normalize_labels, read_corpus, tree_depth, write_corpus)
 from treedefect import jsonio
 from treedefect.corpus import (MAX_TREE_DEPTH, cell, corpus_from_document,
@@ -27,9 +27,9 @@ SAMPLE = AstTree("CompilationUnit", (
 
 
 def test_node_count_and_depth():
-    assert node_count(SAMPLE) == 15
+    assert sum(1 for _ in iter_nodes(SAMPLE)) == 15
     assert tree_depth(SAMPLE) == 6
-    assert node_count(leaf("x")) == 1
+    assert sum(1 for _ in iter_nodes(leaf("x"))) == 1
     assert tree_depth(leaf("x")) == 1
 
 
@@ -129,7 +129,7 @@ def test_deep_tree_operations_are_iterative():
     tree = leaf("x")
     for _ in range(10000):
         tree = AstTree("y", (tree,))
-    assert node_count(tree) == 10001
+    assert sum(1 for _ in iter_nodes(tree)) == 10001
     assert tree_depth(tree) == 10001
     normalized = normalize_labels(tree)
     assert normalized.label == "y"

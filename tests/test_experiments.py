@@ -8,8 +8,7 @@ from treedefect import (AstTree, ClassifierOptions, CorpusError, FileRecord,
                         classifier_to_document, cv_feature_folds,
                         cv_from_folds, dataset_stats, format_stats_table,
                         generate_multi_cell, generate_records,
-                        parse_descriptor, train_classifier, version_pair_run,
-                        within_project_cv)
+                        parse_descriptor, train_classifier, version_pair_run)
 from treedefect.errors import DocumentError
 from treedefect.evaluation import ConfusionMatrix, MetricsReport
 from treedefect.experiments import CvDescriptor, PairsDescriptor
@@ -152,10 +151,9 @@ def test_cv_from_folds_shares_features_across_kinds():
 
 def test_within_project_cv_deterministic():
     records = generate_records(n=18, seed=6)
-    kwargs = dict(k=3, options=ClassifierOptions(kind="forest", n_trees=8),
-                  config=fast_config(seed=13))
-    a = within_project_cv(records, **kwargs)
-    b = within_project_cv(records, **kwargs)
+    options = ClassifierOptions(kind="forest", n_trees=8)
+    a = cv_from_folds(cv_feature_folds(records, 3, fast_config(seed=13)), options)
+    b = cv_from_folds(cv_feature_folds(records, 3, fast_config(seed=13)), options)
     assert a.folds == b.folds
     assert a.average == b.average
 

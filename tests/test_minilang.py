@@ -138,6 +138,37 @@ def test_two_char_operators_tokenize_whole():
     assert texts == ["a", "<=", "b", ">=", "c", "==", "d", "!=", "e", "&&", "f", "||", "g"]
 
 
+@pytest.mark.parametrize("source, expected", [
+    ("x = 1; /* one\ntwo\n  three */ y = 2;",
+     [("ident", "x", 1, 1), ("op", "=", 1, 3), ("int", "1", 1, 5), ("op", ";", 1, 6),
+      ("ident", "y", 3, 12), ("op", "=", 3, 14), ("int", "2", 3, 16), ("op", ";", 3, 17)]),
+    ("int\tx = 1;\r\n\tx = x + 2;\r\n",
+     [("keyword", "int", 1, 1), ("ident", "x", 1, 5), ("op", "=", 1, 7), ("int", "1", 1, 9),
+      ("op", ";", 1, 10), ("ident", "x", 2, 2), ("op", "=", 2, 4), ("ident", "x", 2, 6),
+      ("op", "+", 2, 8), ("int", "2", 2, 10), ("op", ";", 2, 11)]),
+    ("12ab iffy format",
+     [("int", "12", 1, 1), ("ident", "ab", 1, 3), ("ident", "iffy", 1, 6),
+      ("ident", "format", 1, 11)]),
+    ("a/b", [("ident", "a", 1, 1), ("op", "/", 1, 2), ("ident", "b", 1, 3)]),
+    ("a/ /b", [("ident", "a", 1, 1), ("op", "/", 1, 2), ("op", "/", 1, 4), ("ident", "b", 1, 5)]),
+    ("a//b\nc", [("ident", "a", 1, 1), ("ident", "c", 2, 1)]),
+    # identifiers start with str.isalpha, integers are str.isdigit runs
+    ("é = ²;", [("ident", "é", 1, 1), ("op", "=", 1, 3), ("int", "²", 1, 5), ("op", ";", 1, 6)]),
+    ("x = ½;", ("unexpected character '½'", 1, 5)),
+    ('x = 1;\ny = 2;\nz = "oops\n', ("unterminated string literal", 3, 5)),
+    ("x = 1;\ny = 2;\n/* never\nclosed", ("unterminated block comment", 3, 1)),
+])
+def test_tokenize_table(source, expected):
+    if isinstance(expected, list):
+        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+        return
+    message, line, col = expected
+    with pytest.raises(MiniSyntaxError) as info:
+        tokenize(source)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
 def test_equality_vs_assignment_disambiguation():
     tree = parse_mini("x == y;")
     assert tree.children[0].label == "ExprStmt"

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from treedefect import (AstTree, CorpusError, PretrainHead, TrainConfig, UNK_TOKEN,
                         Vocabulary, build_vocabulary, corpus_loss, flatten,
-                        generate_records, init_model, loss_and_gradients,
-                        node_count, perplexity, pretrain, rmsprop_step,
+                        generate_records, init_model, iter_nodes, loss_and_gradients,
+                        perplexity, pretrain, rmsprop_step,
                         sample_masks, split_records, write_training_log)
 from treedefect.pretrain import PACK_NODES
 from treedefect.rng import stream
@@ -112,7 +112,7 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=22, scale=0.5)
     head = scaled_head(6, 3, seed=22)
     trees = []
-    while sum(node_count(t) for t in trees) <= 2 * PACK_NODES:
+    while sum(1 for t in trees for _ in iter_nodes(t)) <= 2 * PACK_NODES:
         trees.append(random_tree(rng, vocab_size=6, max_nodes=30))
     counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
     total = sum(counts)
