@@ -1,7 +1,7 @@
 """File-level defect classifiers over root feature vectors.
 
-Both classifiers are deterministic: logistic regression uses full-batch
-gradient descent with a backtracking (Armijo) line search, and the random
+Both classifiers are deterministic: logistic regression uses damped Newton
+(IRLS) steps with a backtracking (Armijo) line search, and the random
 forest draws every bootstrap sample and feature subset from per-tree streams
 derived from one seed, with impurity ties broken by lowest feature index and
 then lowest threshold. A bag-of-words featurizer over normalized AST labels
@@ -142,38 +142,50 @@ def _logistic_loss(X, y, w, b, l2) -> float:
     return float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2 * (w @ w))
 
 
-def train_logistic(X, y=None, l2: float = 1e-4, tol: float = 1e-6,
-                   max_iter: int = 5000) -> LogisticModel:
-    """Minimize L2-regularized logistic loss (bias unregularized) by
-    full-batch gradient descent with backtracking line search, until the
-    gradient norm falls below `tol` or `max_iter` iterations."""
+# Newton fit stops: gradient norm at most _TOL, or _MAX_STEPS accepted steps.
+_TOL = 1e-6
+_MAX_STEPS = 50
+
+
+def train_logistic(X, y=None, l2: float = 1e-4) -> LogisticModel:
+    """Minimize L2-regularized logistic loss (bias unregularized) by damped
+    Newton (IRLS) on (w, b): Newton directions, or the negative gradient
+    where the Hessian solve fails, under a backtracking (Armijo) line search.
+    Stops when the gradient norm is at most _TOL, when the line search
+    stalls, or after _MAX_STEPS steps, so it also ends, with finite weights,
+    where no optimum exists (l2 = 0 on separable data)."""
     Xa, ya = _as_xy(X, y)
     n, dim = Xa.shape
-    w = np.zeros(dim)
-    b = 0.0
-    loss = _logistic_loss(Xa, ya, w, b, l2)
+    Z = np.hstack([Xa, np.ones((n, 1))])  # bias as the last coordinate
+    ridge = np.append(np.full(dim, float(l2)), 0.0)
+    theta = np.zeros(dim + 1)
+    loss = _logistic_loss(Xa, ya, theta[:-1], theta[-1], l2)
     history = [loss]
-    for _ in range(max_iter):
-        p = sigmoid(Xa @ w + b)
-        residual = (p - ya) / n
-        gw = Xa.T @ residual + l2 * w
-        gb = float(residual.sum())
-        gnorm2 = float(gw @ gw) + gb * gb
-        if sqrt(gnorm2) <= tol:
+    while len(history) <= _MAX_STEPS:
+        p = sigmoid(Z @ theta)
+        grad = Z.T @ (p - ya) / n + ridge * theta
+        if sqrt(float(grad @ grad)) <= _TOL:
             break
+        hessian = (Z.T * (p * (1.0 - p))) @ Z / n + np.diag(ridge)
+        try:
+            direction = -np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:  # singular Hessian
+            direction = -grad
+        slope = float(grad @ direction)
+        if not -np.inf < slope < 0.0:  # no finite descent direction (NaN included)
+            direction, slope = -grad, -float(grad @ grad)
         step = 1.0
         while True:
-            w_new = w - step * gw
-            b_new = b - step * gb
-            loss_new = _logistic_loss(Xa, ya, w_new, b_new, l2)
-            if loss_new <= loss - 1e-4 * step * gnorm2 or step < 1e-18:
+            candidate = theta + step * direction
+            loss_new = _logistic_loss(Xa, ya, candidate[:-1], candidate[-1], l2)
+            if loss_new <= loss + 1e-4 * step * slope or step < 1e-18:
                 break
             step *= 0.5
-        if loss_new > loss:  # line search stalled at float resolution
+        if not loss_new < loss:  # line search stalled at float resolution
             break
-        w, b, loss = w_new, b_new, loss_new
+        theta, loss = candidate, loss_new
         history.append(loss)
-    return LogisticModel(w, b, l2, history)
+    return LogisticModel(theta[:-1], float(theta[-1]), l2, history)
 
 
 def predict_proba_logistic(model: LogisticModel, x) -> float | np.ndarray:

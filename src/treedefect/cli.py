@@ -3,7 +3,8 @@
 Subcommands: ingest, vocab, pretrain, featurize, train-classifier, evaluate,
 experiment, stats. Option precedence is flags > --config file > defaults.
 Exit codes: 0 success, 1 a produced report carries undefined-metric flags,
-2 usage or input error, 3 internal error.
+2 usage or input error or a failed file operation (disk full, I/O error),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -390,6 +391,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except TreeDefectError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the environment failed (disk full, I/O error), not the code
+        name = exc.filename2 or exc.filename  # a failed rename names its target second
+        where = f"{name}: " if name else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # contract violations, bugs: report distinctly
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -152,3 +152,39 @@ def logistic_grid_loss(X, y, l2, w_range, b_range, steps):
             loss = np.logaddexp(0.0, -margins).mean() + 0.5 * l2 * w * w
             best = min(best, loss)
     return best
+
+
+def logistic_loss(X, y, w, b, l2):
+    """Mean logistic loss of (w, b) plus 0.5 * l2 * |w|^2; the bias is not
+    regularized."""
+    margins = (2 * y - 1) * (X @ w + b)
+    return float(np.logaddexp(0.0, -margins).mean() + 0.5 * l2 * (w @ w))
+
+
+def logistic_gradient_descent(X, y, l2, tol=1e-6, max_iter=5000):
+    """(w, b, loss) of full-batch gradient descent on logistic_loss with a
+    halving Armijo line search from zero, stopped when the gradient norm is
+    at most `tol`, after `max_iter` steps, or when no step lowers the loss."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, dim = X.shape
+    w, b = np.zeros(dim), 0.0
+    loss = logistic_loss(X, y, w, b, l2)
+    for _ in range(max_iter):
+        residual = (sigmoid(X @ w + b) - y) / n
+        gw = X.T @ residual + l2 * w
+        gb = float(residual.sum())
+        gnorm2 = float(gw @ gw) + gb * gb
+        if np.sqrt(gnorm2) <= tol:
+            break
+        step = 1.0
+        while True:
+            w_new, b_new = w - step * gw, b - step * gb
+            loss_new = logistic_loss(X, y, w_new, b_new, l2)
+            if loss_new <= loss - 1e-4 * step * gnorm2 or step < 1e-18:
+                break
+            step *= 0.5
+        if loss_new > loss:
+            break
+        w, b, loss = w_new, b_new, loss_new
+    return w, b, loss

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
@@ -13,7 +14,7 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         predict_proba_logistic, read_features_csv,
                         save_classifier, train_forest, train_logistic,
                         write_features_csv)
-from treedefect.classifiers import TreeNode
+from treedefect.classifiers import _MAX_STEPS, TreeNode
 from treedefect.errors import DocumentError
 
 from test_treelstm import scaled_model
@@ -94,6 +95,42 @@ def test_logistic_beats_dense_grid_oracle():
     grid = oracles.logistic_grid_loss(x, y, l2=1e-4, w_range=(-6, 6),
                                       b_range=(-4, 4), steps=241)
     assert mine <= grid + 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(4, 30), st.integers(1, 4), st.sampled_from([1e-4, 1e-2, 1.0]),
+       st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
+def test_logistic_loss_at_most_gradient_descent_oracle(n, dim, l2, scale, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, scale, size=(n, dim))
+    y = np.arange(n) % 2  # both classes present
+    model = train_logistic(X, y, l2=l2)
+    _, _, oracle_loss = oracles.logistic_gradient_descent(X, y, l2)
+    loss = oracles.logistic_loss(X, y, model.weights, model.bias, l2)
+    assert loss <= oracle_loss + 1e-12
+    assert loss == pytest.approx(model.loss_history[-1], rel=1e-12)
+
+
+def test_logistic_returns_a_stationary_point():
+    # overlapping classes: the regularized optimum is finite and unique
+    X, y = separable(n=60, gap=0.3, seed=2)
+    l2 = 1e-4
+    model = train_logistic(X, y, l2=l2)
+    residual = (oracles.sigmoid(X @ model.weights + model.bias) - y) / len(y)
+    gradient = np.append(X.T @ residual + l2 * model.weights, residual.sum())
+    assert np.linalg.norm(gradient) <= 1e-6
+
+
+def test_logistic_without_regularization_on_separable_data_stays_finite():
+    # no optimum exists; the fit still ends within the step cap, repeatably
+    for X, y in (separable(gap=3.0), (np.array([[0.0], [1.0]]), np.array([0, 1]))):
+        model = train_logistic(X, y, l2=0.0)
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        history = np.array(model.loss_history)
+        assert np.all(np.diff(history) <= 0)
+        assert len(history) - 1 <= _MAX_STEPS
+        again = train_logistic(X, y, l2=0.0)
+        assert np.array_equal(again.weights, model.weights) and again.bias == model.bias
 
 
 def test_logistic_bias_fits_base_rate_and_is_unregularized():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,36 @@ def test_internal_error_exit_3(tmp_path, workspace, capsys, monkeypatch):
                  "--output", str(tmp_path / "r.csv")])
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_logistic_without_regularization_is_deterministic(tmp_path, workspace):
+    # l2 = 0 on few files: the data may be separable, so no optimum need exist
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outputs:
+        assert main(["train-classifier", "--features", str(workspace["features"]),
+                     "--output", str(out), "--classifier", "logistic",
+                     "--l2", "0"]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    assert all(np.isfinite(read(outputs[0])["weights"]))
+
+
+def test_failed_artifact_write_is_an_environment_error(tmp_path, workspace, capsys,
+                                                       monkeypatch):
+    out = tmp_path / "clf.json"
+    argv = ["train-classifier", "--features", str(workspace["features"]),
+            "--output", str(out), "--classifier", "logistic"]
+    assert main(argv) == 0
+    before = out.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    capsys.readouterr()
+    assert main([*argv, "--l2", "0.5"]) == 2
+    assert "error: disk full" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["clf.json"]
 
 
 NARROW_CSV = "project,version,file_id,label,f0\np,1,a,1,0.5\np,1,b,0,0.1\n"
