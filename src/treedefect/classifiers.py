@@ -88,10 +88,8 @@ class FeatureMatrix:
 
 def featurize_corpus(records: list[FileRecord], model: TreeLstmModel) -> FeatureMatrix:
     """One row per record: the Tree-LSTM root hidden vector."""
-    values = np.empty((len(records), model.hidden_dim))
-    for i, record in enumerate(records):
-        values[i] = forward_root(record, model)
-    return FeatureMatrix([r.key for r in records], values, [r.label for r in records])
+    return FeatureMatrix([r.key for r in records], forward_root(records, model),
+                         [r.label for r in records])
 
 
 def bow_featurize(records: list[FileRecord], vocab: Vocabulary,

@@ -393,8 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the environment failed (disk full, I/O error), not the code
-        name = exc.filename2 or exc.filename  # a failed rename names its target second
-        where = f"{name}: " if name else ""
+        where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # contract violations, bugs: report distinctly

@@ -20,7 +20,7 @@ from typing import Any
 from .errors import DocumentError
 
 # OSErrors that a bad output path causes, reported as bad input. Others, such
-# as a full disk, are not input errors and pass through unchanged.
+# as a full disk, are not input errors and stay OSErrors, naming the target.
 PATH_ERRORS = (FileExistsError, FileNotFoundError, IsADirectoryError,
                NotADirectoryError, PermissionError)
 
@@ -32,7 +32,8 @@ def dumps(doc: Any) -> str:
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it over
     `path`, so a failed write leaves any previous file as it was. A path that
-    cannot be written raises DocumentError."""
+    cannot be written raises DocumentError; any other failure an OSError
+    whose filename is `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -40,6 +41,8 @@ def write_text(path: str | Path, text: str) -> None:
         os.replace(tmp, path)
     except PATH_ERRORS as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)  # gone already after a successful rename
 

@@ -16,6 +16,7 @@ seeds and corpora give bit-identical models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -24,14 +25,9 @@ from .corpus import MIN_COUNT, VOCAB_SIZE, FileRecord, Vocabulary, build_vocabul
 from .errors import CorpusError
 from .rng import stream
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
-                       forward, init_model, pack, sample_masks)
+                       forward, init_model, packs, sample_masks)
 
 HEAD_INIT_SCALE = 0.05
-
-# Nodes per pack (a larger tree is packed alone). A pack's forward and
-# backward arrays take a few kB per node, so this bounds peak memory for big
-# minibatches and validation sets while leaving each level many rows.
-PACK_NODES = 1024
 
 
 @dataclass
@@ -70,12 +66,12 @@ class TrainConfig:
     min_count: int = MIN_COUNT
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "rms_epsilon"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.rms_decay < 1:
             raise ValueError(f"rms_decay must be in [0, 1), got {self.rms_decay}")
-        if self.rms_epsilon <= 0:
-            raise ValueError(f"rms_epsilon must be > 0, got {self.rms_epsilon}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         ints = {"seed": None, "max_epochs": 0, "patience": 1, "batch_size": 1,
@@ -88,8 +84,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if len(self.split) != 3 or any(f <= 0 for f in self.split):
-            raise ValueError(f"split must be three positive fractions, got {self.split}")
+        if len(self.split) != 3 or not all(isfinite(f) and f > 0 for f in self.split):
+            raise ValueError(f"split must be three finite fractions > 0, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
         self.split = tuple(float(f) for f in self.split)
@@ -118,7 +114,7 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
 
 def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
                masks: DropoutMasks | None, grads: dict[str, np.ndarray] | None,
-               scale: float = 1.0) -> np.ndarray:
+               scale: float) -> np.ndarray:
     """Summed NLL of each tree in the pack `flat`; accumulates gradients
     scaled by `scale` into `grads` when given."""
     cache = forward(flat, model, masks)
@@ -147,26 +143,21 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     return nll
 
 
-def _require_trees(trees) -> None:
+def _mean_nll(trees, model: TreeLstmModel, head: PretrainHead,
+              masks: list[DropoutMasks] | None, grads: dict[str, np.ndarray] | None
+              ) -> float:
+    """Mean NLL over the internal nodes of `trees`; adds its gradients into
+    `grads` when given."""
     if not trees:
         raise CorpusError("corpus of trees is empty")
-
-
-def _flatten_all(trees, vocab: Vocabulary) -> list[FlatTree]:
-    return [t if isinstance(t, FlatTree) else flatten(t, vocab) for t in trees]
-
-
-def _chunks(flats: list[FlatTree], masks: list[DropoutMasks] | None):
-    """Packs of consecutive trees, with their masks, of at most PACK_NODES
-    nodes each."""
-    start = 0
-    while start < len(flats):
-        stop, nodes = start + 1, flats[start].n
-        while stop < len(flats) and nodes + flats[stop].n <= PACK_NODES:
-            nodes += flats[stop].n
-            stop += 1
-        yield pack(flats[start:stop], masks[start:stop] if masks else None)
-        start = stop
+    flats = [t if isinstance(t, FlatTree) else flatten(t, model.vocab) for t in trees]
+    count = sum(f.n_internal for f in flats)
+    if count == 0:
+        raise CorpusError("corpus has no internal nodes; nothing to predict")
+    total = 0.0
+    for flat, packed_masks in packs(flats, masks):
+        total += float(_pack_loss(flat, model, head, packed_masks, grads, 1.0 / count).sum())
+    return total / count
 
 
 def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
@@ -177,14 +168,7 @@ def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
     `masks` (one DropoutMasks per tree, from sample_masks) makes this the
     training-time loss; None evaluates without dropout.
     """
-    _require_trees(trees)
-    total, count = 0.0, 0
-    for flat, packed_masks in _chunks(_flatten_all(trees, model.vocab), masks):
-        total += float(_pack_loss(flat, model, head, packed_masks, None).sum())
-        count += flat.n_internal
-    if count == 0:
-        raise CorpusError("corpus has no internal nodes; nothing to predict")
-    return total / count
+    return _mean_nll(trees, model, head, masks, None)
 
 
 def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
@@ -192,18 +176,9 @@ def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Corpus loss plus exact reverse-mode gradients for every tensor
     (embeddings, four gate groups, head); dropout masks are held fixed."""
-    _require_trees(trees)
-    flats = _flatten_all(trees, model.vocab)
-    count = sum(f.n_internal for f in flats)
-    if count == 0:
-        raise CorpusError("corpus has no internal nodes; nothing to predict")
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     grads["head.U"] = np.zeros_like(head.U)
-    scale = 1.0 / count
-    total = 0.0
-    for flat, packed_masks in _chunks(flats, masks):
-        total += float(_pack_loss(flat, model, head, packed_masks, grads, scale).sum())
-    return total / count, grads
+    return _mean_nll(trees, model, head, masks, grads), grads
 
 
 def perplexity(model: TreeLstmModel, head: PretrainHead, trees) -> float:

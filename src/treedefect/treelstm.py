@@ -15,9 +15,10 @@ Leaves use h~ = 0 and an empty forget sum. Children are aggregated by sum, so
 the state is invariant to child order (Tai et al. 2015, arXiv:1503.00075).
 
 Each tree is flattened once to arrays whose nodes are sorted by height
-(`flatten`); `pack` merges a minibatch of them into one FlatTree, and a
-single tree is simply a pack of one. The passes run by height level rather
-than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
+(`flatten`); `pack` merges several into one FlatTree (a lone tree is a pack
+of one), and `packs` cuts any sequence of trees into packs of at most
+PACK_NODES nodes, for every pass over many trees. The passes run by height
+level rather than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
 forward evaluates every node of every tree as a leaf in one vectorised step,
 then recomputes the nodes of height 1, 2, ... across all trees at once with a
 few matrix products on contiguous row ranges, summing children with
@@ -46,6 +47,10 @@ from .rng import stream
 
 GATE_NAMES = ("forget", "input", "cell", "output")
 INIT_SCALE = 0.05
+
+# Nodes per pack (a larger tree is packed alone): bounds peak memory, as the
+# forward and backward arrays take a few kB per node, yet fills each level.
+PACK_NODES = 1024
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -238,6 +243,19 @@ def pack(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None
                               np.concatenate([m.agg for m in masks])[order])
 
 
+def packs(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None):
+    """Packs (with their masks, as `pack` returns them) of consecutive trees
+    of at most PACK_NODES nodes each."""
+    start = 0
+    while start < len(flats):
+        stop, nodes = start + 1, flats[start].n
+        while stop < len(flats) and nodes + flats[stop].n <= PACK_NODES:
+            nodes += flats[stop].n
+            stop += 1
+        yield pack(flats[start:stop], masks[start:stop] if masks else None)
+        start = stop
+
+
 @dataclass
 class ForwardCache:
     X: np.ndarray    # (n, d) embedding input after masking
@@ -374,9 +392,12 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     np.add.at(grads["embeddings"].T, flat.indices, dX)
 
 
-def forward_root(record, model: TreeLstmModel) -> np.ndarray:
-    """Root hidden vector of one FileRecord: the file's feature vector."""
-    return forward(flatten(record.tree, model.vocab, record.file_id), model).H[-1].copy()
+def forward_root(records, model: TreeLstmModel) -> np.ndarray:
+    """Root hidden vectors of FileRecords, one row each in order: the files'
+    feature vectors, (len(records), hidden_dim)."""
+    flats = [flatten(r.tree, model.vocab, r.file_id) for r in records]
+    roots = [forward(flat, model).H[flat.roots] for flat, _ in packs(flats)]
+    return np.concatenate(roots) if roots else np.empty((0, model.hidden_dim))
 
 
 def model_to_document(model: TreeLstmModel, head_u: np.ndarray) -> dict:
@@ -419,7 +440,7 @@ def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.n
     except ValueError as exc:
         raise DocumentError(f"{source}: {exc}") from exc
     d, hd = doc.get("d"), doc.get("hidden_dim")
-    if not isinstance(d, int) or not isinstance(hd, int) or d < 1 or hd < 1:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (d, hd)):
         raise DocumentError(f"{source}: 'd' and 'hidden_dim' must be positive integers")
     params = {"embeddings": _array_field(doc, "embeddings", (d, len(tokens)), source)}
     shapes = {"W": (hd, d), "U": (hd, hd), "b": (hd,)}

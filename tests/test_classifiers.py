@@ -16,7 +16,9 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         write_features_csv)
 from treedefect.classifiers import _MAX_STEPS, TreeNode
 from treedefect.errors import DocumentError
+from treedefect.treelstm import PACK_NODES, flatten, forward_root, packs
 
+from conftest import node, random_tree
 from test_treelstm import scaled_model
 
 
@@ -41,8 +43,6 @@ def test_feature_matrix_validation():
 
 
 def test_featurize_corpus_rows_are_root_vectors():
-    from treedefect import forward_root
-
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=30)
     records = [
         FileRecord("a.mini", "p", "1", 1, AstTree("tok1", (AstTree("tok2"),))),
@@ -51,8 +51,33 @@ def test_featurize_corpus_rows_are_root_vectors():
     fm = featurize_corpus(records, model)
     assert fm.keys == [r.key for r in records]
     assert fm.labels == [1, 0]
+    np.testing.assert_array_equal(fm.values, forward_root(records, model))
+
+
+def test_featurize_across_pack_boundaries_keeps_record_order():
+    rng = np.random.default_rng(71)
+    model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=31, scale=0.5)
+    records = []
+    while sum(flatten(r.tree, model.vocab).n for r in records) <= 2 * PACK_NODES:
+        tree = random_tree(rng, vocab_size=6, max_nodes=30)
+        records.append(FileRecord(f"f{len(records)}.mini", "p", "1", len(records) % 2, tree))
+    assert len(list(packs([flatten(r.tree, model.vocab) for r in records]))) >= 3
+    fm = featurize_corpus(records, model)
+    assert fm.keys == [r.key for r in records]
     for row, record in zip(fm.values, records):
-        np.testing.assert_array_equal(row, forward_root(record, model))
+        np.testing.assert_allclose(row, forward_root([record], model)[0], rtol=0, atol=1e-12)
+
+
+def test_featurize_names_the_poisoned_file_in_a_pack():
+    rng = np.random.default_rng(72)
+    model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=32)
+    model.params["embeddings"][:, 5] = np.nan  # only the poisoned tree holds token 5
+    trees = [random_tree(rng, vocab_size=5, max_nodes=10) for _ in range(5)]
+    trees.insert(2, node(1, (node(5),)))
+    records = [FileRecord(f"f{i}.mini", "p", "1", 0, t) for i, t in enumerate(trees)]
+    assert len(list(packs([flatten(t, model.vocab) for t in trees]))) == 1
+    with pytest.raises(ArithmeticError, match="f2.mini"):
+        featurize_corpus(records, model)
 
 
 def test_bow_featurize_threshold_semantics():

@@ -165,9 +165,12 @@ def test_pretrain_config_file_and_flag_precedence(tmp_path, workspace):
 
 @pytest.mark.parametrize("flags", [["--embedding-dim", "0"], ["--hidden-dim", "0"],
                                    ["--vocab-size", "0"], ["--min-count", "0"],
-                                   ["--config", "float-epochs.json"]],
+                                   ["--config", "float-epochs.json"],
+                                   ["--learning-rate", "nan"], ["--learning-rate", "inf"],
+                                   ["--rms-epsilon", "nan"], ["--split", "nan,0.5,0.5"]],
                          ids=["embedding-dim", "hidden-dim", "vocab-size", "min-count",
-                              "float-max-epochs-in-config"])
+                              "float-max-epochs-in-config", "nan-learning-rate",
+                              "inf-learning-rate", "nan-rms-epsilon", "nan-split"])
 def test_pretrain_bad_training_options_are_bad_input(tmp_path, workspace, capsys,
                                                      monkeypatch, flags):
     monkeypatch.chdir(tmp_path)
@@ -391,7 +394,7 @@ def test_failed_artifact_write_is_an_environment_error(tmp_path, workspace, caps
     monkeypatch.setattr(os, "replace", fail)
     capsys.readouterr()
     assert main([*argv, "--l2", "0.5"]) == 2
-    assert "error: disk full" in capsys.readouterr().err
+    assert f"error: {out}: disk full" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["clf.json"]
 
@@ -497,8 +500,11 @@ def test_usage_error_exit_2():
 
 
 def test_module_entry_point_help():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "treedefect.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "ingest" in proc.stdout and "experiment" in proc.stdout
 

@@ -11,7 +11,7 @@ from treedefect import (AstTree, CorpusError, PretrainHead, TrainConfig, UNK_TOK
                         generate_records, init_model, iter_nodes, loss_and_gradients,
                         perplexity, pretrain, rmsprop_step,
                         sample_masks, split_records, write_training_log)
-from treedefect.pretrain import PACK_NODES
+from treedefect.treelstm import PACK_NODES
 from treedefect.rng import stream
 
 from conftest import node, random_tree, small_vocab
@@ -202,7 +202,9 @@ def test_train_config_validation():
                    {"batch_size": 0}, {"split": (0.5, 0.5, 0.0)},
                    {"split": (0.6, 0.3, 0.2)}, {"embedding_dim": 0}, {"hidden_dim": 0},
                    {"vocab_size": 0}, {"min_count": 0}, {"max_epochs": 1.5},
-                   {"batch_size": True}, {"seed": 1.0}):
+                   {"batch_size": True}, {"seed": 1.0}, {"learning_rate": math.nan},
+                   {"learning_rate": math.inf}, {"rms_epsilon": math.nan},
+                   {"rms_epsilon": math.inf}, {"split": (math.nan, 0.5, 0.5)}):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 

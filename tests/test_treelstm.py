@@ -144,14 +144,14 @@ def test_depth_limit():
         check_depth(tree)
     assert flatten(tree, small_vocab()).depth == MAX_TREE_DEPTH + 1
     record = FileRecord("deep.mini", "p", "1", 0, tree)
-    assert np.all(np.isfinite(forward_root(record, scaled_model())))
+    assert np.all(np.isfinite(forward_root([record], scaled_model())[0]))
 
 
 def test_forward_root_matches_encode_then_t_lstm():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=6)
     ast = AstTree("tok1", (AstTree("tok2"), AstTree("never-seen")))
     record = FileRecord("a.mini", "p", "1", 1, ast)
-    vec = forward_root(record, model)
+    vec = forward_root([record], model)[0]
     state = root_state(ast, model)
     np.testing.assert_array_equal(vec, state.h)
 
@@ -304,6 +304,10 @@ def test_model_document_validation():
     bad["head"] = {}
     with pytest.raises(DocumentError, match="head"):
         model_from_document(bad)
+    bad = doc()
+    bad["d"] = bad["hidden_dim"] = True
+    with pytest.raises(DocumentError, match="positive integers"):
+        model_from_document(bad)
 
 
 @pytest.mark.filterwarnings("ignore:embedding dimension")
@@ -354,7 +358,7 @@ def test_pack_matches_recursive_oracles_per_tree():
     assert flat.n_trees == len(trees) and flat.depth == max(
         flatten(t, model.vocab).depth for t in trees)
     cache = forward(flat, model)
-    nll = _pack_loss(flat, model, head, None, None)
+    nll = _pack_loss(flat, model, head, None, None, 1.0)
     for t, tree in enumerate(trees):
         h_ref, c_ref = oracles.node_state(tree, model)
         np.testing.assert_allclose(cache.H[flat.roots[t]], h_ref, rtol=0, atol=1e-12)
@@ -374,8 +378,8 @@ def test_pack_tree_permutation_permutes_roots_only():
     b, _ = pack([flats[i] for i in perm])
     ha, hb = forward(a, model).H, forward(b, model).H
     np.testing.assert_allclose(hb[b.roots], ha[a.roots[perm]], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(_pack_loss(b, model, head, None, None),
-                               _pack_loss(a, model, head, None, None)[perm],
+    np.testing.assert_allclose(_pack_loss(b, model, head, None, None, 1.0),
+                               _pack_loss(a, model, head, None, None, 1.0)[perm],
                                rtol=0, atol=1e-12)
 
 
