@@ -9,10 +9,9 @@ under within-project and cross-project protocols.
 from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, LogisticModel,
                           bow_featurize, classifier_from_document,
                           classifier_to_document, featurize_corpus,
-                          load_classifier, predict, predict_proba,
-                          predict_proba_forest, predict_proba_logistic,
-                          read_features_csv, save_classifier, train_forest,
-                          train_logistic, write_features_csv)
+                          load_classifier, predict_proba, read_features_csv,
+                          save_classifier, train_forest, train_logistic,
+                          write_features_csv)
 from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
                      cell, encode, iter_nodes, normalize_label,
                      normalize_labels, read_corpus, tree_depth, write_corpus)

@@ -4,8 +4,11 @@ Both classifiers are deterministic: logistic regression uses damped Newton
 (IRLS) steps with a backtracking (Armijo) line search, and the random
 forest draws every bootstrap sample and feature subset from per-tree streams
 derived from one seed, with impurity ties broken by lowest feature index and
-then lowest threshold. A bag-of-words featurizer over normalized AST labels
-is included as the baseline representation.
+then lowest threshold; each node's split search scores all sampled features
+in one pass. Both kinds are scored one way: `predict_proba` maps a feature
+matrix to a vector of P(defective), which `evaluation.evaluate_predictions`
+thresholds at 0.5. A bag-of-words featurizer over normalized AST labels is
+included as the baseline representation.
 """
 
 from __future__ import annotations
@@ -107,17 +110,11 @@ def bow_featurize(records: list[FileRecord], vocab: Vocabulary,
 
 
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(X, FeatureMatrix):
-        values = X.values
-        if y is None:
-            y = X.label_array()
-    else:
-        values = np.asarray(X, dtype=float)
-        if y is None:
-            raise ValueError("labels are required when X is a plain array")
+    values = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if values.ndim != 2 or len(values) != len(y):
-        raise ValueError("X and y must have matching first dimensions")
+    if values.ndim != 2 or y.shape != (len(values),):
+        raise ValueError("X must be a matrix and y a label vector with one "
+                         "label per row")
     if len(np.unique(y)) < 2:
         raise TrainingDataError("training data contains a single class")
     return values, y.astype(float)
@@ -145,7 +142,7 @@ _TOL = 1e-6
 _MAX_STEPS = 50
 
 
-def train_logistic(X, y=None, l2: float = 1e-4) -> LogisticModel:
+def train_logistic(X, y, l2: float = 1e-4) -> LogisticModel:
     """Minimize L2-regularized logistic loss (bias unregularized) by damped
     Newton (IRLS) on (w, b): Newton directions, or the negative gradient
     where the Hessian solve fails, under a backtracking (Armijo) line search.
@@ -186,13 +183,6 @@ def train_logistic(X, y=None, l2: float = 1e-4) -> LogisticModel:
     return LogisticModel(theta[:-1], float(theta[-1]), l2, history)
 
 
-def predict_proba_logistic(model: LogisticModel, x) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    z = x @ model.weights + model.bias
-    p = sigmoid(np.asarray(z, dtype=float))
-    return float(p) if np.ndim(z) == 0 else p
-
-
 @dataclass
 class TreeNode:
     """Decision tree node: internal when left/right are set, else a leaf
@@ -217,53 +207,41 @@ class ForestModel:
     dim: int  # number of features the forest was trained on
 
 
-def _leaf(labels: np.ndarray) -> TreeNode:
-    n1 = int(labels.sum())
-    n = len(labels)
-    return TreeNode(proba=((n - n1) / n, n1 / n))
-
-
 def _best_split(Xa, labels, idx, feats, min_leaf):
-    """Lowest weighted-Gini split over `feats`; ties go to the lowest feature
-    index, then the lowest threshold. Returns (feature, threshold) or None."""
+    """Lowest weighted-Gini split over `feats`, all features scored at once;
+    ties go to the lowest feature index, then the lowest threshold.
+    Returns (feature, threshold) or None."""
     n = len(idx)
-    best_score = np.inf
-    best = None
-    n1 = labels.sum()
-    for f in feats:
-        v = Xa[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ls = labels[order]
-        nl = np.arange(1, n)
-        l1 = np.cumsum(ls)[:-1]
-        valid = (vs[1:] != vs[:-1]) & (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not valid.any():
-            continue
-        nr = n - nl
-        r1 = n1 - l1
-        # weighted Gini * n; constant offsets dropped
-        score = (nl - (l1 * l1 + (nl - l1) ** 2) / nl
-                 + nr - (r1 * r1 + (nr - r1) ** 2) / nr)
-        score[~valid] = np.inf
-        pos = int(np.argmin(score))
-        if score[pos] < best_score:
-            best_score = float(score[pos])
-            best = (int(f), float((vs[pos] + vs[pos + 1]) / 2.0))
-    return best
+    block = Xa[np.ix_(idx, feats)].T  # (features, rows)
+    order = np.argsort(block, axis=1, kind="stable")
+    vs = np.take_along_axis(block, order, axis=1)
+    nl = np.arange(1, n)
+    nr = n - nl
+    l1 = np.cumsum(labels[order], axis=1)[:, :-1]
+    r1 = labels.sum() - l1
+    # weighted Gini * n; constant offsets dropped
+    score = (nl - (l1 * l1 + (nl - l1) ** 2) / nl
+             + nr - (r1 * r1 + (nr - r1) ** 2) / nr)
+    valid = (vs[:, 1:] != vs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+    score[~valid] = np.inf
+    # the first minimum in feature-major order is the tie rule
+    f, pos = np.unravel_index(np.argmin(score), score.shape)
+    if not valid[f, pos]:
+        return None
+    return int(feats[f]), float((vs[f, pos] + vs[f, pos + 1]) / 2.0)
 
 
 def _build_tree(Xa, ya, idx, depth, cfg: ClassifierOptions, mtry: int,
                 rng: np.random.Generator) -> TreeNode:
     labels = ya[idx]
-    n1 = int(labels.sum())
-    if n1 == 0 or n1 == len(idx) or depth >= cfg.max_depth or len(idx) < 2 * cfg.min_leaf:
-        return _leaf(labels)
-    dim = Xa.shape[1]
-    feats = np.sort(rng.choice(dim, size=min(mtry, dim), replace=False))
-    split = _best_split(Xa, labels, idx, feats, cfg.min_leaf)
+    n, n1 = len(idx), int(labels.sum())
+    split = None
+    if 0 < n1 < n and depth < cfg.max_depth and n >= 2 * cfg.min_leaf:
+        dim = Xa.shape[1]
+        feats = np.sort(rng.choice(dim, size=min(mtry, dim), replace=False))
+        split = _best_split(Xa, labels, idx, feats, cfg.min_leaf)
     if split is None:
-        return _leaf(labels)
+        return TreeNode(proba=((n - n1) / n, n1 / n))
     feature, threshold = split
     mask = Xa[idx, feature] <= threshold
     left = _build_tree(Xa, ya, idx[mask], depth + 1, cfg, mtry, rng)
@@ -271,20 +249,21 @@ def _build_tree(Xa, ya, idx, depth, cfg: ClassifierOptions, mtry: int,
     return TreeNode(feature, threshold, left, right)
 
 
-def train_forest(X, y=None, options: ClassifierOptions | None = None,
+def train_forest(X, y, options: ClassifierOptions | None = None,
                  seed: int = 0) -> ForestModel:
     """Random forest of seeded-bootstrap Gini trees, sized by the forest
     fields of `options`."""
     if options is None:
         options = ClassifierOptions()
     Xa, ya = _as_xy(X, y)
+    labels = ya.astype(np.intp)
     n, dim = Xa.shape
     mtry = options.features_per_split or ceil(sqrt(dim))
     trees = []
     for t in range(options.n_trees):
         rng = stream(seed, "bootstrap", t)
         sample = rng.integers(0, n, size=n)
-        trees.append(_build_tree(Xa, ya.astype(np.intp), sample, 0, options, mtry, rng))
+        trees.append(_build_tree(Xa, labels, sample, 0, options, mtry, rng))
     return ForestModel(trees, options, seed, dim)
 
 
@@ -294,32 +273,19 @@ def _tree_proba(node: TreeNode, x: np.ndarray) -> float:
     return node.proba[1]
 
 
-def predict_proba_forest(model: ForestModel, x) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return sum(_tree_proba(t, x) for t in model.trees) / len(model.trees)
-    return np.array([predict_proba_forest(model, row) for row in x])
-
-
-def predict(p) -> int | np.ndarray:
-    """1 (defective) iff the probability is at least 0.5."""
-    arr = np.asarray(p)
-    if arr.ndim == 0:
-        return int(arr >= 0.5)
-    return (arr >= 0.5).astype(int)
-
-
-def predict_proba(model, x) -> float | np.ndarray:
-    """P(defective) for one feature row or each row of a matrix."""
+def predict_proba(model, X) -> np.ndarray:
+    """P(defective) for each row of the feature matrix X: the logistic
+    sigmoid, or the forest's mean leaf share of defective files."""
     if not isinstance(model, (LogisticModel, ForestModel)):
         raise TypeError(f"unknown classifier type {type(model).__name__}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (model.dim,):
-        raise ValueError(f"features of shape {x.shape} for a classifier of "
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ValueError(f"features of shape {X.shape} for a classifier of "
                          f"dimension {model.dim}")
     if isinstance(model, LogisticModel):
-        return predict_proba_logistic(model, x)
-    return predict_proba_forest(model, x)
+        return sigmoid(X @ model.weights + model.bias)
+    return np.array([sum(_tree_proba(t, x) for t in model.trees)
+                     for x in X]) / len(model.trees)
 
 
 # --- serialization ---
@@ -343,8 +309,10 @@ def _node_from_spec(spec, source: str) -> TreeNode:
         raise DocumentError(f"{source}: tree node must be an object")
     if "p" in spec:
         p = spec["p"]
-        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))):
-            raise DocumentError(f"{source}: leaf probabilities must be a pair")
+        if not (isinstance(p, list) and len(p) == 2
+                and all(_is_number(v) and 0 <= v <= 1 for v in p)):
+            raise DocumentError(f"{source}: leaf probabilities must be a pair "
+                                "of numbers in [0, 1]")
         return TreeNode(proba=(float(p[0]), float(p[1])))
     f, t = spec.get("f"), spec.get("t")
     if not (_is_int(f) and f >= 0 and _is_number(t)):
@@ -412,8 +380,9 @@ def classifier_from_document(doc, source: str = "classifier"):
         weights, bias, l2 = doc.get("weights"), doc.get("bias"), doc.get("l2")
         if not (isinstance(weights, list) and all(map(_is_number, weights))):
             raise DocumentError(f"{source}: 'weights' must be a number array")
-        if not (_is_number(bias) and _is_number(l2)):
-            raise DocumentError(f"{source}: 'bias' and 'l2' must be numbers")
+        if not (_is_number(bias) and _is_number(l2) and l2 >= 0):
+            raise DocumentError(f"{source}: 'bias' must be a number and 'l2' "
+                                "a number >= 0")
         if _dim(doc, len(weights), source) != len(weights):
             raise DocumentError(f"{source}: 'dim' is {doc['dim']} but there are "
                                 f"{len(weights)} weights")
@@ -430,12 +399,15 @@ def classifier_from_document(doc, source: str = "classifier"):
         if not _is_int(seed):
             raise DocumentError(f"{source}: 'seed' must be an integer")
         try:
-            options = ClassifierOptions("forest", n_trees=len(trees),
+            options = ClassifierOptions("forest", n_trees=doc.get("n_trees"),
                                         max_depth=doc.get("max_depth"),
                                         min_leaf=doc.get("min_leaf"),
                                         features_per_split=doc.get("features_per_split"))
         except ValueError as exc:
             raise DocumentError(f"{source}: {exc}") from exc
+        if options.n_trees != len(trees):
+            raise DocumentError(f"{source}: 'n_trees' is {options.n_trees} but "
+                                f"there are {len(trees)} trees")
         return ForestModel(trees, options, seed, dim)
     raise DocumentError(f"{source}: unknown classifier kind {kind!r}")
 

@@ -17,11 +17,9 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import jsonio
 from .classifiers import (ClassifierOptions, bow_featurize, featurize_corpus,
-                          load_classifier, predict, predict_proba, read_features_csv,
+                          load_classifier, predict_proba, read_features_csv,
                           save_classifier, write_features_csv)
 from .corpus import (FileRecord, Vocabulary, build_vocabulary, check_depth,
                      corpus_from_document, normalize_labels, read_corpus, write_corpus)
@@ -251,10 +249,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if features.dim != clf.dim:
         raise DocumentError(f"{args.features}: {features.dim} features per row, but "
                             f"{args.classifier_file} expects {clf.dim}")
-    scores = np.asarray(predict_proba(clf, features.values))
-    preds = predict(scores)
-    report = evaluate_predictions(preds, features.label_array(), scores,
-                                  cell=(args.train_name, args.test_name))
+    report = evaluate_predictions(predict_proba(clf, features.values),
+                                  features.label_array(),
+                                  (args.train_name, args.test_name))
     write_report_csv(args.output, [report])
     if args.json_output:
         write_report_json(args.json_output, [report])

@@ -87,11 +87,12 @@ class MetricsReport:
     flags: tuple[str, ...] = ()
 
 
-def evaluate_predictions(predictions, labels, scores=None,
+def evaluate_predictions(scores, labels,
                          cell: tuple[str, str] = ("train", "test")) -> MetricsReport:
-    """MetricsReport for one experiment cell; undefined metrics are zeroed
-    (AUC omitted) and flagged."""
-    m = confusion(predictions, labels)
+    """MetricsReport for one experiment cell from P(defective) scores: a
+    score of at least 0.5 predicts defective, and the scores rank files for
+    the AUC. Undefined metrics are zeroed (AUC omitted) and flagged."""
+    m = confusion(np.asarray(scores) >= 0.5, labels)
     flags = []
     if m.tp + m.fp == 0:
         flags.append("precision_undefined")
@@ -100,13 +101,10 @@ def evaluate_predictions(predictions, labels, scores=None,
     if precision(m) + recall(m) == 0:
         flags.append("f_measure_undefined")
     auc_value: float | None = None
-    if scores is None:
+    try:
+        auc_value = auc(scores, labels)
+    except UndefinedMetricError:
         flags.append("auc_undefined")
-    else:
-        try:
-            auc_value = auc(scores, labels)
-        except UndefinedMetricError:
-            flags.append("auc_undefined")
     return MetricsReport(cell, m, precision(m), recall(m), f_measure(m),
                          auc_value, tuple(flags))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, FeatureMatrix,
-                          featurize_corpus, predict, predict_proba, train_forest,
+                          featurize_corpus, predict_proba, train_forest,
                           train_logistic)
 from .corpus import FileRecord, cell
 from .errors import CorpusError, DocumentError
@@ -25,9 +25,10 @@ from .pretrain import PretrainResult, TrainConfig, pretrain
 from .rng import derive_seed
 
 def train_classifier(features: FeatureMatrix, options: ClassifierOptions, seed: int):
+    X, y = features.values, features.label_array()
     if options.kind == "logistic":
-        return train_logistic(features, l2=options.l2)
-    return train_forest(features, options=options, seed=seed)
+        return train_logistic(X, y, l2=options.l2)
+    return train_forest(X, y, options=options, seed=seed)
 
 
 @dataclass
@@ -94,17 +95,20 @@ def average_report(reports: list[MetricsReport],
         tuple(flags))
 
 
+def _fit_and_report(train: FeatureMatrix, test: FeatureMatrix,
+                    options: ClassifierOptions, seed: int,
+                    cell: tuple[str, str]) -> MetricsReport:
+    """Fit a classifier on `train` under the cell's seed, score `test` and
+    report the cell."""
+    clf = train_classifier(train, options, derive_seed(seed, "classifier", options.kind))
+    return evaluate_predictions(predict_proba(clf, test.values), test.label_array(), cell)
+
+
 def cv_from_folds(fold_features: list[FoldFeatures],
                   options: ClassifierOptions) -> CvResult:
-    reports = []
-    for fold in fold_features:
-        clf = train_classifier(fold.train, options,
-                               derive_seed(fold.seed, "classifier", options.kind))
-        scores = np.asarray(predict_proba(clf, fold.test.values))
-        preds = predict(scores)
-        reports.append(evaluate_predictions(
-            preds, fold.test.label_array(), scores,
-            cell=(f"fold{fold.index}:train", f"fold{fold.index}:test")))
+    reports = [_fit_and_report(fold.train, fold.test, options, fold.seed,
+                               (f"fold{fold.index}:train", f"fold{fold.index}:test"))
+               for fold in fold_features]
     avg = average_report(reports, cell=("cv:average", "cv:average"))
     return CvResult(reports, avg, sum(1 for r in reports if r.auc is None))
 
@@ -130,14 +134,9 @@ def version_pair_run(train_cell: tuple[str, str], test_cell: tuple[str, str],
         raise CorpusError(f"test cell {test_name} has unlabeled files")
     pair_seed = derive_seed(config.seed, "pair", train_name, test_name)
     result = pretrain(train_recs, replace(config, seed=pair_seed))
-    train_features = featurize_corpus(train_recs, result.model)
-    test_features = featurize_corpus(test_recs, result.model)
-    clf = train_classifier(train_features, options,
-                           derive_seed(pair_seed, "classifier", options.kind))
-    scores = np.asarray(predict_proba(clf, test_features.values))
-    preds = predict(scores)
-    return evaluate_predictions(preds, test_features.label_array(), scores,
-                                cell=(train_name, test_name))
+    return _fit_and_report(featurize_corpus(train_recs, result.model),
+                           featurize_corpus(test_recs, result.model), options,
+                           pair_seed, (train_name, test_name))
 
 
 # --- dataset statistics ---

@@ -188,3 +188,36 @@ def logistic_gradient_descent(X, y, l2, tol=1e-6, max_iter=5000):
             break
         w, b, loss = w_new, b_new, loss_new
     return w, b, loss
+
+
+def best_split(Xa, labels, idx, feats, min_leaf):
+    """(feature, threshold) of the lowest weighted-Gini split of rows `idx`
+    over the features `feats`, one feature at a time, or None when no split
+    leaves at least `min_leaf` rows on each side; a feature replaces the best
+    so far only when strictly better, so ties keep the lowest feature and,
+    within a feature, the lowest threshold."""
+    n = len(idx)
+    best_score = np.inf
+    best = None
+    n1 = labels.sum()
+    for f in feats:
+        v = Xa[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ls = labels[order]
+        nl = np.arange(1, n)
+        l1 = np.cumsum(ls)[:-1]
+        valid = (vs[1:] != vs[:-1]) & (nl >= min_leaf) & (n - nl >= min_leaf)
+        if not valid.any():
+            continue
+        nr = n - nl
+        r1 = n1 - l1
+        # weighted Gini * n; constant offsets dropped
+        score = (nl - (l1 * l1 + (nl - l1) ** 2) / nl
+                 + nr - (r1 * r1 + (nr - r1) ** 2) / nr)
+        score[~valid] = np.inf
+        pos = int(np.argmin(score))
+        if score[pos] < best_score:
+            best_score = float(score[pos])
+            best = (int(f), float((vs[pos] + vs[pos + 1]) / 2.0))
+    return best

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,12 +10,10 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         ForestModel, LogisticModel, TrainingDataError,
                         UNK_TOKEN, Vocabulary, bow_featurize,
                         classifier_from_document, classifier_to_document,
-                        featurize_corpus, load_classifier, predict,
-                        predict_proba, predict_proba_forest,
-                        predict_proba_logistic, read_features_csv,
-                        save_classifier, train_forest, train_logistic,
-                        write_features_csv)
-from treedefect.classifiers import _MAX_STEPS, TreeNode
+                        featurize_corpus, load_classifier, predict_proba,
+                        read_features_csv, save_classifier, train_forest,
+                        train_logistic, write_features_csv)
+from treedefect.classifiers import _MAX_STEPS, TreeNode, _best_split
 from treedefect.errors import DocumentError
 from treedefect.treelstm import PACK_NODES, flatten, forward_root, packs
 
@@ -96,9 +95,9 @@ def test_bow_featurize_threshold_semantics():
 def test_logistic_learns_separable_data():
     X, y = separable()
     model = train_logistic(X, y)
-    proba = predict_proba_logistic(model, X)
-    assert np.mean(predict(proba) == y) == 1.0
-    assert predict_proba_logistic(model, X[0]) == pytest.approx(proba[0])
+    proba = predict_proba(model, X)
+    assert np.mean((proba >= 0.5) == y) == 1.0
+    assert predict_proba(model, X[:1])[0] == pytest.approx(proba[0])
 
 
 def test_logistic_loss_history_non_increasing():
@@ -165,8 +164,8 @@ def test_logistic_bias_fits_base_rate_and_is_unregularized():
     y = np.array([1, 1, 1, 0, 1, 1, 1, 0])
     model = train_logistic(X, y, l2=10.0)
     assert np.allclose(model.weights, 0.0)
-    p = predict_proba_logistic(model, np.zeros(2))
-    assert p == pytest.approx(0.75, abs=1e-4)
+    p = predict_proba(model, np.zeros((1, 2)))
+    assert p.tolist() == [pytest.approx(0.75, abs=1e-4)]
     assert model.bias == pytest.approx(math.log(3), abs=1e-3)
 
 
@@ -177,18 +176,12 @@ def test_logistic_single_class_rejected():
         train_logistic(np.zeros((4, 2)), None)
 
 
-def test_predict_thresholds():
-    assert predict(0.5) == 1
-    assert predict(0.49999) == 0
-    assert predict(np.array([0.2, 0.5, 0.9])).tolist() == [0, 1, 1]
-
-
 def test_forest_learns_separable_data():
     X, y = separable(seed=2)
     model = train_forest(X, y, ClassifierOptions(n_trees=15), seed=3)
-    proba = predict_proba_forest(model, X)
-    assert np.mean(predict(proba) == y) == 1.0
-    assert 0.0 <= predict_proba_forest(model, X[0]) <= 1.0
+    proba = predict_proba(model, X)
+    assert np.mean((proba >= 0.5) == y) == 1.0
+    assert np.all((0.0 <= proba) & (proba <= 1.0))
 
 
 def test_forest_deterministic_in_seed():
@@ -197,8 +190,7 @@ def test_forest_deterministic_in_seed():
     b = train_forest(X, y, ClassifierOptions(n_trees=8), seed=5)
     c = train_forest(X, y, ClassifierOptions(n_trees=8), seed=6)
     grid = np.random.default_rng(0).normal(0, 1.5, size=(20, 2))
-    np.testing.assert_array_equal(predict_proba_forest(a, grid),
-                                  predict_proba_forest(b, grid))
+    np.testing.assert_array_equal(predict_proba(a, grid), predict_proba(b, grid))
     assert classifier_to_document(a)["trees"] != classifier_to_document(c)["trees"]
 
 
@@ -211,7 +203,7 @@ def test_single_stump_matches_threshold_oracle():
     model = train_forest(x.reshape(-1, 1), y,
                          ClassifierOptions(n_trees=1, max_depth=1,
                                            features_per_split=1), seed=0)
-    acc = np.mean(predict(predict_proba_forest(model, x.reshape(-1, 1))) == y)
+    acc = np.mean((predict_proba(model, x.reshape(-1, 1)) >= 0.5) == y)
     assert acc == 1.0
 
 
@@ -233,8 +225,8 @@ def test_decision_boundary_is_left_inclusive():
                     left=TreeNode(proba=(1.0, 0.0)),
                     right=TreeNode(proba=(0.0, 1.0)))
     model = ForestModel([node], ClassifierOptions(n_trees=1, max_depth=1), 0, dim=1)
-    assert predict_proba_forest(model, np.array([0.5])) == 0.0  # x <= thr: left
-    assert predict_proba_forest(model, np.array([0.5000001])) == 1.0
+    # x <= thr goes left
+    assert predict_proba(model, np.array([[0.5], [0.5000001]])).tolist() == [0.0, 1.0]
 
 
 def test_forest_single_class_rejected():
@@ -265,8 +257,7 @@ def test_forest_roundtrip(tmp_path):
     loaded = load_classifier(path)
     assert isinstance(loaded, ForestModel)
     grid = np.random.default_rng(1).normal(0, 1.5, size=(25, 2))
-    np.testing.assert_array_equal(predict_proba_forest(loaded, grid),
-                                  predict_proba_forest(model, grid))
+    np.testing.assert_array_equal(predict_proba(loaded, grid), predict_proba(model, grid))
     save_classifier(path, loaded)
     assert path.read_bytes() == first
 
@@ -312,7 +303,8 @@ def test_malformed_classifier_documents_are_document_errors():
                                                  seed=1))
     logistic = classifier_to_document(train_logistic(X, y))
     bad_nodes = ({"f": "x", "t": 0.5}, {"f": -1, "t": 0.5}, {"f": 0, "t": "x"},
-                 {"f": 0, "t": float("nan")}, {"p": [0.5, "x"]}, 7)
+                 {"f": 0, "t": float("nan")}, {"p": [0.5, "x"]}, 7,
+                 {"p": [-4.0, 5.0]}, {"p": [0.5, 1.5]})
     for node in bad_nodes:
         doc = {**forest, "trees": [[node, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]]}
         with pytest.raises(DocumentError, match="node|leaf"):
@@ -320,17 +312,77 @@ def test_malformed_classifier_documents_are_document_errors():
     for weights in (["a", 1.0], [None, 1.0], [float("inf"), 1.0], "12"):
         with pytest.raises(DocumentError, match="weights"):
             classifier_from_document({**logistic, "weights": weights})
+    with pytest.raises(DocumentError, match="l2"):
+        classifier_from_document({**logistic, "l2": -1.0})
     for key, value in (("max_depth", 0), ("min_leaf", "1"), ("seed", 1.5),
-                       ("features_per_split", 0)):
+                       ("features_per_split", 0), ("n_trees", "many"),
+                       ("n_trees", None), ("n_trees", 3)):
         with pytest.raises(DocumentError, match=key):
             classifier_from_document({**forest, key: value})
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 1), st.integers(1, 3),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_best_split_matches_per_feature_oracle(n, dim, decimals, min_leaf,
+                                               duplicate, constant, seed):
+    # rounded values, duplicated and constant columns: ties everywhere
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(0, 1, size=(n, dim)), decimals)
+    if duplicate:
+        X = np.hstack([X, X[:, :1]])
+    if constant:
+        X = np.hstack([np.full((n, 1), 0.5), X])
+    labels = rng.integers(0, 2, size=n)
+    idx = rng.integers(0, n, size=n)  # a bootstrap sample, as in the forest
+    feats = np.sort(rng.choice(X.shape[1], size=rng.integers(1, X.shape[1] + 1),
+                               replace=False))
+    assert (_best_split(X, labels[idx], idx, feats, min_leaf)
+            == oracles.best_split(X, labels[idx], idx, feats, min_leaf))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(4, 20), st.integers(1, 3), st.sampled_from(["logistic", "forest"]),
+       st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_classifier_documents_round_trip_byte_for_byte(n, dim, kind, n_trees, min_leaf,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(0, 1, size=(n, dim)), 1)
+    y = np.arange(n) % 2  # both classes present
+    if kind == "logistic":
+        model = train_logistic(X, y, l2=float(rng.choice([0.0, 1e-4, 1.0])))
+    else:
+        model = train_forest(X, y, ClassifierOptions(n_trees=n_trees, min_leaf=min_leaf),
+                             seed=seed)
+    first = json.dumps(classifier_to_document(model))
+    again = json.dumps(classifier_to_document(classifier_from_document(json.loads(first))))
+    assert again == first
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(4, 20), st.integers(0, 2**32 - 1), st.data())
+def test_cut_or_padded_preorder_tree_is_a_document_error(n, seed, data):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, size=(n, 2))
+    y = np.arange(n) % 2
+    doc = classifier_to_document(train_forest(X, y, ClassifierOptions(n_trees=1),
+                                              seed=seed))
+    nodes = doc["trees"][0]
+    cut = data.draw(st.integers(0, len(nodes) - 1))
+    with pytest.raises(DocumentError, match="truncated"):
+        classifier_from_document({**doc, "trees": [nodes[:cut]]})
+    extra = data.draw(st.sampled_from([{"p": [0.5, 0.5]}, {"f": 0, "t": 0.0}]))
+    with pytest.raises(DocumentError, match="trailing"):
+        classifier_from_document({**doc, "trees": [[*nodes, extra]]})
+
+
 def test_predict_proba_dispatch():
     logistic = LogisticModel(np.array([1.0]), 0.0, 1e-4)
-    assert predict_proba(logistic, np.array([0.0])) == 0.5
+    assert predict_proba(logistic, np.array([[0.0]])).tolist() == [0.5]
+    with pytest.raises(ValueError, match="shape"):  # one row is a 1 x dim matrix
+        predict_proba(logistic, np.array([0.0]))
     with pytest.raises(TypeError):
-        predict_proba(object(), np.array([0.0]))
+        predict_proba(object(), np.array([[0.0]]))
 
 
 def test_features_csv_roundtrip(tmp_path):

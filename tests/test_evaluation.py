@@ -92,9 +92,7 @@ def test_auc_single_class_undefined():
 
 
 def test_evaluate_predictions_healthy():
-    report = evaluate_predictions([1, 0, 1, 0], [1, 0, 0, 1],
-                                  scores=[0.9, 0.1, 0.6, 0.4],
-                                  cell=("tr", "te"))
+    report = evaluate_predictions([0.9, 0.1, 0.6, 0.4], [1, 0, 0, 1], cell=("tr", "te"))
     assert report.cell == ("tr", "te")
     assert report.flags == ()
     # positive scores 0.9/0.4 vs negative 0.1/0.6: 3 of 4 pairs ranked right
@@ -104,19 +102,22 @@ def test_evaluate_predictions_healthy():
 
 def test_evaluate_predictions_flags():
     # no positive predictions: precision (and so F) undefined
-    report = evaluate_predictions([0, 0, 0], [1, 0, 1], scores=[0.1, 0.2, 0.3])
+    report = evaluate_predictions([0.1, 0.2, 0.3], [1, 0, 1])
     assert report.flags == ("precision_undefined", "f_measure_undefined")
     assert report.precision == 0.0 and report.f_measure == 0.0
     assert report.auc is not None
     # single-class labels: recall and AUC undefined
-    report = evaluate_predictions([1, 0], [0, 0], scores=[0.9, 0.1])
+    report = evaluate_predictions([0.9, 0.1], [0, 0])
     assert "recall_undefined" in report.flags
     assert "auc_undefined" in report.flags
     assert report.auc is None
-    # no scores supplied at all
-    report = evaluate_predictions([1, 0], [1, 0], scores=None)
-    assert report.flags == ("auc_undefined",)
-    assert report.auc is None
+
+
+def test_evaluate_predictions_threshold_is_inclusive():
+    # a score of exactly 0.5 is a defective prediction
+    report = evaluate_predictions([0.2, 0.5, 0.49999, 0.9], [0, 0, 1, 1])
+    assert (report.matrix.tp, report.matrix.fp, report.matrix.fn,
+            report.matrix.tn) == (1, 1, 1, 1)
 
 
 def fold_records(n0, n1, unlabeled=0):

@@ -42,8 +42,7 @@ def training_log_writer(tmp_path):
 
 
 def report_writer(tmp_path):
-    report = evaluate_predictions(np.array([1, 0]), np.array([1, 0]),
-                                  np.array([0.9, 0.2]), cell=("a", "b"))
+    report = evaluate_predictions(np.array([0.9, 0.2]), np.array([1, 0]), cell=("a", "b"))
     return lambda path: write_report_csv(path, [report])
 
 
