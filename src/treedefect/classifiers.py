@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .corpus import FileRecord, Vocabulary, iter_nodes
+from .corpus import FileRecord, Vocabulary, encode, iter_nodes
 from .errors import DocumentError, TrainingDataError
 from .rng import stream
 from .treelstm import TreeLstmModel, forward_root, sigmoid
@@ -102,10 +102,8 @@ def bow_featurize(records: list[FileRecord], vocab: Vocabulary,
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     values = np.zeros((len(records), len(vocab)))
     for i, record in enumerate(records):
-        counts = np.zeros(len(vocab))
-        for node in iter_nodes(record.tree):
-            counts[vocab.index(node.label)] += 1
-        values[i] = counts >= threshold
+        indices = encode([node.label for node in iter_nodes(record.tree)], vocab)
+        values[i] = np.bincount(indices, minlength=len(vocab)) >= threshold
     return FeatureMatrix([r.key for r in records], values, [r.label for r in records])
 
 
@@ -142,7 +140,7 @@ _TOL = 1e-6
 _MAX_STEPS = 50
 
 
-def train_logistic(X, y, l2: float = 1e-4) -> LogisticModel:
+def train_logistic(X, y, l2: float) -> LogisticModel:
     """Minimize L2-regularized logistic loss (bias unregularized) by damped
     Newton (IRLS) on (w, b): Newton directions, or the negative gradient
     where the Hessian solve fails, under a backtracking (Armijo) line search.
@@ -249,12 +247,9 @@ def _build_tree(Xa, ya, idx, depth, cfg: ClassifierOptions, mtry: int,
     return TreeNode(feature, threshold, left, right)
 
 
-def train_forest(X, y, options: ClassifierOptions | None = None,
-                 seed: int = 0) -> ForestModel:
+def train_forest(X, y, options: ClassifierOptions, seed: int) -> ForestModel:
     """Random forest of seeded-bootstrap Gini trees, sized by the forest
     fields of `options`."""
-    if options is None:
-        options = ClassifierOptions()
     Xa, ya = _as_xy(X, y)
     labels = ya.astype(np.intp)
     n, dim = Xa.shape
@@ -310,9 +305,10 @@ def _node_from_spec(spec, source: str) -> TreeNode:
     if "p" in spec:
         p = spec["p"]
         if not (isinstance(p, list) and len(p) == 2
-                and all(_is_number(v) and 0 <= v <= 1 for v in p)):
+                and all(_is_number(v) and 0 <= v <= 1 for v in p)
+                and abs(p[0] + p[1] - 1.0) <= 1e-9):
             raise DocumentError(f"{source}: leaf probabilities must be a pair "
-                                "of numbers in [0, 1]")
+                                "of numbers in [0, 1] that sums to 1")
         return TreeNode(proba=(float(p[0]), float(p[1])))
     f, t = spec.get("f"), spec.get("t")
     if not (_is_int(f) and f >= 0 and _is_number(t)):
@@ -439,6 +435,8 @@ def read_features_csv(path) -> FeatureMatrix:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
     if not rows or len(rows[0]) < 4 or rows[0][:4] != ["project", "version", "file_id", "label"]:
         raise DocumentError(f"{path}: not a feature file (bad header)")
+    if len(rows) == 1:
+        raise DocumentError(f"{path}: feature file has no rows")
     dim = len(rows[0]) - 4
     keys, labels = [], []
     values = np.empty((len(rows) - 1, dim))

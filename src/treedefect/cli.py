@@ -18,9 +18,9 @@ import typing
 from pathlib import Path
 
 from . import jsonio
-from .classifiers import (ClassifierOptions, bow_featurize, featurize_corpus,
-                          load_classifier, predict_proba, read_features_csv,
-                          save_classifier, write_features_csv)
+from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, bow_featurize,
+                          featurize_corpus, load_classifier, predict_proba,
+                          read_features_csv, save_classifier, write_features_csv)
 from .corpus import (FileRecord, Vocabulary, build_vocabulary, check_depth,
                      corpus_from_document, normalize_labels, read_corpus, write_corpus)
 from .errors import DocumentError, TreeDefectError
@@ -76,26 +76,10 @@ def _options(cls, args: argparse.Namespace, config: dict, **fixed):
             values[f.name] = flag
         elif f.name in config:
             values[f.name] = config[f.name]
-    if "split" in values:
-        values["split"] = _parse_split(values["split"])
     try:
         return cls(**{**values, **fixed})
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad option: {exc}") from exc
-
-
-def _parse_split(value) -> tuple[float, float, float]:
-    if isinstance(value, str):
-        parts = value.split(",")
-    else:
-        parts = list(value)
-    try:
-        fractions = tuple(float(p) for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"bad split {value!r}: expected three fractions") from exc
-    if len(fractions) != 3:
-        raise DocumentError(f"bad split {value!r}: expected three fractions")
-    return fractions
 
 
 def _read_labels_file(path: str) -> dict[str, int]:
@@ -108,6 +92,8 @@ def _read_labels_file(path: str) -> dict[str, int]:
                 if len(row) != 2 or row[1] not in ("0", "1"):
                     raise DocumentError(
                         f"{path}:{lineno}: expected 'file_id,label' with label 0 or 1")
+                if row[0] in labels:
+                    raise DocumentError(f"{path}:{lineno}: repeated file_id {row[0]!r}")
                 labels[row[0]] = int(row[1])
     except OSError as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
@@ -349,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-classifier", help="train a classifier on features")
     p.add_argument("--features", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--classifier", choices=("logistic", "forest"), default="forest")
+    p.add_argument("--classifier", choices=CLASSIFIER_KINDS,
+                   default=ClassifierOptions.kind)
     p.add_argument("--config", help="JSON config file (flags override it)")
     _add_flags(p, TrainConfig, ("seed",))
     _add_flags(p, ClassifierOptions, _CLASSIFIER_FLAGS)

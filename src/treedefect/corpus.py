@@ -148,21 +148,8 @@ class Vocabulary:
             raise ValueError("vocabulary tokens must be unique")
         self.token_to_index = {t: i for i, t in enumerate(self.tokens)}
 
-    @property
-    def unk_index(self) -> int:
-        return 0
-
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def index(self, token: str) -> int:
-        """Index of `token`, or the unknown index when out of vocabulary."""
-        return self.token_to_index.get(token, 0)
-
-    def token(self, index: int) -> str:
-        if not 0 <= index < len(self.tokens):
-            raise IndexError(f"token index {index} out of range [0, {len(self.tokens)})")
-        return self.tokens[index]
 
 
 def build_vocabulary(trees: list[AstTree], size: int = VOCAB_SIZE,

@@ -87,8 +87,7 @@ class MetricsReport:
     flags: tuple[str, ...] = ()
 
 
-def evaluate_predictions(scores, labels,
-                         cell: tuple[str, str] = ("train", "test")) -> MetricsReport:
+def evaluate_predictions(scores, labels, cell: tuple[str, str]) -> MetricsReport:
     """MetricsReport for one experiment cell from P(defective) scores: a
     score of at least 0.5 predicts defective, and the scores rank files for
     the AUC. Undefined metrics are zeroed (AUC omitted) and flagged."""

@@ -10,7 +10,7 @@ independent of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .rng import derive_seed
 def train_classifier(features: FeatureMatrix, options: ClassifierOptions, seed: int):
     X, y = features.values, features.label_array()
     if options.kind == "logistic":
-        return train_logistic(X, y, l2=options.l2)
-    return train_forest(X, y, options=options, seed=seed)
+        return train_logistic(X, y, options.l2)
+    return train_forest(X, y, options, seed)
 
 
 @dataclass
@@ -47,16 +47,13 @@ class FoldFeatures:
 class CvResult:
     folds: list[MetricsReport]
     average: MetricsReport
-    auc_undefined_folds: int
 
 
-def cv_feature_folds(records: list[FileRecord], k: int = 10,
-                     config: TrainConfig | None = None) -> list[FoldFeatures]:
+def cv_feature_folds(records: list[FileRecord], k: int,
+                     config: TrainConfig) -> list[FoldFeatures]:
     """Pretrain per fold on the training partition only and featurize both
     partitions. Shared by both classifier kinds so the expensive pretraining
     happens once per fold."""
-    if config is None:
-        config = TrainConfig()
     folds = stratified_k_fold(records, k, config.seed)
     out = []
     for i, test_idx in enumerate(folds):
@@ -70,8 +67,7 @@ def cv_feature_folds(records: list[FileRecord], k: int = 10,
     return out
 
 
-def average_report(reports: list[MetricsReport],
-                   cell: tuple[str, str] = ("average", "average")) -> MetricsReport:
+def average_report(reports: list[MetricsReport], cell: tuple[str, str]) -> MetricsReport:
     """Macro average: metrics averaged over cells, confusion counts summed.
     Cells with undefined AUC are excluded from the AUC mean and counted in a
     flag."""
@@ -109,19 +105,13 @@ def cv_from_folds(fold_features: list[FoldFeatures],
     reports = [_fit_and_report(fold.train, fold.test, options, fold.seed,
                                (f"fold{fold.index}:train", f"fold{fold.index}:test"))
                for fold in fold_features]
-    avg = average_report(reports, cell=("cv:average", "cv:average"))
-    return CvResult(reports, avg, sum(1 for r in reports if r.auc is None))
+    return CvResult(reports, average_report(reports, ("cv:average", "cv:average")))
 
 
 def version_pair_run(train_cell: tuple[str, str], test_cell: tuple[str, str],
-                     records: list[FileRecord],
-                     options: ClassifierOptions | None = None,
-                     config: TrainConfig | None = None) -> MetricsReport:
+                     records: list[FileRecord], options: ClassifierOptions,
+                     config: TrainConfig) -> MetricsReport:
     """Train everything on one (project, version) cell, test on another."""
-    if options is None:
-        options = ClassifierOptions()
-    if config is None:
-        config = TrainConfig()
     train_recs = cell(records, *train_cell)
     test_recs = cell(records, *test_cell)
     train_name = f"{train_cell[0]}:{train_cell[1]}"
@@ -192,14 +182,14 @@ def format_stats_table(stats: list[ProjectStats]) -> str:
 
 @dataclass
 class CvDescriptor:
-    k: int = 10
-    classifier: str = "forest"
+    k: int
+    classifier: str
 
 
 @dataclass
 class PairsDescriptor:
-    pairs: list[tuple[tuple[str, str], tuple[str, str]]] = field(default_factory=list)
-    classifier: str = "logistic"
+    pairs: list[tuple[tuple[str, str], tuple[str, str]]]
+    classifier: str
 
 
 def parse_descriptor(doc, source: str = "descriptor"):

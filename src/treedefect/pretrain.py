@@ -43,7 +43,7 @@ class PretrainHead:
             raise ValueError("head weights must be finite")
 
 
-def init_head(vocab_size: int, hidden_dim: int, seed: int = 0) -> PretrainHead:
+def init_head(vocab_size: int, hidden_dim: int, seed: int) -> PretrainHead:
     rng = stream(seed, "init", "head")
     return PretrainHead(rng.uniform(-HEAD_INIT_SCALE, HEAD_INIT_SCALE,
                                     size=(vocab_size, hidden_dim)))
@@ -66,6 +66,12 @@ class TrainConfig:
     min_count: int = MIN_COUNT
 
     def __post_init__(self):
+        # the split also comes as "0.8,0.1,0.1", the form of --split
+        parts = self.split.split(",") if isinstance(self.split, str) else self.split
+        try:
+            self.split = tuple(float(f) for f in parts)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"split must be three fractions, got {self.split!r}") from exc
         for name in ("learning_rate", "rms_epsilon"):
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
@@ -88,7 +94,6 @@ class TrainConfig:
             raise ValueError(f"split must be three finite fractions > 0, got {self.split}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
-        self.split = tuple(float(f) for f in self.split)
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -143,14 +148,13 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     return nll
 
 
-def _mean_nll(trees, model: TreeLstmModel, head: PretrainHead,
+def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
               masks: list[DropoutMasks] | None, grads: dict[str, np.ndarray] | None
               ) -> float:
-    """Mean NLL over the internal nodes of `trees`; adds its gradients into
+    """Mean NLL over the internal nodes of `flats`; adds its gradients into
     `grads` when given."""
-    if not trees:
+    if not flats:
         raise CorpusError("corpus of trees is empty")
-    flats = [t if isinstance(t, FlatTree) else flatten(t, model.vocab) for t in trees]
     count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
@@ -160,30 +164,30 @@ def _mean_nll(trees, model: TreeLstmModel, head: PretrainHead,
     return total / count
 
 
-def corpus_loss(trees, model: TreeLstmModel, head: PretrainHead,
+def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
                 masks: list[DropoutMasks] | None = None) -> float:
-    """Mean NLL of true parent labels over all internal nodes of `trees`
-    (AstTrees, encoded through the model's vocabulary, or FlatTrees).
+    """Mean NLL of true parent labels over all internal nodes of `flats`
+    (trees flattened through the model's vocabulary).
 
     `masks` (one DropoutMasks per tree, from sample_masks) makes this the
     training-time loss; None evaluates without dropout.
     """
-    return _mean_nll(trees, model, head, masks, None)
+    return _mean_nll(flats, model, head, masks, None)
 
 
-def loss_and_gradients(trees, model: TreeLstmModel, head: PretrainHead,
+def loss_and_gradients(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
                        masks: list[DropoutMasks] | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Corpus loss plus exact reverse-mode gradients for every tensor
     (embeddings, four gate groups, head); dropout masks are held fixed."""
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     grads["head.U"] = np.zeros_like(head.U)
-    return _mean_nll(trees, model, head, masks, grads), grads
+    return _mean_nll(flats, model, head, masks, grads), grads
 
 
-def perplexity(model: TreeLstmModel, head: PretrainHead, trees) -> float:
+def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[FlatTree]) -> float:
     """exp(corpus loss) with dropout disabled; |V| for a uniform predictor."""
-    return float(np.exp(corpus_loss(trees, model, head)))
+    return float(np.exp(corpus_loss(flats, model, head)))
 
 
 def split_records(records: list[FileRecord], fractions: tuple[float, float, float],
@@ -221,7 +225,7 @@ class PretrainResult:
     test_perplexity: float | None = None
 
 
-def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
+def pretrain(records: list[FileRecord], config: TrainConfig,
              vocab: Vocabulary | None = None) -> PretrainResult:
     """Train the Tree-LSTM and head on `records` without defect labels.
 
@@ -230,8 +234,6 @@ def pretrain(records: list[FileRecord], config: TrainConfig | None = None,
     outside it encode to the unknown). Returns the snapshot with the best
     validation perplexity and the per-epoch log.
     """
-    if config is None:
-        config = TrainConfig()
     if not records:
         raise CorpusError("pretraining corpus is empty")
     train_recs, val_recs, test_recs = split_records(records, config.split, config.seed)

@@ -77,11 +77,12 @@ class TreeLstmModel:
         return self.params["forget.b"].shape[0]
 
 
-def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None = None,
-               seed: int = 0) -> TreeLstmModel:
+def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None,
+               seed: int) -> TreeLstmModel:
     """Model with uniform [-0.05, 0.05] weights and zero biases, drawn from
     the "init" stream of `seed` in a fixed order (embeddings, then W and U of
-    forget/input/cell/output). Warns when `d` is not smaller than |V|."""
+    forget/input/cell/output); `hidden_dim` None means `d`. Warns when `d`
+    is not smaller than |V|."""
     if hidden_dim is None:
         hidden_dim = d
     if d < 1:

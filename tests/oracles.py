@@ -221,3 +221,19 @@ def best_split(Xa, labels, idx, feats, min_leaf):
             best_score = float(score[pos])
             best = (int(f), float((vs[pos] + vs[pos + 1]) / 2.0))
     return best
+
+
+def bow_rows(trees, vocab, threshold):
+    """Two-bin bag of words, one node at a time: per tree, count every
+    node's token (0 when out of vocabulary), then 1.0 where the count is at
+    least `threshold`."""
+    rows = np.zeros((len(trees), len(vocab.tokens)))
+    for i, tree in enumerate(trees):
+        counts = np.zeros(len(vocab.tokens))
+        pending = [tree]
+        while pending:
+            node = pending.pop()
+            counts[token_index(vocab, node.label)] += 1
+            pending.extend(node.children)
+        rows[i] = counts >= threshold
+    return rows

@@ -16,7 +16,7 @@ import oracles
 from treedefect import (AstTree, ClassifierOptions, FileRecord,
                         TrainConfig, auc, confusion, cv_feature_folds,
                         cv_from_folds, dataset_stats, f_measure,
-                        featurize_corpus, generate_multi_cell,
+                        featurize_corpus, flatten, generate_multi_cell,
                         generate_records, init_head, init_model,
                         loss_and_gradients, normalize_labels,
                         parse_descriptor, parse_mini, precision, pretrain,
@@ -98,7 +98,8 @@ def test_criterion_1_gradient_check():
         while not tree.children:  # loss needs at least one internal node
             tree = random_tree(rng, vocab_size=6, max_nodes=8, min_nodes=2)
         model, head = _scaled_model_and_head(seed=k)
-        _, grads = loss_and_gradients([tree], model, head)
+        flats = [flatten(tree, model.vocab)]
+        _, grads = loss_and_gradients(flats, model, head)
         tensors = dict(model.params)
         tensors["head.U"] = head.U
         for name, arr in tensors.items():
@@ -106,9 +107,9 @@ def test_criterion_1_gradient_check():
             for idx in np.ndindex(arr.shape):
                 keep = arr[idx]
                 arr[idx] = keep + 1e-5
-                up = corpus_loss([tree], model, head)
+                up = corpus_loss(flats, model, head)
                 arr[idx] = keep - 1e-5
-                down = corpus_loss([tree], model, head)
+                down = corpus_loss(flats, model, head)
                 arr[idx] = keep
                 fd = (up - down) / 2e-5
                 rel = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]),
@@ -146,8 +147,9 @@ def test_criterion_3_analytic_anchors():
         h_max = max(h_max, float(np.abs(root_state(tree, zero).h).max()))
     model, _ = _scaled_model_and_head(seed=43)
     uniform = PretrainHead(np.zeros((6, 3)))
-    loss_err = abs(corpus_loss(trees, model, uniform) - math.log(6))
-    perp_err = abs(perplexity(model, uniform, trees) - 6.0)
+    flats = [flatten(t, model.vocab) for t in trees]
+    loss_err = abs(corpus_loss(flats, model, uniform) - math.log(6))
+    perp_err = abs(perplexity(model, uniform, flats) - 6.0)
     ok = h_max == 0.0 and loss_err <= 1e-12 and perp_err <= 1e-12
     assert _verdict(3, ok, f"|h|max {h_max}, loss err {loss_err:.2e}, "
                            f"perplexity err {perp_err:.2e}")

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         ForestModel, LogisticModel, TrainingDataError,
-                        UNK_TOKEN, Vocabulary, bow_featurize,
-                        classifier_from_document, classifier_to_document,
-                        featurize_corpus, load_classifier, predict_proba,
+                        UNK_TOKEN, Vocabulary, bow_featurize, build_vocabulary,
+                        classifier_from_document, classifier_to_document, encode,
+                        featurize_corpus, generate_records, iter_nodes,
+                        load_classifier, predict_proba,
                         read_features_csv, save_classifier, train_forest,
                         train_logistic, write_features_csv)
 from treedefect.classifiers import _MAX_STEPS, TreeNode, _best_split
@@ -92,9 +93,24 @@ def test_bow_featurize_threshold_semantics():
         bow_featurize(records, vocab, threshold=0)
 
 
+def test_bow_featurize_matches_per_node_oracle():
+    records = generate_records(n=12, seed=61)
+    # a vocabulary from half the files leaves labels of the rest out of vocabulary
+    vocab = build_vocabulary([r.tree for r in records[:6]], min_count=2)
+    assert any(encode([n.label for n in iter_nodes(r.tree)], vocab).min() == 0
+               for r in records)
+    for threshold in (1, 2, 3):
+        fm = bow_featurize(records, vocab, threshold)
+        assert fm.keys == [r.key for r in records]
+        np.testing.assert_array_equal(
+            fm.values, oracles.bow_rows([r.tree for r in records], vocab, threshold))
+    empty = bow_featurize([], vocab, 1)
+    assert empty.values.shape == (0, len(vocab)) and empty.keys == []
+
+
 def test_logistic_learns_separable_data():
     X, y = separable()
-    model = train_logistic(X, y)
+    model = train_logistic(X, y, 1e-4)
     proba = predict_proba(model, X)
     assert np.mean((proba >= 0.5) == y) == 1.0
     assert predict_proba(model, X[:1])[0] == pytest.approx(proba[0])
@@ -102,7 +118,7 @@ def test_logistic_learns_separable_data():
 
 def test_logistic_loss_history_non_increasing():
     X, y = separable(seed=1)
-    model = train_logistic(X, y)
+    model = train_logistic(X, y, 1e-4)
     history = np.array(model.loss_history)
     assert len(history) > 1
     assert np.all(np.diff(history) <= 0)
@@ -114,7 +130,7 @@ def test_logistic_beats_dense_grid_oracle():
     y = (x + rng.normal(0, 0.8, size=30) > 0).astype(int)
     if len(np.unique(y)) < 2:
         raise AssertionError("degenerate draw")
-    model = train_logistic(x.reshape(-1, 1), y)
+    model = train_logistic(x.reshape(-1, 1), y, 1e-4)
     mine = float(model.loss_history[-1])
     grid = oracles.logistic_grid_loss(x, y, l2=1e-4, w_range=(-6, 6),
                                       b_range=(-4, 4), steps=241)
@@ -171,9 +187,9 @@ def test_logistic_bias_fits_base_rate_and_is_unregularized():
 
 def test_logistic_single_class_rejected():
     with pytest.raises(TrainingDataError):
-        train_logistic(np.zeros((4, 2)), np.array([1, 1, 1, 1]))
+        train_logistic(np.zeros((4, 2)), np.array([1, 1, 1, 1]), 1e-4)
     with pytest.raises(ValueError):
-        train_logistic(np.zeros((4, 2)), None)
+        train_logistic(np.zeros((4, 2)), None, 1e-4)
 
 
 def test_forest_learns_separable_data():
@@ -231,12 +247,12 @@ def test_decision_boundary_is_left_inclusive():
 
 def test_forest_single_class_rejected():
     with pytest.raises(TrainingDataError):
-        train_forest(np.zeros((4, 2)), np.array([0, 0, 0, 0]))
+        train_forest(np.zeros((4, 2)), np.array([0, 0, 0, 0]), ClassifierOptions(), seed=0)
 
 
 def test_logistic_roundtrip(tmp_path):
     X, y = separable(seed=5)
-    model = train_logistic(X, y)
+    model = train_logistic(X, y, 1e-4)
     path = tmp_path / "clf.json"
     save_classifier(path, model)
     first = path.read_bytes()
@@ -282,7 +298,7 @@ def test_classifier_documents_record_and_check_dim():
     X, y = separable(seed=7)
     forest = classifier_to_document(train_forest(X, y, ClassifierOptions(n_trees=3),
                                                  seed=1))
-    logistic = classifier_to_document(train_logistic(X, y))
+    logistic = classifier_to_document(train_logistic(X, y, 1e-4))
     assert forest["dim"] == 2 and logistic["dim"] == 2
     assert classifier_from_document(forest).dim == 2
     assert classifier_from_document(logistic).dim == 2
@@ -301,13 +317,16 @@ def test_malformed_classifier_documents_are_document_errors():
     X, y = separable(seed=8)
     forest = classifier_to_document(train_forest(X, y, ClassifierOptions(n_trees=2),
                                                  seed=1))
-    logistic = classifier_to_document(train_logistic(X, y))
+    logistic = classifier_to_document(train_logistic(X, y, 1e-4))
     bad_nodes = ({"f": "x", "t": 0.5}, {"f": -1, "t": 0.5}, {"f": 0, "t": "x"},
                  {"f": 0, "t": float("nan")}, {"p": [0.5, "x"]}, 7,
-                 {"p": [-4.0, 5.0]}, {"p": [0.5, 1.5]})
+                 {"p": [-4.0, 5.0]}, {"p": [0.5, 1.5]}, {"p": [0.9, 0.9]},
+                 {"p": [0.0, 0.0]})
     for node in bad_nodes:
-        doc = {**forest, "trees": [[node, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]]}
-        with pytest.raises(DocumentError, match="node|leaf"):
+        # a left child, and the match excludes the truncated/trailing tree
+        # errors, so only the node's own check can pass this assertion
+        doc = {**forest, "trees": [[{"f": 0, "t": 0.5}, node, {"p": [0.0, 1.0]}]]}
+        with pytest.raises(DocumentError, match=r"trees\[0\]: (tree node|leaf)"):
             classifier_from_document(doc)
     for weights in (["a", 1.0], [None, 1.0], [float("inf"), 1.0], "12"):
         with pytest.raises(DocumentError, match="weights"):

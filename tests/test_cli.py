@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treedefect import (generate_multi_cell, generate_records, read_corpus,
-                        read_features_csv, write_corpus)
+from treedefect import (TrainConfig, generate_multi_cell, generate_records, pretrain,
+                        read_corpus, read_features_csv, save_model, write_corpus)
 from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
@@ -509,13 +509,68 @@ def test_module_entry_point_help():
     assert "ingest" in proc.stdout and "experiment" in proc.stdout
 
 
-def test_parse_helper_rejects_bad_split():
-    from treedefect.cli import _parse_split
-    from treedefect.errors import DocumentError
+def test_bad_split_is_bad_input(tmp_path, workspace, capsys):
+    out = tmp_path / "model.json"
+    for split in ("0.8,0.2", "a,b,c"):
+        assert main(["pretrain", "--corpus", str(workspace["corpus"]),
+                     "--output", str(out), *FAST_TRAIN, "--split", split]) == 2
+        err = capsys.readouterr().err
+        assert "bad option" in err and "split" in err
+        assert not out.exists()
 
-    assert _parse_split("0.8,0.1,0.1") == (0.8, 0.1, 0.1)
-    assert _parse_split([0.7, 0.2, 0.1]) == (0.7, 0.2, 0.1)
-    with pytest.raises(DocumentError):
-        _parse_split("0.8,0.2")
-    with pytest.raises(DocumentError):
-        _parse_split("a,b,c")
+
+def _config(tmp_path, name, doc):
+    path = tmp_path / f"{name}-config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_split_flag_and_config_forms_give_the_library_model(tmp_path, workspace):
+    train = dict(embedding_dim=4, hidden_dim=4, max_epochs=1, min_count=1,
+                 batch_size=8, seed=11)
+    result = pretrain(read_corpus(workspace["corpus"]),
+                      TrainConfig(**train, split=(0.7, 0.2, 0.1)))
+    expected = tmp_path / "expected.json"
+    save_model(expected, result.model, result.head.U)
+    flag = tmp_path / "flag.json"
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--output", str(flag),
+                 "--config", str(_config(tmp_path, "plain", train)),
+                 "--split", "0.7,0.2,0.1"]) == 0
+    outputs = [flag]
+    for name, split in (("list", [0.7, 0.2, 0.1]), ("string", "0.7,0.2,0.1")):
+        out = tmp_path / f"{name}.json"
+        config = _config(tmp_path, name, {**train, "split": split})
+        assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--output", str(out),
+                     "--config", str(config)]) == 0
+        outputs.append(out)
+    for out in outputs:
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_header_only_feature_file_is_bad_input(tmp_path, workspace, capsys):
+    clf = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(workspace["features"]),
+                 "--output", str(clf), "--classifier", "logistic"]) == 0
+    header = workspace["features"].read_text(encoding="utf-8").splitlines()[0]
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--features", str(empty), "--classifier-file", str(clf),
+                 "--output", str(tmp_path / "r.csv")]) == 2
+    assert f"error: {empty}: feature file has no rows" in capsys.readouterr().err
+    out = tmp_path / "clf2.json"
+    assert main(["train-classifier", "--features", str(empty), "--output", str(out)]) == 2
+    assert f"error: {empty}: feature file has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ingest_rejects_a_repeated_label_entry(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "f000.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("file_id,label\nf000.mini,0\nf000.mini,1\n", encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels)]) == 2
+    assert f"{labels}:3: repeated file_id 'f000.mini'" in capsys.readouterr().err
+    assert not out.exists()

@@ -60,12 +60,7 @@ def test_normalize_labels_tree():
 def test_vocabulary_basics():
     vocab = Vocabulary((UNK_TOKEN, "a", "b"))
     assert len(vocab) == 3
-    assert vocab.unk_index == 0
-    assert vocab.index("a") == 1
-    assert vocab.index("missing") == 0
-    assert vocab.token(2) == "b"
-    with pytest.raises(IndexError):
-        vocab.token(3)
+    assert encode(["a", "missing", "b", UNK_TOKEN], vocab).tolist() == [1, 0, 2, 0]
 
 
 def test_vocabulary_requires_unk_first():
@@ -101,11 +96,9 @@ def test_encode_decode_roundtrip_and_oov():
     labels = [n.label for n in iter_nodes(SAMPLE)]
     encoded = encode(labels, vocab)
     assert encoded.dtype == np.intp and encoded.shape == (len(labels),)
-    assert [vocab.token(i) for i in encoded] == labels
+    assert [vocab.tokens[i] for i in encoded] == labels
     oov = encode(["never-seen"], vocab)
-    assert oov.tolist() == [vocab.unk_index]
-    with pytest.raises(IndexError):
-        vocab.token(len(vocab))
+    assert oov.tolist() == [0]
 
 
 def test_tree_json_roundtrip():
@@ -136,7 +129,7 @@ def test_deep_tree_operations_are_iterative():
     vocab = build_vocabulary([tree], min_count=1)
     flat = flatten(tree, vocab)
     # a chain's height order is its preorder reversed
-    assert [vocab.token(i) for i in flat.indices] == [n.label for n in iter_nodes(tree)][::-1]
+    assert [vocab.tokens[i] for i in flat.indices] == [n.label for n in iter_nodes(tree)][::-1]
     obj = tree_to_json(tree)
     # documents are written iteratively, but read back only up to MAX_TREE_DEPTH
     with pytest.raises(DepthLimitError, match="deeper than the limit"):

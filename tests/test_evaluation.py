@@ -102,12 +102,12 @@ def test_evaluate_predictions_healthy():
 
 def test_evaluate_predictions_flags():
     # no positive predictions: precision (and so F) undefined
-    report = evaluate_predictions([0.1, 0.2, 0.3], [1, 0, 1])
+    report = evaluate_predictions([0.1, 0.2, 0.3], [1, 0, 1], ("tr", "te"))
     assert report.flags == ("precision_undefined", "f_measure_undefined")
     assert report.precision == 0.0 and report.f_measure == 0.0
     assert report.auc is not None
     # single-class labels: recall and AUC undefined
-    report = evaluate_predictions([0.9, 0.1], [0, 0])
+    report = evaluate_predictions([0.9, 0.1], [0, 0], ("tr", "te"))
     assert "recall_undefined" in report.flags
     assert "auc_undefined" in report.flags
     assert report.auc is None
@@ -115,7 +115,7 @@ def test_evaluate_predictions_flags():
 
 def test_evaluate_predictions_threshold_is_inclusive():
     # a score of exactly 0.5 is a defective prediction
-    report = evaluate_predictions([0.2, 0.5, 0.49999, 0.9], [0, 0, 1, 1])
+    report = evaluate_predictions([0.2, 0.5, 0.49999, 0.9], [0, 0, 1, 1], ("tr", "te"))
     assert (report.matrix.tp, report.matrix.fp, report.matrix.fn,
             report.matrix.tn) == (1, 1, 1, 1)
 

@@ -106,7 +106,7 @@ def test_average_report():
     assert avg.auc == pytest.approx(0.8, abs=1e-15)  # undefined cells excluded
     assert avg.flags == ("auc_undefined_cells=1",)
     with pytest.raises(ValueError):
-        average_report([])
+        average_report([], ("avg", "avg"))
 
 
 def test_cv_folds_have_no_leakage():
@@ -143,7 +143,7 @@ def test_cv_from_folds_shares_features_across_kinds():
     for result in (logistic, forest):
         assert len(result.folds) == 3
         assert result.average.cell == ("cv:average", "cv:average")
-        assert result.auc_undefined_folds == 0
+        assert result.average.flags == ()  # no fold with an undefined AUC
         assert result.folds[0].cell == ("fold0:train", "fold0:test")
         total = sum(r.matrix.total for r in result.folds)
         assert total == len(records)

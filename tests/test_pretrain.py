@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from treedefect import (AstTree, CorpusError, PretrainHead, TrainConfig, UNK_TOKEN,
-                        Vocabulary, build_vocabulary, corpus_loss, flatten,
+                        Vocabulary, build_vocabulary, corpus_loss, encode, flatten,
                         generate_records, init_model, iter_nodes, loss_and_gradients,
                         perplexity, pretrain, rmsprop_step,
                         sample_masks, split_records, write_training_log)
@@ -16,6 +16,10 @@ from treedefect.rng import stream
 
 from conftest import node, random_tree, small_vocab
 from test_treelstm import scaled_model
+
+
+def flats_of(trees, model):
+    return [flatten(t, model.vocab) for t in trees]
 
 
 def scaled_head(vocab_size, hidden_dim, seed, scale=0.8):
@@ -69,9 +73,9 @@ def test_zero_model_loss_is_log_vocab():
     rng = np.random.default_rng(31)
     trees = [random_tree(rng, vocab_size=6, max_nodes=12, min_nodes=2)
              for _ in range(8)]
-    loss = corpus_loss(trees, model, head)
+    loss = corpus_loss(flats_of(trees, model), model, head)
     assert loss == pytest.approx(math.log(6), abs=1e-12)
-    assert perplexity(model, head, trees) == pytest.approx(6.0, abs=1e-12)
+    assert perplexity(model, head, flats_of(trees, model)) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_corpus_loss_matches_recursive_oracle():
@@ -80,7 +84,7 @@ def test_corpus_loss_matches_recursive_oracle():
     head = scaled_head(6, 3, seed=14)
     trees = [random_tree(rng, vocab_size=6, max_nodes=14, min_nodes=2)
              for _ in range(15)]
-    loss = corpus_loss(trees, model, head)
+    loss = corpus_loss(flats_of(trees, model), model, head)
     ref = oracles.corpus_loss(trees, model, head.U)
     assert loss == pytest.approx(ref, abs=1e-12)
 
@@ -91,7 +95,7 @@ def test_corpus_loss_edge_cases():
     with pytest.raises(CorpusError):
         corpus_loss([], model, head)
     with pytest.raises(CorpusError, match="internal"):
-        corpus_loss([node(1), node(2)], model, head)
+        corpus_loss(flats_of([node(1), node(2)], model), model, head)
 
 
 def test_corpus_duplication_leaves_loss_and_gradients_unchanged():
@@ -100,8 +104,9 @@ def test_corpus_duplication_leaves_loss_and_gradients_unchanged():
     head = scaled_head(6, 3, seed=16)
     trees = [random_tree(rng, vocab_size=6, max_nodes=10, min_nodes=2)
              for _ in range(4)]
-    loss_once, grads_once = loss_and_gradients(trees, model, head)
-    loss_twice, grads_twice = loss_and_gradients(trees + trees, model, head)
+    flats = flats_of(trees, model)
+    loss_once, grads_once = loss_and_gradients(flats, model, head)
+    loss_twice, grads_twice = loss_and_gradients(flats + flats, model, head)
     assert loss_twice == pytest.approx(loss_once, abs=1e-12)
     for key, g in grads_once.items():
         np.testing.assert_allclose(grads_twice[key], g, rtol=0, atol=1e-12)
@@ -117,22 +122,23 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
     counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
     total = sum(counts)
     ref = sum(oracles.tree_nll(t, model, head.U)[0] for t in trees) / total
-    assert corpus_loss(trees, model, head) == pytest.approx(ref, abs=1e-12)
-    loss, grads = loss_and_gradients(trees, model, head)
+    flats = flats_of(trees, model)
+    assert corpus_loss(flats, model, head) == pytest.approx(ref, abs=1e-12)
+    loss, grads = loss_and_gradients(flats, model, head)
     assert loss == pytest.approx(ref, abs=1e-12)
     summed = {key: np.zeros_like(g) for key, g in grads.items()}
-    for tree, count in zip(trees, counts):
+    for flat, count in zip(flats, counts):
         if count:
-            for key, g in loss_and_gradients([tree], model, head)[1].items():
+            for key, g in loss_and_gradients([flat], model, head)[1].items():
                 summed[key] += g * (count / total)
     for key, g in grads.items():
         np.testing.assert_allclose(g, summed[key], rtol=0, atol=1e-12)
 
 
-def _fd_corpus_worst(trees, model, head, masks=None, eps=1e-5):
+def _fd_corpus_worst(flats, model, head, masks=None, eps=1e-5):
     params = dict(model.params)
     params["head.U"] = head.U
-    _, grads = loss_and_gradients(trees, model, head, masks)
+    _, grads = loss_and_gradients(flats, model, head, masks)
     worst = 0.0
     for key, arr in params.items():
         view = arr.ravel()
@@ -140,9 +146,9 @@ def _fd_corpus_worst(trees, model, head, masks=None, eps=1e-5):
         for j in range(view.size):
             orig = view[j]
             view[j] = orig + eps
-            up = corpus_loss(trees, model, head, masks)
+            up = corpus_loss(flats, model, head, masks)
             view[j] = orig - eps
-            down = corpus_loss(trees, model, head, masks)
+            down = corpus_loss(flats, model, head, masks)
             view[j] = orig
             fd = (up - down) / (2.0 * eps)
             err = abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-8)
@@ -156,7 +162,7 @@ def test_loss_gradients_match_finite_differences():
     head = scaled_head(5, 2, seed=17)
     trees = [random_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
              for _ in range(3)]
-    assert _fd_corpus_worst(trees, model, head) < 1e-4
+    assert _fd_corpus_worst(flats_of(trees, model), model, head) < 1e-4
 
 
 def test_loss_gradients_with_dropout_match_finite_differences():
@@ -165,7 +171,7 @@ def test_loss_gradients_with_dropout_match_finite_differences():
     head = scaled_head(5, 2, seed=18)
     trees = [random_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
              for _ in range(3)]
-    flats = [flatten(t, model.vocab) for t in trees]
+    flats = flats_of(trees, model)
     mask_rng = np.random.default_rng(3)
     masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
     assert _fd_corpus_worst(flats, model, head, masks) < 1e-4
@@ -204,9 +210,13 @@ def test_train_config_validation():
                    {"vocab_size": 0}, {"min_count": 0}, {"max_epochs": 1.5},
                    {"batch_size": True}, {"seed": 1.0}, {"learning_rate": math.nan},
                    {"learning_rate": math.inf}, {"rms_epsilon": math.nan},
-                   {"rms_epsilon": math.inf}, {"split": (math.nan, 0.5, 0.5)}):
-        with pytest.raises(ValueError):
+                   {"rms_epsilon": math.inf}, {"split": (math.nan, 0.5, 0.5)},
+                   {"split": "0.8,0.2"}, {"split": "a,b,c"}, {"split": 0.5}):
+        with pytest.raises(ValueError, match="split" if "split" in kwargs else None):
             TrainConfig(**kwargs)
+    # the comma form of --split, and a list from a JSON config
+    for split in ("0.8,0.1,0.1", [0.8, 0.1, 0.1], ("0.8", "0.1", "0.1")):
+        assert TrainConfig(split=split).split == (0.8, 0.1, 0.1)
 
 
 def test_split_records_partitions():
@@ -333,7 +343,7 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
 
     def poisoned_init(*args, **kwargs):
         model = real_init(*args, **kwargs)
-        model.params["embeddings"][:, vocab.index("poison")] = np.nan
+        model.params["embeddings"][:, encode(["poison"], vocab)[0]] = np.nan
         return model
 
     monkeypatch.setattr(module, "init_model", poisoned_init)
