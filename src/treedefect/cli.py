@@ -82,7 +82,8 @@ def _options(cls, args: argparse.Namespace, config: dict, **fixed):
         raise DocumentError(f"bad option: {exc}") from exc
 
 
-def _read_labels_file(path: str) -> dict[str, int]:
+def _read_labels_file(path: str, sources: set[str]) -> dict[str, int]:
+    """file_id -> label per entry of a labels CSV; each file_id must be in `sources`."""
     labels = {}
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
@@ -94,6 +95,8 @@ def _read_labels_file(path: str) -> dict[str, int]:
                         f"{path}:{lineno}: expected 'file_id,label' with label 0 or 1")
                 if row[0] in labels:
                     raise DocumentError(f"{path}:{lineno}: repeated file_id {row[0]!r}")
+                if row[0] not in sources:
+                    raise DocumentError(f"{path}:{lineno}: no input source file {row[0]!r}")
                 labels[row[0]] = int(row[1])
     except OSError as exc:
         raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
@@ -120,11 +123,13 @@ def _iter_input_files(inputs: list[str]) -> list[tuple[Path, str]]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    labels = _read_labels_file(args.labels) if args.labels else {}
+    inputs = _iter_input_files(args.inputs)
+    sources = {file_id for path, file_id in inputs if path.suffix != ".json"}
+    labels = _read_labels_file(args.labels, sources) if args.labels else {}
     records: list[FileRecord] = []
     failures: list[str] = []
     seen = set()
-    for path, file_id in _iter_input_files(args.inputs):
+    for path, file_id in inputs:
         try:
             if path.suffix == ".json":
                 records.extend(corpus_from_document(jsonio.read(path), str(path)))

@@ -7,12 +7,14 @@ interpreter stack. Trees entering the pipeline (parsed sources, corpus
 documents) may be at most MAX_TREE_DEPTH nodes deep, so that every corpus
 document the package writes can be read back.
 
-On disk a corpus is a JSON document::
+On disk a corpus is a JSON document: one sorted table of the labels it uses
+and, per file, its AST in preorder as label indices and child counts::
 
-    {"format_version": 1,
+    {"format_version": 2,
+     "labels": ["BlockStmt", "CompilationUnit", ...],
      "files": [{"file_id": ..., "project": ..., "version": ...,
                 "label": 0 | 1 | null,
-                "tree": {"label": ..., "children": [...]}}, ...]}
+                "nodes": [1, 0, ...], "arity": [2, 0, ...]}, ...]}
 
 Documents produced by the `ingest` pipeline store normalized labels (literal
 values already collapsed); `read_corpus` itself keeps whatever labels the
@@ -38,9 +40,9 @@ UNK_TOKEN = "<unk>"
 VOCAB_SIZE = 10000
 MIN_COUNT = 2
 
-# Deepest tree (in nodes, root to leaf) accepted from sources or documents.
-# Sources within minilang.MAX_NESTING reach 127; JSON round-trips of a corpus
-# document fail near 490 levels under the default interpreter stack.
+# Deepest tree (in nodes, root to leaf) accepted from sources or documents:
+# the depth every stage of the pipeline is held to. Sources within
+# minilang.MAX_NESTING reach 127.
 MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
@@ -180,72 +182,60 @@ def encode(labels: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     return np.array([to_index.get(label, 0) for label in labels], dtype=np.intp)
 
 
-def tree_to_json(tree: AstTree) -> dict:
-    return fold_tree(tree, lambda node, ch: {"label": node.label, "children": list(ch)})
-
-
-def tree_from_json(obj: Any, path: str = "tree") -> AstTree:
-    """Validate and convert a JSON object into an AstTree.
-
-    Errors name the offending location as a JSON path, e.g.
-    ``files[3].tree.children[0]``; a tree deeper than MAX_TREE_DEPTH is a
-    DepthLimitError naming `path`.
-    """
-    out: list[AstTree] = []
-    work: list[tuple[Any, str, int]] = [(obj, path, 1)]
-    while work:
-        node, where, depth = work.pop()
-        if depth:
-            if depth > MAX_TREE_DEPTH:
-                raise DepthLimitError(f"{path}: tree is deeper than the limit of "
-                                      f"{MAX_TREE_DEPTH} nodes")
-            if not isinstance(node, dict):
-                raise DocumentError(f"{where}: node must be an object, got {type(node).__name__}")
-            unknown = set(node) - {"label", "children"}
-            if unknown:
-                raise DocumentError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-            label = node.get("label")
-            if not isinstance(label, str) or not label:
-                raise DocumentError(f"{where}: 'label' must be a non-empty string")
-            children = node.get("children")
-            if not isinstance(children, list):
-                raise DocumentError(f"{where}: 'children' must be a list")
-            work.append((node, where, 0))  # depth 0: children are built
-            for i in range(len(children) - 1, -1, -1):
-                work.append((children[i], f"{where}.children[{i}]", depth + 1))
-        else:
-            k = len(node["children"])
-            children_nodes = tuple(out[len(out) - k:]) if k else ()
-            if k:
-                del out[len(out) - k:]
-            out.append(AstTree(node["label"], children_nodes))
-    return out[0]
-
-
 def corpus_to_document(records: list[FileRecord]) -> dict:
-    return {
-        "format_version": 1,
-        "files": [
-            {
-                "file_id": r.file_id,
-                "project": r.project,
-                "version": r.version,
-                "label": r.label,
-                "tree": tree_to_json(r.tree),
-            }
-            for r in records
-        ],
-    }
+    preorders = [list(iter_nodes(r.tree)) for r in records]
+    labels = sorted({node.label for nodes in preorders for node in nodes})
+    index = {label: i for i, label in enumerate(labels)}
+    return {"format_version": 2, "labels": labels, "files": [
+        {"file_id": r.file_id, "project": r.project, "version": r.version, "label": r.label,
+         "nodes": [index[node.label] for node in nodes],
+         "arity": [len(node.children) for node in nodes]}
+        for r, nodes in zip(records, preorders)]}
+
+
+def _tree_from_preorder(labels: list, nodes: list, arity: list, where: str) -> AstTree:
+    """The AstTree with preorder label indices `nodes` and child counts `arity`,
+    validated as it is built from the last node back: each node takes its
+    children off the stack of subtrees built so far. Errors name the entry."""
+    built: list[AstTree] = []
+    depths: list[int] = []
+    for j in range(len(nodes) - 1, -1, -1):
+        label, k = nodes[j], arity[j]
+        if type(label) is not int or not 0 <= label < len(labels):
+            raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
+                                f"in [0, {len(labels)}), got {label!r}")
+        if type(k) is not int or not 0 <= k <= len(built):
+            raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
+                                f"in [0, {len(built)}], got {k!r}")
+        depth, children = 1, ()
+        if k:
+            depth += max(depths[-k:])
+            if depth > MAX_TREE_DEPTH:
+                raise DepthLimitError(f"{where}.nodes[{j}]: tree is deeper than the "
+                                      f"limit of {MAX_TREE_DEPTH} nodes")
+            children = tuple(built[-k:][::-1])
+            del built[-k:], depths[-k:]
+        built.append(AstTree(labels[label], children))
+        depths.append(depth)
+    if len(built) != 1:
+        raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
+    return built[0]
 
 
 def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
     if not isinstance(doc, dict):
         raise DocumentError(f"{source}: document must be an object")
-    if doc.get("format_version") != 1:
-        raise DocumentError(f"{source}: format_version must be 1, got {doc.get('format_version')!r}")
-    unknown = set(doc) - {"format_version", "files"}
+    version = doc.get("format_version")
+    if version != 2:
+        rerun = "; re-run `ingest` on the sources to write version 2" if version == 1 else ""
+        raise DocumentError(f"{source}: format_version must be 2, got {version!r}{rerun}")
+    unknown = set(doc) - {"format_version", "labels", "files"}
     if unknown:
         raise DocumentError(f"{source}: unknown field {sorted(unknown)[0]!r}")
+    labels = doc.get("labels")
+    if (not isinstance(labels, list) or not all(isinstance(t, str) and t for t in labels)
+            or any(a >= b for a, b in zip(labels, labels[1:]))):
+        raise DocumentError(f"{source}: 'labels' must be sorted, distinct non-empty strings")
     files = doc.get("files")
     if not isinstance(files, list):
         raise DocumentError(f"{source}: 'files' must be a list")
@@ -255,7 +245,7 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
         where = f"files[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: entry must be an object")
-        unknown = set(entry) - {"file_id", "project", "version", "label", "tree"}
+        unknown = set(entry) - {"file_id", "project", "version", "label", "nodes", "arity"}
         if unknown:
             raise DocumentError(f"{where}: unknown field {sorted(unknown)[0]!r}")
         for key in ("file_id", "project", "version"):
@@ -265,11 +255,14 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
         label = entry.get("label")
         if label is not None and (isinstance(label, bool) or label not in (0, 1)):
             raise DocumentError(f"{where}: 'label' must be 0, 1 or null, got {label!r}")
-        if "tree" not in entry:
-            raise DocumentError(f"{where}: missing field 'tree'")
-        tree = tree_from_json(entry["tree"], f"{where}.tree")
+        nodes, arity = entry.get("nodes"), entry.get("arity")
+        if not (isinstance(nodes, list) and isinstance(arity, list)
+                and 0 < len(nodes) == len(arity)):
+            raise DocumentError(f"{where}: 'nodes' and 'arity' must be non-empty lists "
+                                f"of equal length")
         record = FileRecord(entry["file_id"], entry["project"], entry["version"],
-                            None if label is None else int(label), tree)
+                            None if label is None else int(label),
+                            _tree_from_preorder(labels, nodes, arity, where))
         if record.key in seen:
             raise DocumentError(f"{where}: duplicate entry for {record.key}")
         seen.add(record.key)

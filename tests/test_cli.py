@@ -471,16 +471,28 @@ def test_ingest_left_associative_chain_deeper_than_limit(tmp_path, capsys):
 
 
 def test_corpus_documents_too_deep_are_bad_input(tmp_path, capsys):
-    def document(levels):
+    def nested(levels):  # the retired version-1 form: one JSON object per node
         return ('{"format_version":1,"files":[{"file_id":"a","project":"p",'
                 '"version":"1","label":0,"tree":'
                 + '{"label":"y","children":[' * (levels - 1)
                 + '{"label":"x","children":[]}' + "]}" * (levels - 1) + "}]}\n")
 
-    for levels, message in ((700, "nested too deeply"),
-                            (MAX_TREE_DEPTH + 1, f"limit of {MAX_TREE_DEPTH}")):
-        path = tmp_path / f"deep{levels}.json"
-        path.write_text(document(levels), encoding="utf-8")
+    def flat(nodes, arity):
+        return json.dumps({"format_version": 2, "labels": ["x", "y"], "files": [
+            {"file_id": "a", "project": "p", "version": "1", "label": 0,
+             "nodes": nodes, "arity": arity}]})
+
+    def chain(levels):
+        return flat([1] * (levels - 1) + [0], [1] * (levels - 1) + [0])
+
+    for name, text, message in (
+            ("nested700", nested(700), "nested too deeply"),
+            ("chain", chain(MAX_TREE_DEPTH + 1),
+             f"files[0].nodes[0]: tree is deeper than the limit of {MAX_TREE_DEPTH}"),
+            ("version1", nested(3), "format_version must be 2, got 1; re-run `ingest`"),
+            ("malformed", flat([1, 0], [1, 1]), "files[0].arity[1]: child count")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
         assert main(["stats", "--corpus", str(path)]) == 2
         assert message in capsys.readouterr().err
         out = tmp_path / "corpus.json"
@@ -489,8 +501,23 @@ def test_corpus_documents_too_deep_are_bad_input(tmp_path, capsys):
         assert main(["ingest", str(path), "--output", str(out), "--skip-bad"]) == 2
         assert "no valid input files" in capsys.readouterr().err
     path = tmp_path / "ok.json"
-    path.write_text(document(MAX_TREE_DEPTH), encoding="utf-8")
+    path.write_text(chain(MAX_TREE_DEPTH), encoding="utf-8")
     assert main(["stats", "--corpus", str(path)]) == 0
+
+
+def test_ingest_of_a_corpus_document_rewrites_it_byte_for_byte(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    for i, text in enumerate((GOOD_SOURCE, OTHER_SOURCE, GOOD_SOURCE + OTHER_SOURCE)):
+        (src / f"f{i}.mini").write_text(text, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("f0.mini,1\nf2.mini,0\n", encoding="utf-8")
+    corpus, again = tmp_path / "corpus.json", tmp_path / "again.json"
+    assert main(["ingest", str(src), "--labels", str(labels), "--output", str(corpus)]) == 0
+    assert main(["ingest", str(corpus), "--output", str(again)]) == 0
+    assert again.read_bytes() == corpus.read_bytes()
+    doc = read(corpus)
+    assert doc["format_version"] == 2 and doc["labels"] == sorted(set(doc["labels"]))
 
 
 def test_usage_error_exit_2():
@@ -574,3 +601,23 @@ def test_ingest_rejects_a_repeated_label_entry(tmp_path, capsys):
     assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels)]) == 2
     assert f"{labels}:3: repeated file_id 'f000.mini'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ingest_rejects_a_label_entry_naming_no_source(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(40):
+        (src / f"f{i:03d}.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    (src / "bad.mini").write_text(BAD_SOURCE, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("file_id,label\nf000.mini,1\nmissing.mini,0\n", encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels),
+                 "--skip-bad"]) == 2
+    assert f"{labels}:3: no input source file 'missing.mini'" in capsys.readouterr().err
+    assert not out.exists()
+    # an entry for a source that --skip-bad skips still names an input source
+    labels.write_text("file_id,label\nf000.mini,1\nbad.mini,0\n", encoding="utf-8")
+    assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels),
+                 "--skip-bad"]) == 0
+    assert [r.label for r in read_corpus(out)] == [1] + [None] * 39

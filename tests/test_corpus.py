@@ -8,8 +8,7 @@ from treedefect import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabu
                         encode, flatten, iter_nodes, normalize_label,
                         normalize_labels, read_corpus, tree_depth, write_corpus)
 from treedefect import jsonio
-from treedefect.corpus import (MAX_TREE_DEPTH, cell, corpus_from_document,
-                               corpus_to_document, tree_from_json, tree_to_json)
+from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
 
 
@@ -101,21 +100,52 @@ def test_encode_decode_roundtrip_and_oov():
     assert oov.tolist() == [0]
 
 
+def one_file(tree):
+    return corpus_to_document([FileRecord("a.mini", "p", "1", None, tree)])
+
+
 def test_tree_json_roundtrip():
-    obj = tree_to_json(SAMPLE)
-    assert tree_from_json(obj) == SAMPLE
+    doc = one_file(SAMPLE)
+    preorder = list(iter_nodes(SAMPLE))
+    assert doc["labels"] == sorted({n.label for n in preorder})
+    (entry,) = doc["files"]
+    assert [doc["labels"][i] for i in entry["nodes"]] == [n.label for n in preorder]
+    assert entry["arity"] == [len(n.children) for n in preorder]
+    assert corpus_from_document(jsonio.parse(jsonio.dumps(doc)))[0].tree == SAMPLE
 
 
-def test_tree_from_json_error_paths():
-    with pytest.raises(DocumentError, match=r"tree\.children\[1\]"):
-        tree_from_json({"label": "a", "children": [
-            {"label": "b", "children": []},
-            {"label": "", "children": []},
-        ]})
-    with pytest.raises(DocumentError, match="children"):
-        tree_from_json({"label": "a"})
-    with pytest.raises(DocumentError, match="unknown field"):
-        tree_from_json({"label": "a", "children": [], "extra": 1})
+def flat_document(nodes, arity, labels=None):
+    return {"format_version": 2, "labels": ["a", "b"] if labels is None else labels,
+            "files": [{"file_id": "a.mini", "project": "p", "version": "1", "label": None,
+                       "nodes": nodes, "arity": arity}]}
+
+
+def test_flat_tree_error_paths():
+    assert corpus_from_document(flat_document([0, 1, 1], [2, 0, 0]))[0].tree == AstTree(
+        "a", (leaf("b"), leaf("b")))
+    for nodes, arity, message in (
+            ([0, 1, 2], [2, 0, 0], r"files\[0\]\.nodes\[2\]: label index"),
+            ([0, -1], [1, 0], r"files\[0\]\.nodes\[1\]: label index"),
+            ([0, True], [1, 0], r"files\[0\]\.nodes\[1\]: label index"),
+            ([0.0, 1], [1, 0], r"files\[0\]\.nodes\[0\]: label index"),
+            ([0, 1], [1, -1], r"files\[0\]\.arity\[1\]: child count"),
+            ([0, 1], [1, 1], r"files\[0\]\.arity\[1\]: child count"),
+            ([0, 1, 1], [3, 0, 0], r"files\[0\]\.arity\[0\]: child count"),
+            ([0, 1], [True, 0], r"files\[0\]\.arity\[0\]: child count"),
+            ([0, 1], [1.0, 0], r"files\[0\]\.arity\[0\]: child count"),
+            ([0, 1], [0, 0], r"files\[0\]\.arity\[0\]: nodes left over"),
+            ([0, 1, 1], [1, 0], r"files\[0\]: 'nodes' and 'arity'"),
+            ([], [], r"files\[0\]: 'nodes' and 'arity'"),
+            ({"0": 0}, [0], r"files\[0\]: 'nodes' and 'arity'")):
+        with pytest.raises(DocumentError, match=message):
+            corpus_from_document(flat_document(nodes, arity))
+    for labels in (["b", "a"], ["a", "a"], ["a", ""], ["a", 1], "ab", 5):
+        with pytest.raises(DocumentError, match="'labels' must be sorted"):
+            corpus_from_document(flat_document([0], [0], labels))
+    doc = flat_document([0], [0])
+    doc["files"][0]["tree"] = {"label": "a", "children": []}
+    with pytest.raises(DocumentError, match=r"files\[0\]: unknown field 'tree'"):
+        corpus_from_document(doc)
 
 
 def test_deep_tree_operations_are_iterative():
@@ -130,10 +160,10 @@ def test_deep_tree_operations_are_iterative():
     flat = flatten(tree, vocab)
     # a chain's height order is its preorder reversed
     assert [vocab.tokens[i] for i in flat.indices] == [n.label for n in iter_nodes(tree)][::-1]
-    obj = tree_to_json(tree)
+    text = jsonio.dumps(one_file(tree))
     # documents are written iteratively, but read back only up to MAX_TREE_DEPTH
-    with pytest.raises(DepthLimitError, match="deeper than the limit"):
-        tree_from_json(obj)
+    with pytest.raises(DepthLimitError, match=r"files\[0\]\.nodes\[.*deeper than the limit"):
+        corpus_from_document(jsonio.parse(text))
 
 
 def make_records():
@@ -157,10 +187,11 @@ def test_corpus_document_roundtrip(tmp_path):
 
 
 def test_corpus_document_validation():
-    doc = corpus_to_document(make_records())
-    doc["format_version"] = 2
-    with pytest.raises(DocumentError, match="format_version"):
-        corpus_from_document(doc)
+    for version, message in ((3, "must be 2, got 3$"), (1, "got 1; re-run `ingest`")):
+        doc = corpus_to_document(make_records())
+        doc["format_version"] = version
+        with pytest.raises(DocumentError, match=message):
+            corpus_from_document(doc)
     doc = corpus_to_document(make_records())
     doc["files"][1]["label"] = 2
     with pytest.raises(DocumentError, match=r"files\[1\].*label"):
@@ -170,8 +201,8 @@ def test_corpus_document_validation():
     with pytest.raises(DocumentError, match="label"):
         corpus_from_document(doc)
     doc = corpus_to_document(make_records())
-    del doc["files"][2]["tree"]
-    with pytest.raises(DocumentError, match=r"files\[2\].*tree"):
+    del doc["files"][2]["nodes"]
+    with pytest.raises(DocumentError, match=r"files\[2\].*nodes"):
         corpus_from_document(doc)
     doc = corpus_to_document(make_records())
     doc["files"][0]["version"] = ""
@@ -234,7 +265,81 @@ def spine_tree(levels):
 def test_trees_up_to_max_depth_roundtrip_through_json(levels):
     tree = spine_tree(levels)
     assert tree_depth(tree) == len(levels)
-    back = tree_from_json(jsonio.parse(jsonio.dumps(tree_to_json(tree))))
+    back = corpus_from_document(jsonio.parse(jsonio.dumps(one_file(tree))))[0].tree
     # dataclass == recurses once per level, so compare preorder shapes instead
     assert ([(n.label, len(n.children)) for n in iter_nodes(back)]
             == [(n.label, len(n.children)) for n in iter_nodes(tree)])
+
+
+_JUNK = (st.integers(-3, 40) | st.booleans() | st.floats(allow_nan=True) | st.none()
+         | st.text(max_size=2) | st.lists(st.integers(0, 3), max_size=2))
+
+
+def _set_value(doc, entry, key, data):
+    seq = entry[key]
+    seq[data.draw(st.integers(0, len(seq) - 1))] = data.draw(_JUNK)
+
+
+def _cut_both(doc, entry, key, data):
+    n = data.draw(st.integers(0, len(entry["nodes"])))
+    entry["nodes"], entry["arity"] = entry["nodes"][:n], entry["arity"][:n]
+
+
+def _cut_one(doc, entry, key, data):
+    entry[key] = entry[key][:data.draw(st.integers(0, len(entry[key])))]
+
+
+def _second_root(doc, entry, key, data):
+    entry["nodes"], entry["arity"] = entry["nodes"] * 2, entry["arity"] * 2
+
+
+def _replace_list(doc, entry, key, data):
+    entry[key] = data.draw(_JUNK)
+
+
+def _bad_labels(doc, entry, key, data):
+    labels = doc["labels"]
+    j = data.draw(st.integers(0, len(labels) - 1))
+    how = data.draw(st.sampled_from(["drop", "junk", "repeat", "reverse", "table"]))
+    if how == "drop":
+        del labels[j]
+    elif how == "junk":
+        labels[j] = data.draw(_JUNK)
+    elif how == "repeat":
+        labels.insert(j, labels[j])
+    elif how == "reverse":
+        labels.reverse()
+    else:
+        doc["labels"] = data.draw(_JUNK)
+
+
+_CORRUPTIONS = (_set_value, _cut_both, _cut_one, _second_root, _replace_list, _bad_labels)
+_SMALL_LEVELS = st.lists(st.tuples(_LABELS, st.lists(_LABELS, max_size=2), st.integers(0, 2)),
+                         min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SMALL_LEVELS, min_size=1, max_size=3), st.data())
+def test_corrupted_documents_raise_only_document_errors(trees, data):
+    doc = corpus_to_document([FileRecord(f"f{i}.mini", "p", "1", None, spine_tree(levels))
+                              for i, levels in enumerate(trees)])
+    for _ in range(data.draw(st.integers(1, 3))):
+        corrupt = data.draw(st.sampled_from(_CORRUPTIONS))
+        if not isinstance(doc["labels"], list) or not doc["labels"]:
+            break
+        entry = doc["files"][data.draw(st.integers(0, len(doc["files"]) - 1))]
+        key = data.draw(st.sampled_from(["nodes", "arity"]))
+        if not all(isinstance(entry[k], list) and entry[k] for k in ("nodes", "arity")):
+            break
+        corrupt(doc, entry, key, data)
+    try:
+        records = corpus_from_document(doc)
+    except (DocumentError, DepthLimitError):
+        return
+    # whatever is accepted is read exactly as the document states it
+    assert all(isinstance(t, str) and t for t in doc["labels"])
+    assert doc["labels"] == sorted(set(doc["labels"]))
+    for entry, record in zip(doc["files"], records):
+        preorder = list(iter_nodes(record.tree))
+        assert [n.label for n in preorder] == [doc["labels"][i] for i in entry["nodes"]]
+        assert [len(n.children) for n in preorder] == entry["arity"]
