@@ -13,10 +13,8 @@ included as the baseline representation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from math import ceil, isfinite, sqrt
-from pathlib import Path
 
 import numpy as np
 
@@ -427,12 +425,7 @@ def write_features_csv(path, features: FeatureMatrix) -> None:
 
 
 def read_features_csv(path) -> FeatureMatrix:
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
+    rows = jsonio.read_text(path, rows=True)
     if not rows or len(rows[0]) < 4 or rows[0][:4] != ["project", "version", "file_id", "label"]:
         raise DocumentError(f"{path}: not a feature file (bad header)")
     if len(rows) == 1:

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 a produced report carries undefined-metric flags,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 import types
@@ -85,21 +84,16 @@ def _options(cls, args: argparse.Namespace, config: dict, **fixed):
 def _read_labels_file(path: str, sources: set[str]) -> dict[str, int]:
     """file_id -> label per entry of a labels CSV; each file_id must be in `sources`."""
     labels = {}
-    try:
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (lineno == 1 and row[:2] == ["file_id", "label"]):
-                    continue
-                if len(row) != 2 or row[1] not in ("0", "1"):
-                    raise DocumentError(
-                        f"{path}:{lineno}: expected 'file_id,label' with label 0 or 1")
-                if row[0] in labels:
-                    raise DocumentError(f"{path}:{lineno}: repeated file_id {row[0]!r}")
-                if row[0] not in sources:
-                    raise DocumentError(f"{path}:{lineno}: no input source file {row[0]!r}")
-                labels[row[0]] = int(row[1])
-    except OSError as exc:
-        raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
+    for lineno, row in enumerate(jsonio.read_text(path, rows=True), start=1):
+        if not row or (lineno == 1 and row[:2] == ["file_id", "label"]):
+            continue
+        if len(row) != 2 or row[1] not in ("0", "1"):
+            raise DocumentError(f"{path}:{lineno}: expected 'file_id,label' with label 0 or 1")
+        if row[0] in labels:
+            raise DocumentError(f"{path}:{lineno}: repeated file_id {row[0]!r}")
+        if row[0] not in sources:
+            raise DocumentError(f"{path}:{lineno}: no input source file {row[0]!r}")
+        labels[row[0]] = int(row[1])
     return labels
 
 
@@ -130,16 +124,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     failures: list[str] = []
     seen = set()
     for path, file_id in inputs:
+        where = ""  # the readers name the file; parse and depth errors do not
         try:
             if path.suffix == ".json":
                 records.extend(corpus_from_document(jsonio.read(path), str(path)))
                 continue
-            source = path.read_text(encoding="utf-8")
+            source = jsonio.read_text(path)
+            where = f"{path}: "
             tree = check_depth(normalize_labels(parse_mini(source)))
             records.append(FileRecord(file_id, args.project, args.version,
                                       labels.get(file_id), tree))
-        except (TreeDefectError, OSError, UnicodeDecodeError) as exc:
-            failures.append(f"{path}: {exc}")
+        except TreeDefectError as exc:
+            failures.append(f"{where}{exc}")
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures and not args.skip_bad:

@@ -41,8 +41,9 @@ VOCAB_SIZE = 10000
 MIN_COUNT = 2
 
 # Deepest tree (in nodes, root to leaf) accepted from sources or documents:
-# the depth every stage of the pipeline is held to. Sources within
-# minilang.MAX_NESTING reach 127.
+# the depth every stage of the pipeline is held to. minilang.MAX_NESTING does
+# not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so
+# `ingest` holds each parsed source to it with check_depth.
 MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
@@ -242,7 +243,7 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
     records: list[FileRecord] = []
     seen: set[tuple[str, str, str]] = set()
     for i, entry in enumerate(files):
-        where = f"files[{i}]"
+        where = f"{source}: files[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: entry must be an object")
         unknown = set(entry) - {"file_id", "project", "version", "label", "nodes", "arity"}

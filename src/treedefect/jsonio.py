@@ -59,13 +59,19 @@ def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
     write_text(path, buffer.getvalue())
 
 
-def read(path: str | Path) -> Any:
-    path = Path(path)
+def read_text(path: str | Path, rows: bool = False) -> str | list[list[str]]:
+    """The UTF-8 text of the file `path`, or with `rows` its CSV rows. A file
+    that cannot be read, decoded or cut into rows raises DocumentError
+    naming it."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"{path}: {exc.strerror or exc}") from exc
-    return parse(text, str(path))
+        with open(path, encoding="utf-8", newline="" if rows else None) as fh:
+            return list(csv.reader(fh)) if rows else fh.read()
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DocumentError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read(path: str | Path) -> Any:
+    return parse(read_text(path), str(path))
 
 
 def parse(text: str, source: str = "<string>") -> Any:

@@ -25,7 +25,7 @@ from .corpus import MIN_COUNT, VOCAB_SIZE, FileRecord, Vocabulary, build_vocabul
 from .errors import CorpusError
 from .rng import stream
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
-                       forward, init_model, packs, sample_masks)
+                       forward, init_model, pack, packs, sample_masks)
 
 HEAD_INIT_SCALE = 0.05
 
@@ -149,40 +149,39 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
 
 
 def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
-              masks: list[DropoutMasks] | None, grads: dict[str, np.ndarray] | None
-              ) -> float:
-    """Mean NLL over the internal nodes of `flats`; adds its gradients into
-    `grads` when given."""
+              dropout: tuple[float, np.random.Generator] | None,
+              grads: dict[str, np.ndarray] | None) -> float:
+    """Mean NLL over the internal nodes of `flats` (each pack draws its
+    dropout masks as it is reached); adds its gradients into `grads` if given."""
     if not flats:
         raise CorpusError("corpus of trees is empty")
     count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
     total = 0.0
-    for flat, packed_masks in packs(flats, masks):
-        total += float(_pack_loss(flat, model, head, packed_masks, grads, 1.0 / count).sum())
+    for flat in packs(flats):
+        masks = (None if dropout is None
+                 else sample_masks(flat, dropout[0], model.d, model.hidden_dim, dropout[1]))
+        total += float(_pack_loss(flat, model, head, masks, grads, 1.0 / count).sum())
     return total / count
 
 
-def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
-                masks: list[DropoutMasks] | None = None) -> float:
+def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead) -> float:
     """Mean NLL of true parent labels over all internal nodes of `flats`
-    (trees flattened through the model's vocabulary).
-
-    `masks` (one DropoutMasks per tree, from sample_masks) makes this the
-    training-time loss; None evaluates without dropout.
-    """
-    return _mean_nll(flats, model, head, masks, None)
+    (trees flattened through the model's vocabulary), without dropout."""
+    return _mean_nll(flats, model, head, None, None)
 
 
 def loss_and_gradients(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
-                       masks: list[DropoutMasks] | None = None
+                       dropout: tuple[float, np.random.Generator] | None = None
                        ) -> tuple[float, dict[str, np.ndarray]]:
     """Corpus loss plus exact reverse-mode gradients for every tensor
-    (embeddings, four gate groups, head); dropout masks are held fixed."""
+    (embeddings, four gate groups, head). `dropout` (rate, generator) makes
+    this the training-time loss: each pack draws its masks from the
+    generator, and they are held fixed for its gradients."""
     grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     grads["head.U"] = np.zeros_like(head.U)
-    return _mean_nll(flats, model, head, masks, grads), grads
+    return _mean_nll(flats, model, head, dropout, grads), grads
 
 
 def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[FlatTree]) -> float:
@@ -256,6 +255,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
     mean_square = {name: np.zeros_like(arr) for name, arr in params.items()}
     batch_rng = stream(config.seed, "batches")
     dropout_rng = stream(config.seed, "dropout")
+    dropout = (config.dropout_rate, dropout_rng) if config.dropout_rate > 0 else None
     best_perp = np.inf
     best_snapshot: dict[str, np.ndarray] | None = None
     stale = 0
@@ -264,15 +264,14 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
         epoch_nll, epoch_nodes = 0.0, 0
         for number, start in enumerate(range(0, len(order), config.batch_size), 1):
             batch = [train_flats[i] for i in order[start:start + config.batch_size]]
-            masks = None
-            if config.dropout_rate > 0:
-                masks = [sample_masks(f, config.dropout_rate, model.d,
-                                      model.hidden_dim, dropout_rng) for f in batch]
             count = sum(f.n_internal for f in batch)
             if count == 0:
+                if dropout is not None:  # drawn all the same, so that later masks keep theirs
+                    sample_masks(pack(batch), config.dropout_rate, model.d, model.hidden_dim,
+                                 dropout_rng)
                 continue
             try:
-                loss, grads = loss_and_gradients(batch, model, head, masks)
+                loss, grads = loss_and_gradients(batch, model, head, dropout)
             except ArithmeticError as exc:
                 raise ArithmeticError(f"{exc} (epoch {epoch}, batch {number})") from exc
             epoch_nll += loss * count

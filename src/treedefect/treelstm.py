@@ -26,9 +26,9 @@ np.add.reduceat over parent-grouped edges. Backward walks the same levels
 from the top down. Nothing recurses, so any tree depth fits the interpreter
 stack.
 
-During pretraining an optional dropout mask pair is applied to the embedding
-input w_t and to the aggregate h~ (inverted scaling, so inference needs no
-adjustment).
+During pretraining each pack draws a dropout mask pair (`sample_masks`),
+applied to the embedding input w_t and to the aggregate h~ (inverted
+scaling, so inference needs no adjustment).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTr
 
 @dataclass
 class DropoutMasks:
-    """Inverted-dropout masks: entries are 0 or 1/(1-rate)."""
+    """Inverted-dropout masks of one pack: entries are 0 or 1/(1-rate)."""
 
     w: np.ndarray    # (n, d) applied to the embedding input
     agg: np.ndarray  # (n, hidden_dim) applied to the aggregate h~
@@ -210,26 +210,34 @@ class DropoutMasks:
 
 def sample_masks(flat: FlatTree, rate: float, d: int, hidden_dim: int,
                  rng: np.random.Generator) -> DropoutMasks:
+    """Masks for every node of the pack `flat`, cut from one draw laid out
+    tree by tree (the tree's `w` block, then its `agg` block, rows in the
+    tree's own node order, which `pack` keeps): a node at row r of the trees
+    one after another, in a tree spanning rows [s, e), has its `w` at offset
+    r*d + s*hidden_dim and its `agg` at r*hidden_dim + e*d."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    scale = 1.0 / (1.0 - rate)
-    w = (rng.random((flat.n, d)) >= rate) * scale
-    agg = (rng.random((flat.n, hidden_dim)) >= rate) * scale
+    keep = (rng.random(flat.n * (d + hidden_dim)) >= rate) * (1.0 / (1.0 - rate))
+    row = np.empty(flat.n, dtype=np.intp)
+    row[np.argsort(flat.tree, kind="stable")] = np.arange(flat.n)
+    sizes = np.bincount(flat.tree)
+    end = np.cumsum(sizes)
+    start, end = (end - sizes)[flat.tree], end[flat.tree]
+    w = keep[(row * d + start * hidden_dim)[:, None] + np.arange(d)]
+    agg = keep[(row * hidden_dim + end * d)[:, None] + np.arange(hidden_dim)]
     return DropoutMasks(w, agg)
 
 
-def pack(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None
-         ) -> tuple[FlatTree, DropoutMasks | None]:
-    """Merge trees, and their dropout masks when given, into one FlatTree
-    that forward and backward process in a single pass. Tree numbers follow
-    the order of `flats`; per-tree results are those of the trees alone."""
+def pack(flats: Sequence[FlatTree]) -> FlatTree:
+    """Merge trees into one FlatTree that forward and backward process in a
+    single pass. Tree numbers follow the order of `flats`, and each tree's
+    nodes keep their order; per-tree results are those of the trees alone."""
     node_base = np.cumsum([0] + [f.n for f in flats])
     edge_base = np.cumsum([0] + [f.n_edges for f in flats])
     tree_base = np.cumsum([0] + [f.n_trees for f in flats])
     height = np.concatenate([f.height for f in flats])
-    order = np.argsort(height, kind="stable")
-    flat = _sorted_by_height(
-        order,
+    return _sorted_by_height(
+        np.argsort(height, kind="stable"),
         np.concatenate([f.indices for f in flats]),
         height,
         np.concatenate([f.edge_child + b for f, b in zip(flats, node_base)]),
@@ -238,22 +246,17 @@ def pack(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None
         np.concatenate([f.tree + b for f, b in zip(flats, tree_base)]),
         np.concatenate([f.roots + b for f, b in zip(flats, node_base)]),
         sum((f.names for f in flats), ()))
-    if masks is None:
-        return flat, None
-    return flat, DropoutMasks(np.concatenate([m.w for m in masks])[order],
-                              np.concatenate([m.agg for m in masks])[order])
 
 
-def packs(flats: Sequence[FlatTree], masks: Sequence[DropoutMasks] | None = None):
-    """Packs (with their masks, as `pack` returns them) of consecutive trees
-    of at most PACK_NODES nodes each."""
+def packs(flats: Sequence[FlatTree]):
+    """Packs of consecutive trees of at most PACK_NODES nodes each."""
     start = 0
     while start < len(flats):
         stop, nodes = start + 1, flats[start].n
         while stop < len(flats) and nodes + flats[stop].n <= PACK_NODES:
             nodes += flats[stop].n
             stop += 1
-        yield pack(flats[start:stop], masks[start:stop] if masks else None)
+        yield pack(flats[start:stop])
         start = stop
 
 
@@ -397,7 +400,7 @@ def forward_root(records, model: TreeLstmModel) -> np.ndarray:
     """Root hidden vectors of FileRecords, one row each in order: the files'
     feature vectors, (len(records), hidden_dim)."""
     flats = [flatten(r.tree, model.vocab, r.file_id) for r in records]
-    roots = [forward(flat, model).H[flat.roots] for flat, _ in packs(flats)]
+    roots = [forward(flat, model).H[flat.roots] for flat in packs(flats)]
     return np.concatenate(roots) if roots else np.empty((0, model.hidden_dim))
 
 

@@ -237,3 +237,18 @@ def bow_rows(trees, vocab, threshold):
             pending.extend(node.children)
         rows[i] = counts >= threshold
     return rows
+
+
+def per_tree_packed_masks(flats, rate, d, hidden_dim, rng):
+    """(w, agg) dropout masks of the pack of `flats` (lone trees) as the
+    per-tree path drew them: for each tree in order, one (n, d) `w` draw then
+    one (n, hidden_dim) `agg` draw; the blocks concatenated and put in the
+    pack's node order, a stable sort by height of the trees one after
+    another."""
+    scale = 1.0 / (1.0 - rate)
+    w, agg = [], []
+    for flat in flats:
+        w.append((rng.random((flat.n, d)) >= rate) * scale)
+        agg.append((rng.random((flat.n, hidden_dim)) >= rate) * scale)
+    order = np.argsort(np.concatenate([f.height for f in flats]), kind="stable")
+    return np.concatenate(w)[order], np.concatenate(agg)[order]

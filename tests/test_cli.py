@@ -69,7 +69,7 @@ def test_ingest_bad_file_exit_codes(tmp_path, capsys):
     out = tmp_path / "corpus.json"
     assert main(["ingest", str(src), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "bad.mini" in err and "line 1" in err
+    assert err.count(str(src / "bad.mini")) == 1 and "line 1" in err
     assert not out.exists()
     assert main(["ingest", str(src), "--output", str(out), "--skip-bad"]) == 0
     err = capsys.readouterr().err
@@ -86,7 +86,7 @@ def test_ingest_deeply_nested_source_is_bad_input(tmp_path, capsys):
     out = tmp_path / "corpus.json"
     assert main(["ingest", str(src), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "deep.mini" in err and "nesting deeper than" in err
+    assert err.count(str(src / "deep.mini")) == 1 and "nesting deeper than" in err
     assert not out.exists()
     assert main(["ingest", str(src), "--output", str(out), "--skip-bad"]) == 0
     assert "skipped 1 bad input file" in capsys.readouterr().err
@@ -464,7 +464,7 @@ def test_ingest_left_associative_chain_deeper_than_limit(tmp_path, capsys):
     out = tmp_path / "corpus.json"
     assert main(["ingest", str(src), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "chain.mini" in err and f"limit of {MAX_TREE_DEPTH}" in err
+    assert err.count(str(src / "chain.mini")) == 1 and f"limit of {MAX_TREE_DEPTH}" in err
     assert not out.exists()
     assert main(["ingest", str(src), "--output", str(out), "--skip-bad"]) == 0
     assert [r.file_id for r in read_corpus(out)] == ["good.mini"]
@@ -490,19 +490,51 @@ def test_corpus_documents_too_deep_are_bad_input(tmp_path, capsys):
             ("chain", chain(MAX_TREE_DEPTH + 1),
              f"files[0].nodes[0]: tree is deeper than the limit of {MAX_TREE_DEPTH}"),
             ("version1", nested(3), "format_version must be 2, got 1; re-run `ingest`"),
+            ("truncated", chain(3)[:40], "invalid JSON"),
             ("malformed", flat([1, 0], [1, 1]), "files[0].arity[1]: child count")):
         path = tmp_path / f"{name}.json"
         path.write_text(text, encoding="utf-8")
         assert main(["stats", "--corpus", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count(str(path)) == 1
         out = tmp_path / "corpus.json"
         assert main(["ingest", str(path), "--output", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count(str(path)) == 1
         assert main(["ingest", str(path), "--output", str(out), "--skip-bad"]) == 2
         assert "no valid input files" in capsys.readouterr().err
     path = tmp_path / "ok.json"
     path.write_text(chain(MAX_TREE_DEPTH), encoding="utf-8")
     assert main(["stats", "--corpus", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command, text", [
+    ("stats", b"\xff{}"),
+    ("evaluate", b"\xffproject,version,file_id,label,f0\n"),
+    ("train-classifier", b"project,version,file_id,label,f0\np,1,\xff,0,0.5\n"),
+    ("train-classifier", b'project,version,file_id,label,f0\np,1,"' + b"a" * 200_000 + b'",0,1\n'),
+    ("ingest-labels", b"file_id,label\ngood.mini,\xff\n"),
+    ("ingest-labels", b'file_id,label\n"' + b"a" * 200_000 + b'",0\n'),
+    ("ingest", b"int i = \xff;\n"),
+], ids=["corpus-0xff", "features-0xff", "train-features-0xff", "train-features-long-field",
+        "labels-0xff", "labels-long-field", "source-0xff"])
+def test_unreadable_text_input_is_bad_input_naming_the_file(tmp_path, workspace, capsys,
+                                                            command, text):
+    bad = tmp_path / ("bad.mini" if command == "ingest" else "bad.txt")
+    bad.write_bytes(text)
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "good.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {"stats": ["stats", "--corpus", str(bad)],
+            "evaluate": ["evaluate", "--features", str(bad), "--output", out,
+                         "--classifier-file", str(workspace["model"])],
+            "train-classifier": ["train-classifier", "--features", str(bad), "--output", out],
+            "ingest-labels": ["ingest", str(src), "--labels", str(bad), "--output", out],
+            "ingest": ["ingest", str(src), str(bad), "--output", out]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(bad)) == 1 and "internal error" not in err
 
 
 def test_ingest_of_a_corpus_document_rewrites_it_byte_for_byte(tmp_path):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, CorpusError, PretrainHead, TrainConfig, UNK_TOKEN,
-                        Vocabulary, build_vocabulary, corpus_loss, encode, flatten,
-                        generate_records, init_model, iter_nodes, loss_and_gradients,
-                        perplexity, pretrain, rmsprop_step,
-                        sample_masks, split_records, write_training_log)
+from treedefect import (AstTree, CorpusError, FileRecord, PretrainHead, TrainConfig,
+                        UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss, encode,
+                        flatten, generate_records, init_model, iter_nodes,
+                        loss_and_gradients, perplexity, pretrain, rmsprop_step,
+                        split_records, write_training_log)
 from treedefect.treelstm import PACK_NODES
 from treedefect.rng import stream
 
@@ -135,10 +135,22 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
         np.testing.assert_allclose(g, summed[key], rtol=0, atol=1e-12)
 
 
-def _fd_corpus_worst(flats, model, head, masks=None, eps=1e-5):
+def _fd_corpus_worst(flats, model, head, rate=None, eps=1e-5):
+    """Worst relative error of the gradients against central differences;
+    with a dropout `rate`, every pass draws its masks from an equal fresh
+    generator, so all passes share one set of masks."""
     params = dict(model.params)
     params["head.U"] = head.U
-    _, grads = loss_and_gradients(flats, model, head, masks)
+
+    def dropout():
+        return None if rate is None else (rate, np.random.default_rng(3))
+
+    def loss():
+        if rate is None:
+            return corpus_loss(flats, model, head)
+        return loss_and_gradients(flats, model, head, dropout())[0]
+
+    _, grads = loss_and_gradients(flats, model, head, dropout())
     worst = 0.0
     for key, arr in params.items():
         view = arr.ravel()
@@ -146,9 +158,9 @@ def _fd_corpus_worst(flats, model, head, masks=None, eps=1e-5):
         for j in range(view.size):
             orig = view[j]
             view[j] = orig + eps
-            up = corpus_loss(flats, model, head, masks)
+            up = loss()
             view[j] = orig - eps
-            down = corpus_loss(flats, model, head, masks)
+            down = loss()
             view[j] = orig
             fd = (up - down) / (2.0 * eps)
             err = abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-8)
@@ -171,10 +183,7 @@ def test_loss_gradients_with_dropout_match_finite_differences():
     head = scaled_head(5, 2, seed=18)
     trees = [random_tree(rng, vocab_size=5, max_nodes=7, min_nodes=3)
              for _ in range(3)]
-    flats = flats_of(trees, model)
-    mask_rng = np.random.default_rng(3)
-    masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
-    assert _fd_corpus_worst(flats, model, head, masks) < 1e-4
+    assert _fd_corpus_worst(flats_of(trees, model), model, head, rate=0.5) < 1e-4
 
 
 def test_rmsprop_first_step_anchor():
@@ -268,6 +277,31 @@ def test_pretrain_deterministic_and_bookkeeping():
                                 if s.val_perplexity == a.val_perplexity)
     for stats in a.log:
         assert stats.train_loss > 0 and stats.val_perplexity > 0
+
+
+def test_all_leaf_batches_keep_their_dropout_draws(monkeypatch):
+    """Every epoch takes n * (d + hidden_dim) dropout draws per training tree,
+    as the per-tree masks did, even for batches that are skipped because they
+    hold no internal node."""
+    generators = {}
+
+    def recording_stream(seed, *names):
+        generators[names] = stream(seed, *names)
+        return generators[names]
+
+    monkeypatch.setattr(sys.modules["treedefect.pretrain"], "stream", recording_stream)
+    rng = np.random.default_rng(5)
+    records = generate_records(n=12, seed=5) + [
+        FileRecord(f"leaf{i}.mini", "p", "1", None, node(int(rng.integers(4))))
+        for i in range(8)]
+    config = small_config(embedding_dim=3, hidden_dim=2, batch_size=1)
+    result = pretrain(records, config)
+    train, _, _ = split_records(records, config.split, config.seed)
+    assert any(not r.tree.children for r in train)
+    expected = stream(config.seed, "dropout")
+    per_node = config.embedding_dim + config.hidden_dim
+    expected.random(len(result.log) * per_node * sum(1 for r in train for _ in iter_nodes(r.tree)))
+    assert generators[("dropout",)].bit_generator.state == expected.bit_generator.state
 
 
 def test_pretrain_restores_best_snapshot():

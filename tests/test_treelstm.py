@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
@@ -8,11 +10,12 @@ from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
                         init_head, init_model, load_model, model_from_document,
                         model_to_document, pack, sample_masks, save_model,
                         sigmoid)
+from treedefect import treelstm
 from treedefect.corpus import MAX_TREE_DEPTH, check_depth
 from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
-from treedefect.treelstm import GATE_NAMES
+from treedefect.treelstm import GATE_NAMES, packs
 
 from conftest import node, random_tree, root_state, small_vocab
 
@@ -377,7 +380,7 @@ def test_pack_matches_recursive_oracles_per_tree():
     head = PretrainHead(np.random.default_rng(62).uniform(-0.8, 0.8, size=(7, 3)))
     trees = mixed_forest(rng, 7) + [random_tree(rng, 7, max_nodes=15)
                                     for _ in range(4)]
-    flat, _ = pack([flatten(t, model.vocab) for t in trees])
+    flat = pack([flatten(t, model.vocab) for t in trees])
     assert flat.n_trees == len(trees) and flat.depth == max(
         flatten(t, model.vocab).depth for t in trees)
     cache = forward(flat, model)
@@ -397,8 +400,8 @@ def test_pack_tree_permutation_permutes_roots_only():
     flats = [flatten(t, model.vocab) for t in mixed_forest(rng, 6)]
     flats += [flatten(random_tree(rng, 6, max_nodes=12), model.vocab) for _ in range(5)]
     perm = rng.permutation(len(flats))
-    a, _ = pack(flats)
-    b, _ = pack([flats[i] for i in perm])
+    a = pack(flats)
+    b = pack([flats[i] for i in perm])
     ha, hb = forward(a, model).H, forward(b, model).H
     np.testing.assert_allclose(hb[b.roots], ha[a.roots[perm]], rtol=0, atol=1e-12)
     np.testing.assert_allclose(_pack_loss(b, model, head, None, None, 1.0),
@@ -413,10 +416,35 @@ def test_masked_pack_backward_matches_finite_differences():
              node(1, (node(2, (node(4),)),)),
              node(0, tuple(node(i) for i in range(4)))]
     flats = [flatten(t, model.vocab) for t in trees]
-    mask_rng = np.random.default_rng(8)
-    masks = [sample_masks(f, 0.5, model.d, model.hidden_dim, mask_rng) for f in flats]
-    flat, packed_masks = pack(flats, masks)
-    assert _finite_difference_worst(flat, model, packed_masks) < 1e-4
+    flat = pack(flats)
+    masks = sample_masks(flat, 0.5, model.d, model.hidden_dim, np.random.default_rng(8))
+    assert _finite_difference_worst(flat, model, masks) < 1e-4
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 24), min_size=1, max_size=10), st.integers(1, 48),
+       st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       st.integers(0, 2**32 - 1))
+@example([1] * 9, 2, 3, 2, 0.5, 0)   # single-node trees, cut into five packs
+@example([24] * 8, 30, 4, 3, 0.5, 1)  # trees of up to 13 levels, cut into three packs
+def test_per_pack_masks_equal_the_per_tree_draws(sizes, pack_nodes, d, hidden_dim, rate,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    flats = [flatten(random_tree(rng, 5, max_nodes=m, min_nodes=m), small_vocab(5))
+             for m in sizes]
+    with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
+        cut = list(packs(flats))
+    assert sum(flat.n_trees for flat in cut) == len(flats)
+    new_rng, old_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    start = 0
+    for flat in cut:
+        masks = sample_masks(flat, rate, d, hidden_dim, new_rng)
+        w, agg = oracles.per_tree_packed_masks(flats[start:start + flat.n_trees], rate, d,
+                                               hidden_dim, old_rng)
+        start += flat.n_trees
+        assert masks.w.shape == w.shape and masks.w.tobytes() == w.tobytes()
+        assert masks.agg.shape == agg.shape and masks.agg.tobytes() == agg.tobytes()
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_non_finite_forward_names_the_first_bad_tree():
@@ -427,7 +455,7 @@ def test_non_finite_forward_names_the_first_bad_tree():
     flats = [flatten(node(1, (node(2),)), model.vocab, name="fine.mini"),
              flatten(node(4, (node(2),)), model.vocab, name="bad.mini"),
              flatten(node(4), model.vocab, name="worse.mini")]
-    flat, _ = pack(flats)
+    flat = pack(flats)
     with pytest.raises(ArithmeticError, match="bad.mini"):
         forward(flat, model)
 
