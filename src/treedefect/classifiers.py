@@ -4,11 +4,13 @@ Both classifiers are deterministic: logistic regression uses damped Newton
 (IRLS) steps with a backtracking (Armijo) line search, and the random
 forest draws every bootstrap sample and feature subset from per-tree streams
 derived from one seed, with impurity ties broken by lowest feature index and
-then lowest threshold; each node's split search scores all sampled features
-in one pass. Both kinds are scored one way: `predict_proba` maps a feature
-matrix to a vector of P(defective), which `evaluation.evaluate_predictions`
-thresholds at 0.5. A bag-of-words featurizer over normalized AST labels is
-included as the baseline representation.
+then lowest threshold. Its trees grow in lockstep: each step scores the next
+preorder node of every unfinished tree in one padded split search, in chunks
+of at most SPLIT_CELLS cells to bound its memory. Growth does not recurse, so
+any max_depth fits the interpreter stack. Both kinds are scored one way:
+`predict_proba` maps a feature matrix to a vector of P(defective), which
+`evaluation.evaluate_predictions` thresholds at 0.5. A bag-of-words featurizer
+over normalized AST labels is included as the baseline representation.
 """
 
 from __future__ import annotations
@@ -111,6 +113,9 @@ def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     if values.ndim != 2 or y.shape != (len(values),):
         raise ValueError("X must be a matrix and y a label vector with one "
                          "label per row")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise ValueError(f"X has non-finite values in {len(bad)} row(s): {bad[:10].tolist()}")
     if len(np.unique(y)) < 2:
         raise TrainingDataError("training data contains a single class")
     return values, y.astype(float)
@@ -203,61 +208,75 @@ class ForestModel:
     dim: int  # number of features the forest was trained on
 
 
-def _best_split(Xa, labels, idx, feats, min_leaf):
-    """Lowest weighted-Gini split over `feats`, all features scored at once;
-    ties go to the lowest feature index, then the lowest threshold.
-    Returns (feature, threshold) or None."""
-    n = len(idx)
-    block = Xa[np.ix_(idx, feats)].T  # (features, rows)
-    order = np.argsort(block, axis=1, kind="stable")
-    vs = np.take_along_axis(block, order, axis=1)
-    nl = np.arange(1, n)
-    nr = n - nl
-    l1 = np.cumsum(labels[order], axis=1)[:, :-1]
-    r1 = labels.sum() - l1
-    # weighted Gini * n; constant offsets dropped
+# Most cells (nodes x features x rows) in each of a padded split search's ~10 blocks
+SPLIT_CELLS = 16384
+
+
+def _best_splits(Xa, labels, rows, feats, min_leaf) -> list:
+    """Lowest weighted-Gini split, (feature, threshold) or None, of each node
+    i over its rows `rows[i]` and features `feats[i]`, all scored in one
+    (nodes, features, rows) block padded with +inf. Ties go to the lowest
+    feature index, then the lowest threshold."""
+    counts = np.array([len(idx) for idx in rows])
+    width, node = int(counts.max()), np.arange(len(rows))
+    real = np.arange(width) < counts[:, None]  # (nodes, rows)
+    padded = np.zeros(real.shape, dtype=np.intp)
+    padded[real] = np.concatenate(rows)
+    block = np.where(real[:, None, :], Xa[padded[:, None, :], feats[:, :, None]], np.inf)
+    # tie order is moot: a scored position has every row up to its value on its left
+    order = np.argsort(block, axis=2) + width * node[:, None, None]
+    vs = np.sort(block, axis=2)
+    l1 = np.cumsum(labels[padded].take(order), axis=2)[..., :-1]
+    r1 = (labels[padded] * real).sum(axis=1)[:, None, None] - l1
+    nl = np.arange(1, width)
+    nr = counts[:, None, None] - nl
+    # weighted Gini * n; constant offsets dropped; padding (nr < 1) is masked
     score = (nl - (l1 * l1 + (nl - l1) ** 2) / nl
-             + nr - (r1 * r1 + (nr - r1) ** 2) / nr)
-    valid = (vs[:, 1:] != vs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+             + nr - (r1 * r1 + (nr - r1) ** 2) / np.maximum(nr, 1))
+    valid = (vs[..., 1:] != vs[..., :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
     score[~valid] = np.inf
-    # the first minimum in feature-major order is the tie rule
-    f, pos = np.unravel_index(np.argmin(score), score.shape)
-    if not valid[f, pos]:
-        return None
-    return int(feats[f]), float((vs[f, pos] + vs[f, pos + 1]) / 2.0)
-
-
-def _build_tree(Xa, ya, idx, depth, cfg: ClassifierOptions, mtry: int,
-                rng: np.random.Generator) -> TreeNode:
-    labels = ya[idx]
-    n, n1 = len(idx), int(labels.sum())
-    split = None
-    if 0 < n1 < n and depth < cfg.max_depth and n >= 2 * cfg.min_leaf:
-        dim = Xa.shape[1]
-        feats = np.sort(rng.choice(dim, size=min(mtry, dim), replace=False))
-        split = _best_split(Xa, labels, idx, feats, cfg.min_leaf)
-    if split is None:
-        return TreeNode(proba=((n - n1) / n, n1 / n))
-    feature, threshold = split
-    mask = Xa[idx, feature] <= threshold
-    left = _build_tree(Xa, ya, idx[mask], depth + 1, cfg, mtry, rng)
-    right = _build_tree(Xa, ya, idx[~mask], depth + 1, cfg, mtry, rng)
-    return TreeNode(feature, threshold, left, right)
+    # the first minimum per node in feature-major order is the tie rule
+    f, pos = np.divmod(score.reshape(len(rows), -1).argmin(axis=1), width - 1)
+    thresholds = (vs[node, f, pos] + vs[node, f, pos + 1]) / 2.0
+    found = zip(valid[node, f, pos].tolist(), feats[node, f].tolist(), thresholds.tolist())
+    return [(feature, threshold) if ok else None for ok, feature, threshold in found]
 
 
 def train_forest(X, y, options: ClassifierOptions, seed: int) -> ForestModel:
     """Random forest of seeded-bootstrap Gini trees, sized by the forest
-    fields of `options`."""
+    fields of `options` and grown in lockstep (see the module docstring)."""
     Xa, ya = _as_xy(X, y)
     labels = ya.astype(np.intp)
     n, dim = Xa.shape
-    mtry = options.features_per_split or ceil(sqrt(dim))
-    trees = []
-    for t in range(options.n_trees):
-        rng = stream(seed, "bootstrap", t)
-        sample = rng.integers(0, n, size=n)
-        trees.append(_build_tree(Xa, labels, sample, 0, options, mtry, rng))
-    return ForestModel(trees, options, seed, dim)
+    mtry = min(options.features_per_split or ceil(sqrt(dim)), dim)
+    rngs = [stream(seed, "bootstrap", t) for t in range(options.n_trees)]
+    # per tree: (rows, depth) of the nodes still to grow, the next one last
+    pending = [[(rng.integers(0, n, size=n), 0)] for rng in rngs]
+    roots, waiting = [None] * len(rngs), [[] for _ in rngs]
+    while any(pending):
+        step, searched, splits = [], [], {}
+        for t in [t for t, todo in enumerate(pending) if todo]:
+            idx, depth = pending[t].pop()
+            step.append((t, idx, depth, n1 := np.count_nonzero(labels[idx])))
+            if (0 < n1 < len(idx) and depth < options.max_depth
+                    and len(idx) >= 2 * options.min_leaf):
+                searched.append((t, idx, rngs[t].choice(dim, size=mtry, replace=False)))
+        # consecutive chunks of nodes, each within SPLIT_CELLS (one node at least)
+        per = SPLIT_CELLS // (mtry * max((len(s[1]) for s in searched), default=1)) or 1
+        for chunk in (searched[lo:lo + per] for lo in range(0, len(searched), per)):
+            found = _best_splits(Xa, labels, [s[1] for s in chunk],
+                                 np.sort([s[2] for s in chunk], axis=1), options.min_leaf)
+            splits.update(zip([s[0] for s in chunk], found))
+        for t, idx, depth, n1 in step:
+            if splits.get(t) is None:
+                node = TreeNode(proba=((len(idx) - n1) / len(idx), n1 / len(idx)))
+            else:
+                node = TreeNode(*splits[t])
+                mask = Xa[idx, node.feature] <= node.threshold
+                pending[t] += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
+            if not _link(waiting[t], node):
+                roots[t] = node
+    return ForestModel(roots, options, seed, dim)
 
 
 def _tree_proba(node: TreeNode, x: np.ndarray) -> float:
@@ -315,26 +334,30 @@ def _node_from_spec(spec, source: str) -> TreeNode:
     return TreeNode(f, float(t))
 
 
+def _link(waiting: list[TreeNode], node: TreeNode) -> bool:
+    """Attach `node` in preorder under `waiting`, a tree's internal nodes still
+    missing a child, which it joins if internal. False when none waits: a root."""
+    linked = bool(waiting)
+    if linked and waiting[-1].left is None:
+        waiting[-1].left = node
+    elif linked:
+        waiting.pop().right = node
+    if not node.is_leaf:
+        waiting.append(node)
+    return linked
+
+
 def _tree_from_preorder(nodes, source: str) -> TreeNode:
     if not isinstance(nodes, list):
         raise DocumentError(f"{source}: tree must be a list of nodes")
     root = None
-    waiting: list[TreeNode] = []  # internal nodes still missing a child
+    waiting: list[TreeNode] = []
     for spec in nodes:
         node = _node_from_spec(spec, source)
-        if waiting:
-            parent = waiting[-1]
-            if parent.left is None:
-                parent.left = node
-            else:
-                parent.right = node
-                waiting.pop()
-        elif root is None:
+        if not _link(waiting, node):
+            if root is not None:
+                raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
             root = node
-        else:
-            raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
-        if not node.is_leaf:
-            waiting.append(node)
     if root is None or waiting:
         raise DocumentError(f"{source}: truncated tree node list")
     return root

@@ -121,21 +121,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     sources = {file_id for path, file_id in inputs if path.suffix != ".json"}
     labels = _read_labels_file(args.labels, sources) if args.labels else {}
     records: list[FileRecord] = []
+    origins: list[Path] = []  # the input that held each record
     failures: list[str] = []
-    seen = set()
     for path, file_id in inputs:
         where = ""  # the readers name the file; parse and depth errors do not
         try:
             if path.suffix == ".json":
                 records.extend(corpus_from_document(jsonio.read(path), str(path)))
-                continue
-            source = jsonio.read_text(path)
-            where = f"{path}: "
-            tree = check_depth(normalize_labels(parse_mini(source)))
-            records.append(FileRecord(file_id, args.project, args.version,
-                                      labels.get(file_id), tree))
+            else:
+                source = jsonio.read_text(path)
+                where = f"{path}: "
+                tree = check_depth(normalize_labels(parse_mini(source)))
+                records.append(FileRecord(file_id, args.project, args.version,
+                                          labels.get(file_id), tree))
         except TreeDefectError as exc:
             failures.append(f"{where}{exc}")
+        origins += [path] * (len(records) - len(origins))
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures and not args.skip_bad:
@@ -143,10 +144,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     if failures:
         print(f"warning: skipped {len(failures)} bad input file(s)", file=sys.stderr)
-    for r in records:
-        if r.key in seen:
-            raise DocumentError(f"duplicate entry for {r.key}")
-        seen.add(r.key)
+    first: dict[tuple[str, str, str], Path] = {}
+    for path, r in zip(origins, records):
+        if r.key in first:
+            raise DocumentError(f"duplicate entry for {r.key} in {first[r.key]} and {path}")
+        first[r.key] = path
     if not records:
         raise DocumentError("no valid input files; nothing to ingest")
     write_corpus(args.output, records)

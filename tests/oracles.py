@@ -8,6 +8,8 @@ rank statistics, exhaustive enumeration instead of closed forms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -221,6 +223,52 @@ def best_split(Xa, labels, idx, feats, min_leaf):
             best_score = float(score[pos])
             best = (int(f), float((vs[pos] + vs[pos + 1]) / 2.0))
     return best
+
+
+def bootstrap_stream(seed, tree):
+    """The generator of forest tree `tree`: a SeedSequence over the seed,
+    then the label "bootstrap" (0xF2 and its UTF-8 bytes), then the index
+    (0xF1 and the integer), as the package names its streams."""
+    entropy = [seed & (2**64 - 1), 0xF2, *b"bootstrap", 0xF1, tree]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def forest_document(X, y, options, seed):
+    """The classifier document of the random forest `options` describes,
+    grown one tree at a time and each tree depth first, by recursion. Tree t
+    draws its bootstrap sample from its own stream, then, node by node in
+    preorder, the sorted feature subset of each node that may split; a node
+    splits by `best_split`, sending rows <= the threshold left, or becomes a
+    leaf of (P(clean), P(defective)) over its rows."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(y).astype(np.intp)
+    n, dim = X.shape
+    mtry = min(options.features_per_split or math.ceil(math.sqrt(dim)), dim)
+
+    def grow(idx, depth, rng, nodes):
+        count, n1 = len(idx), int(labels[idx].sum())
+        split = None
+        if 0 < n1 < count and depth < options.max_depth and count >= 2 * options.min_leaf:
+            feats = np.sort(rng.choice(dim, size=mtry, replace=False))
+            split = best_split(X, labels[idx], idx, feats, options.min_leaf)
+        if split is None:
+            nodes.append({"p": [(count - n1) / count, n1 / count]})
+            return
+        nodes.append({"f": split[0], "t": split[1]})
+        left = X[idx, split[0]] <= split[1]
+        grow(idx[left], depth + 1, rng, nodes)
+        grow(idx[~left], depth + 1, rng, nodes)
+
+    trees = []
+    for t in range(options.n_trees):
+        rng = bootstrap_stream(seed, t)
+        trees.append([])
+        grow(rng.integers(0, n, size=n), 0, rng, trees[-1])
+    return {"format_version": 1, "kind": "forest", "dim": dim,
+            "n_trees": options.n_trees, "max_depth": options.max_depth,
+            "min_leaf": options.min_leaf,
+            "features_per_split": options.features_per_split, "seed": seed,
+            "trees": trees}
 
 
 def bow_rows(trees, vocab, threshold):

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
@@ -14,7 +16,8 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         load_classifier, predict_proba,
                         read_features_csv, save_classifier, train_forest,
                         train_logistic, write_features_csv)
-from treedefect.classifiers import _MAX_STEPS, TreeNode, _best_split
+from treedefect import classifiers
+from treedefect.classifiers import _MAX_STEPS, TreeNode, _best_splits
 from treedefect.errors import DocumentError
 from treedefect.treelstm import PACK_NODES, flatten, forward_root, packs
 
@@ -340,24 +343,93 @@ def test_malformed_classifier_documents_are_document_errors():
             classifier_from_document({**forest, key: value})
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(2, 12), st.integers(1, 4), st.integers(0, 1), st.integers(1, 3),
-       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_best_split_matches_per_feature_oracle(n, dim, decimals, min_leaf,
-                                               duplicate, constant, seed):
-    # rounded values, duplicated and constant columns: ties everywhere
-    rng = np.random.default_rng(seed)
+def tie_heavy_matrix(rng, n, dim, decimals, duplicate, constant):
+    """Rounded values, plus a copy of column 0 and a constant column on
+    request: split scores tie everywhere."""
     X = np.round(rng.normal(0, 1, size=(n, dim)), decimals)
     if duplicate:
         X = np.hstack([X, X[:, :1]])
     if constant:
         X = np.hstack([np.full((n, 1), 0.5), X])
+    return X
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.lists(st.integers(2, 12), min_size=1, max_size=6),
+       st.integers(1, 4), st.integers(0, 1), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(12, [2, 12, 5], 3, 0, 1, True, False, 0)  # 2-row and 12-row nodes side by side
+def test_best_split_matches_per_feature_oracle(n, counts, dim, decimals, min_leaf,
+                                               duplicate, constant, seed):
+    # nodes of different row counts scored in one padded call
+    rng = np.random.default_rng(seed)
+    X = tie_heavy_matrix(rng, n, dim, decimals, duplicate, constant)
     labels = rng.integers(0, 2, size=n)
-    idx = rng.integers(0, n, size=n)  # a bootstrap sample, as in the forest
-    feats = np.sort(rng.choice(X.shape[1], size=rng.integers(1, X.shape[1] + 1),
-                               replace=False))
-    assert (_best_split(X, labels[idx], idx, feats, min_leaf)
-            == oracles.best_split(X, labels[idx], idx, feats, min_leaf))
+    rows = [rng.integers(0, n, size=count) for count in counts]  # bootstrap-like samples
+    size = rng.integers(1, X.shape[1] + 1)
+    feats = np.sort([rng.choice(X.shape[1], size=size, replace=False) for _ in rows], axis=1)
+    assert (_best_splits(X, labels, rows, feats, min_leaf)
+            == [oracles.best_split(X, labels[idx], idx, f, min_leaf)
+                for idx, f in zip(rows, feats)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.integers(1, 5), st.integers(0, 2), st.booleans(), st.booleans(),
+       st.integers(1, 5), st.integers(1, 3), st.sampled_from([1, 2, 3, None]),
+       st.one_of(st.none(), st.integers(1, 64)), st.integers(0, 2**32 - 1), st.data())
+def test_forest_matches_recursive_oracle_byte_for_byte(n, dim, decimals, duplicate, constant,
+                                                       n_trees, min_leaf, max_depth, cells,
+                                                       seed, data):
+    # the lockstep forest against the depth-first recursive one; a cell cap of
+    # 1-64 cuts each step's split search into many chunks
+    rng = np.random.default_rng(seed)
+    X = tie_heavy_matrix(rng, n, dim, decimals, duplicate, constant)
+    y = rng.permutation(np.arange(n) % 2)
+    depth = {} if max_depth is None else {"max_depth": max_depth}
+    options = ClassifierOptions(n_trees=n_trees, min_leaf=min_leaf, **depth,
+                                features_per_split=data.draw(
+                                    st.one_of(st.none(), st.integers(1, X.shape[1]))))
+    with mock.patch.object(classifiers, "SPLIT_CELLS", cells or classifiers.SPLIT_CELLS):
+        model = train_forest(X, y, options, seed)
+    assert (json.dumps(classifier_to_document(model))
+            == json.dumps(oracles.forest_document(X, y, options, seed)))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_forest_grows_trees_deeper_than_the_recursion_limit():
+    X, y = separable()
+    train_forest(X, y, ClassifierOptions(n_trees=1), seed=0)  # lazy imports done
+    x = np.arange(2500, dtype=float).reshape(-1, 1)
+    y = np.arange(2500) % 2  # alternating labels: every split peels off a few rows
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        model = train_forest(x, y, ClassifierOptions(n_trees=1, max_depth=10**6), seed=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    deepest, stack = 0, [(model.trees[0], 1)]
+    while stack:
+        tree, level = stack.pop()
+        deepest = max(deepest, level)
+        if not tree.is_leaf:
+            stack += [(tree.left, level + 1), (tree.right, level + 1)]
+    assert deepest > 40
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_rejected_naming_their_rows(bad):
+    X, y = separable(n=10)
+    X[3, 1] = X[7, 0] = bad
+    for fit in (lambda: train_forest(X, y, ClassifierOptions(n_trees=2), seed=0),
+                lambda: train_logistic(X, y, 1e-4)):
+        with pytest.raises(ValueError, match=r"non-finite values in 2 row\(s\): \[3, 7\]"):
+            fit()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -93,15 +93,24 @@ def test_ingest_deeply_nested_source_is_bad_input(tmp_path, capsys):
     assert [r.file_id for r in read_corpus(out)] == ["good.mini"]
 
 
-def test_ingest_merges_documents_and_rejects_duplicates(tmp_path):
+def test_ingest_merges_documents_and_rejects_duplicates(tmp_path, capsys):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
+    third = tmp_path / "three.json"  # repeats one entry of the first
     write_corpus(first, generate_records(n=4, seed=33, version="1.0"))
     write_corpus(second, generate_records(n=4, seed=34, version="2.0"))
+    write_corpus(third, generate_records(n=4, seed=33, version="1.0")[2:3])
     merged = tmp_path / "merged.json"
     assert main(["ingest", str(first), str(second), "--output", str(merged)]) == 0
     assert len(read_corpus(merged)) == 8
+    capsys.readouterr()
     assert main(["ingest", str(first), str(first), "--output", str(merged)]) == 2
+    assert f"in {first} and {first}" in capsys.readouterr().err
+    assert main(["ingest", str(first), str(second), str(third),
+                 "--output", str(merged)]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate entry for ('synthetic', '1.0', 'file0002.mini')" in err
+    assert f"in {first} and {third}" in err
 
 
 def test_ingest_missing_input(tmp_path):
