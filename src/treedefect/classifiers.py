@@ -6,35 +6,30 @@ forest draws every bootstrap sample and feature subset from per-tree streams
 derived from one seed, with impurity ties broken by lowest feature index and
 then lowest threshold. Its trees grow in lockstep: each step scores the next
 preorder node of every unfinished tree in one padded split search, in chunks
-of at most SPLIT_CELLS cells to bound its memory. Growth does not recurse, so
-any max_depth fits the interpreter stack. Both kinds are scored one way:
-`predict_proba` maps a feature matrix to a vector of P(defective), which
-`evaluation.evaluate_predictions` thresholds at 0.5. A bag-of-words featurizer
-over normalized AST labels is included as the baseline representation.
+of at most SPLIT_CELLS cells to bound its memory. Grower and document reader
+fill nodes in place in preorder; a split creates its two children. Growth does
+not recurse, so any max_depth fits the interpreter stack. Both kinds are
+scored one way: `predict_proba` maps a feature matrix to a vector of
+P(defective), which `evaluation.evaluate_predictions` thresholds at 0.5. A
+bag-of-words featurizer over normalized AST labels is included as the
+baseline representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, isfinite, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
 from . import jsonio
+from .jsonio import is_int, is_number
 from .corpus import FileRecord, Vocabulary, encode, iter_nodes
 from .errors import DocumentError, TrainingDataError
 from .rng import stream
 from .treelstm import TreeLstmModel, forward_root, sigmoid
 
 CLASSIFIER_KINDS = ("logistic", "forest")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
 
 
 @dataclass
@@ -53,14 +48,14 @@ class ClassifierOptions:
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"classifier kind must be one of {CLASSIFIER_KINDS}, "
                              f"got {self.kind!r}")
-        if not (_is_number(self.l2) and self.l2 >= 0):
+        if not (is_number(self.l2) and self.l2 >= 0):
             raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
         sizes = {"n_trees": self.n_trees, "max_depth": self.max_depth,
                  "min_leaf": self.min_leaf}
         if self.features_per_split is not None:
             sizes["features_per_split"] = self.features_per_split
         for name, value in sizes.items():
-            if not (_is_int(value) and value >= 1):
+            if not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -110,9 +105,9 @@ def bow_featurize(records: list[FileRecord], vocab: Vocabulary,
 def _as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if values.ndim != 2 or y.shape != (len(values),):
-        raise ValueError("X must be a matrix and y a label vector with one "
-                         "label per row")
+    if values.ndim != 2 or values.shape[1] == 0 or y.shape != (len(values),):
+        raise ValueError("X must be a matrix with at least one column and y a "
+                         "label vector with one label per row")
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if len(bad):
         raise ValueError(f"X has non-finite values in {len(bad)} row(s): {bad[:10].tolist()}")
@@ -200,6 +195,13 @@ class TreeNode:
         return self.proba is not None
 
 
+def _split(node: TreeNode, feature: int, threshold: float) -> tuple[TreeNode, TreeNode]:
+    """Make `node` split on `feature <= threshold`; return its new empty (left, right)."""
+    node.feature, node.threshold = feature, threshold
+    node.left, node.right = TreeNode(), TreeNode()
+    return node.left, node.right
+
+
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
@@ -250,14 +252,14 @@ def train_forest(X, y, options: ClassifierOptions, seed: int) -> ForestModel:
     n, dim = Xa.shape
     mtry = min(options.features_per_split or ceil(sqrt(dim)), dim)
     rngs = [stream(seed, "bootstrap", t) for t in range(options.n_trees)]
-    # per tree: (rows, depth) of the nodes still to grow, the next one last
-    pending = [[(rng.integers(0, n, size=n), 0)] for rng in rngs]
-    roots, waiting = [None] * len(rngs), [[] for _ in rngs]
+    roots = [TreeNode() for _ in rngs]
+    # per tree: (rows, depth, node) of the nodes still to grow, the next one last
+    pending = [[(rng.integers(0, n, size=n), 0, root)] for rng, root in zip(rngs, roots)]
     while any(pending):
         step, searched, splits = [], [], {}
         for t in [t for t, todo in enumerate(pending) if todo]:
-            idx, depth = pending[t].pop()
-            step.append((t, idx, depth, n1 := np.count_nonzero(labels[idx])))
+            idx, depth, node = pending[t].pop()
+            step.append((t, idx, depth, node, n1 := np.count_nonzero(labels[idx])))
             if (0 < n1 < len(idx) and depth < options.max_depth
                     and len(idx) >= 2 * options.min_leaf):
                 searched.append((t, idx, rngs[t].choice(dim, size=mtry, replace=False)))
@@ -267,15 +269,13 @@ def train_forest(X, y, options: ClassifierOptions, seed: int) -> ForestModel:
             found = _best_splits(Xa, labels, [s[1] for s in chunk],
                                  np.sort([s[2] for s in chunk], axis=1), options.min_leaf)
             splits.update(zip([s[0] for s in chunk], found))
-        for t, idx, depth, n1 in step:
+        for t, idx, depth, node, n1 in step:
             if splits.get(t) is None:
-                node = TreeNode(proba=((len(idx) - n1) / len(idx), n1 / len(idx)))
+                node.proba = ((len(idx) - n1) / len(idx), n1 / len(idx))
             else:
-                node = TreeNode(*splits[t])
+                left, right = _split(node, *splits[t])
                 mask = Xa[idx, node.feature] <= node.threshold
-                pending[t] += [(idx[~mask], depth + 1), (idx[mask], depth + 1)]
-            if not _link(waiting[t], node):
-                roots[t] = node
+                pending[t] += [(idx[~mask], depth + 1, right), (idx[mask], depth + 1, left)]
     return ForestModel(roots, options, seed, dim)
 
 
@@ -316,49 +316,32 @@ def _tree_to_preorder(root: TreeNode) -> list[dict]:
     return nodes
 
 
-def _node_from_spec(spec, source: str) -> TreeNode:
-    if not isinstance(spec, dict):
-        raise DocumentError(f"{source}: tree node must be an object")
-    if "p" in spec:
-        p = spec["p"]
-        if not (isinstance(p, list) and len(p) == 2
-                and all(_is_number(v) and 0 <= v <= 1 for v in p)
-                and abs(p[0] + p[1] - 1.0) <= 1e-9):
-            raise DocumentError(f"{source}: leaf probabilities must be a pair "
-                                "of numbers in [0, 1] that sums to 1")
-        return TreeNode(proba=(float(p[0]), float(p[1])))
-    f, t = spec.get("f"), spec.get("t")
-    if not (_is_int(f) and f >= 0 and _is_number(t)):
-        raise DocumentError(f"{source}: tree node needs 'p', or an integer "
-                            "feature 'f' >= 0 and a number 't'")
-    return TreeNode(f, float(t))
-
-
-def _link(waiting: list[TreeNode], node: TreeNode) -> bool:
-    """Attach `node` in preorder under `waiting`, a tree's internal nodes still
-    missing a child, which it joins if internal. False when none waits: a root."""
-    linked = bool(waiting)
-    if linked and waiting[-1].left is None:
-        waiting[-1].left = node
-    elif linked:
-        waiting.pop().right = node
-    if not node.is_leaf:
-        waiting.append(node)
-    return linked
-
-
 def _tree_from_preorder(nodes, source: str) -> TreeNode:
     if not isinstance(nodes, list):
         raise DocumentError(f"{source}: tree must be a list of nodes")
-    root = None
-    waiting: list[TreeNode] = []
+    root = TreeNode()
+    unfilled = [root]  # the next node to fill last, as in a preorder walk
     for spec in nodes:
-        node = _node_from_spec(spec, source)
-        if not _link(waiting, node):
-            if root is not None:
-                raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
-            root = node
-    if root is None or waiting:
+        if not unfilled:
+            raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
+        node = unfilled.pop()
+        if not isinstance(spec, dict):
+            raise DocumentError(f"{source}: tree node must be an object")
+        if "p" in spec:
+            p = spec["p"]
+            if not (isinstance(p, list) and len(p) == 2
+                    and all(is_number(v) and 0 <= v <= 1 for v in p)
+                    and abs(p[0] + p[1] - 1.0) <= 1e-9):
+                raise DocumentError(f"{source}: leaf probabilities must be a pair "
+                                    "of numbers in [0, 1] that sums to 1")
+            node.proba = (float(p[0]), float(p[1]))
+            continue
+        f, t = spec.get("f"), spec.get("t")
+        if not (is_int(f) and f >= 0 and is_number(t)):
+            raise DocumentError(f"{source}: tree node needs 'p', or an integer "
+                                "feature 'f' >= 0 and a number 't'")
+        unfilled += reversed(_split(node, f, float(t)))
+    if unfilled:
         raise DocumentError(f"{source}: truncated tree node list")
     return root
 
@@ -383,7 +366,7 @@ def _dim(doc, used: int, source: str) -> int:
     """The document's feature dimension, which must be a positive integer
     and cover the `used` features its model reads."""
     dim = doc.get("dim")
-    if not (_is_int(dim) and dim >= max(used, 1)):
+    if not (is_int(dim) and dim >= max(used, 1)):
         raise DocumentError(f"{source}: 'dim' must be an integer >= {max(used, 1)}, "
                             f"got {dim!r}")
     return dim
@@ -395,9 +378,9 @@ def classifier_from_document(doc, source: str = "classifier"):
     kind = doc.get("kind")
     if kind == "logistic":
         weights, bias, l2 = doc.get("weights"), doc.get("bias"), doc.get("l2")
-        if not (isinstance(weights, list) and all(map(_is_number, weights))):
+        if not (isinstance(weights, list) and all(map(is_number, weights))):
             raise DocumentError(f"{source}: 'weights' must be a number array")
-        if not (_is_number(bias) and _is_number(l2) and l2 >= 0):
+        if not (is_number(bias) and is_number(l2) and l2 >= 0):
             raise DocumentError(f"{source}: 'bias' must be a number and 'l2' "
                                 "a number >= 0")
         if _dim(doc, len(weights), source) != len(weights):
@@ -413,7 +396,7 @@ def classifier_from_document(doc, source: str = "classifier"):
         features = [node["f"] for t in trees_doc for node in t if "p" not in node]
         dim = _dim(doc, max(features, default=-1) + 1, source)
         seed = doc.get("seed")
-        if not _is_int(seed):
+        if not is_int(seed):
             raise DocumentError(f"{source}: 'seed' must be an integer")
         try:
             options = ClassifierOptions("forest", n_trees=doc.get("n_trees"),
@@ -449,8 +432,10 @@ def write_features_csv(path, features: FeatureMatrix) -> None:
 
 def read_features_csv(path) -> FeatureMatrix:
     rows = jsonio.read_text(path, rows=True)
-    if not rows or len(rows[0]) < 4 or rows[0][:4] != ["project", "version", "file_id", "label"]:
+    if not rows or rows[0][:4] != ["project", "version", "file_id", "label"]:
         raise DocumentError(f"{path}: not a feature file (bad header)")
+    if len(rows[0]) == 4:
+        raise DocumentError(f"{path}: feature file has no feature columns")
     if len(rows) == 1:
         raise DocumentError(f"{path}: feature file has no rows")
     dim = len(rows[0]) - 4

@@ -60,9 +60,7 @@ def _config_file(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict:
     doc = jsonio.read(args.config)
     if not isinstance(doc, dict):
         raise DocumentError(f"{args.config}: config must be an object")
-    unknown = [k for k in doc if k not in allowed]
-    if unknown:
-        raise DocumentError(f"{args.config}: unknown config key {unknown[0]!r}")
+    jsonio.known_fields(doc, allowed, args.config)
     return doc
 
 

@@ -230,9 +230,7 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
     if version != 2:
         rerun = "; re-run `ingest` on the sources to write version 2" if version == 1 else ""
         raise DocumentError(f"{source}: format_version must be 2, got {version!r}{rerun}")
-    unknown = set(doc) - {"format_version", "labels", "files"}
-    if unknown:
-        raise DocumentError(f"{source}: unknown field {sorted(unknown)[0]!r}")
+    jsonio.known_fields(doc, ("format_version", "labels", "files"), source)
     labels = doc.get("labels")
     if (not isinstance(labels, list) or not all(isinstance(t, str) and t for t in labels)
             or any(a >= b for a, b in zip(labels, labels[1:]))):
@@ -246,9 +244,8 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
         where = f"{source}: files[{i}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: entry must be an object")
-        unknown = set(entry) - {"file_id", "project", "version", "label", "nodes", "arity"}
-        if unknown:
-            raise DocumentError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+        jsonio.known_fields(entry, ("file_id", "project", "version", "label", "nodes",
+                                    "arity"), where)
         for key in ("file_id", "project", "version"):
             value = entry.get(key)
             if not isinstance(value, str) or not value:

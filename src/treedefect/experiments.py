@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import jsonio
 from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, FeatureMatrix,
                           featurize_corpus, predict_proba, train_forest,
                           train_logistic)
@@ -196,35 +197,34 @@ def parse_descriptor(doc, source: str = "descriptor"):
     if not isinstance(doc, dict):
         raise DocumentError(f"{source}: descriptor must be an object")
     kind = doc.get("experiment")
+    if kind not in ("cv", "version-pairs"):
+        raise DocumentError(f"{source}: 'experiment' must be 'cv' or 'version-pairs'")
+    jsonio.known_fields(doc, ("experiment", "classifier", "k" if kind == "cv" else "pairs"),
+                        source)
+    classifier = doc.get("classifier", "forest" if kind == "cv" else "logistic")
+    if classifier not in CLASSIFIER_KINDS:
+        raise DocumentError(f"{source}: unknown classifier {classifier!r}")
     if kind == "cv":
         k = doc.get("k", 10)
-        if not isinstance(k, int) or k < 2:
+        if not jsonio.is_int(k) or k < 2:
             raise DocumentError(f"{source}: 'k' must be an integer >= 2")
-        classifier = doc.get("classifier", "forest")
-        if classifier not in CLASSIFIER_KINDS:
-            raise DocumentError(f"{source}: unknown classifier {classifier!r}")
         return CvDescriptor(k, classifier)
-    if kind == "version-pairs":
-        raw = doc.get("pairs")
-        if not isinstance(raw, list) or not raw:
-            raise DocumentError(f"{source}: 'pairs' must be a non-empty list")
-        pairs = []
-        for i, entry in enumerate(raw):
-            where = f"{source}.pairs[{i}]"
-            if not isinstance(entry, dict):
-                raise DocumentError(f"{where}: pair must be an object")
-            sides = []
-            for side in ("train", "test"):
-                spec = entry.get(side)
-                if (not isinstance(spec, dict)
-                        or not isinstance(spec.get("project"), str)
-                        or not isinstance(spec.get("version"), str)):
-                    raise DocumentError(
-                        f"{where}: {side!r} needs string fields project and version")
-                sides.append((spec["project"], spec["version"]))
-            pairs.append((sides[0], sides[1]))
-        classifier = doc.get("classifier", "logistic")
-        if classifier not in CLASSIFIER_KINDS:
-            raise DocumentError(f"{source}: unknown classifier {classifier!r}")
-        return PairsDescriptor(pairs, classifier)
-    raise DocumentError(f"{source}: 'experiment' must be 'cv' or 'version-pairs'")
+    raw = doc.get("pairs")
+    if not isinstance(raw, list) or not raw:
+        raise DocumentError(f"{source}: 'pairs' must be a non-empty list")
+    pairs = []
+    for i, entry in enumerate(raw):
+        where = f"{source}.pairs[{i}]"
+        if not isinstance(entry, dict):
+            raise DocumentError(f"{where}: pair must be an object")
+        jsonio.known_fields(entry, ("train", "test"), where)
+        sides = []
+        for side in ("train", "test"):
+            spec = entry.get(side)
+            if (not isinstance(spec, dict) or not isinstance(spec.get("project"), str)
+                    or not isinstance(spec.get("version"), str)):
+                raise DocumentError(f"{where}: {side!r} needs string fields project and version")
+            jsonio.known_fields(spec, ("project", "version"), f"{where}.{side}")
+            sides.append((spec["project"], spec["version"]))
+        pairs.append((sides[0], sides[1]))
+    return PairsDescriptor(pairs, classifier)

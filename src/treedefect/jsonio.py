@@ -14,6 +14,7 @@ import io
 import json
 import os
 from collections.abc import Iterable, Sequence
+from math import isfinite
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +24,23 @@ from .errors import DocumentError
 # as a full disk, are not input errors and stay OSErrors, naming the target.
 PATH_ERRORS = (FileExistsError, FileNotFoundError, IsADirectoryError,
                NotADirectoryError, PermissionError)
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN or infinite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
+
+
+def known_fields(doc: dict, fields: Iterable[str], where: str) -> None:
+    """Raise DocumentError naming the alphabetically first key of `doc` not in `fields`."""
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise DocumentError(f"{where}: unknown field {unknown[0]!r}")
 
 
 def dumps(doc: Any) -> str:

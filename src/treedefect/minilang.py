@@ -187,7 +187,7 @@ class _Parser:
         nxt = self.peek(1)
         return nxt is not None and nxt.text == "="
 
-    def declaration(self, consume_semi: bool = True) -> AstTree:
+    def declaration(self) -> AstTree:
         type_tok = self.take()
         name = self.peek()
         if name is None or name.kind != "ident":
@@ -197,8 +197,7 @@ class _Parser:
         if self.at("="):
             self.take()
             children.append(self.expression())
-        if consume_semi:
-            self.expect(";")
+        self.expect(";")
         return AstTree("VariableDeclaration", tuple(children))
 
     def assignment(self, consume_semi: bool = True) -> AstTree:

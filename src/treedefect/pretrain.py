@@ -4,7 +4,7 @@ For every internal node t the head turns the average of the children's hidden
 states, g_t = (1/|C(t)|) sum_k h_k, into a distribution over the vocabulary
 via softmax(U g_t); the loss is the mean negative log probability of the true
 parent label over all internal nodes. (The Tree-LSTM cell itself aggregates
-children by sum; the head deliberately averages.)
+children by sum; the head divides the cell's own sum by the child count.)
 
 Training is RMSprop over minibatches of whole trees with inverted dropout on
 the embedding input and the cell aggregate, early stopping on validation
@@ -69,24 +69,25 @@ class TrainConfig:
         # the split also comes as "0.8,0.1,0.1", the form of --split
         parts = self.split.split(",") if isinstance(self.split, str) else self.split
         try:
+            if not all(isinstance(f, str) or jsonio.is_number(f) for f in parts):
+                raise ValueError("not a number")
             self.split = tuple(float(f) for f in parts)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"split must be three fractions, got {self.split!r}") from exc
-        for name in ("learning_rate", "rms_epsilon"):
+        floats = {"learning_rate": "> 0", "rms_decay": "in [0, 1)", "rms_epsilon": "> 0",
+                  "dropout_rate": "in [0, 1)"}
+        for name, bound in floats.items():
             value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 <= self.rms_decay < 1:
-            raise ValueError(f"rms_decay must be in [0, 1), got {self.rms_decay}")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            if not (jsonio.is_number(value)
+                    and (0 < value if bound == "> 0" else 0 <= value < 1)):
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
         ints = {"seed": None, "max_epochs": 0, "patience": 1, "batch_size": 1,
                 "embedding_dim": 1, "hidden_dim": 1, "vocab_size": 1, "min_count": 1}
         for name, least in ints.items():
             value = getattr(self, name)
             if name == "hidden_dim" and value is None:
                 continue  # hidden_dim defaults to embedding_dim
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not jsonio.is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if least is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -125,11 +126,10 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     cache = forward(flat, model, masks)
     if flat.n_internal == 0:
         return np.zeros(flat.n_trees)
-    # leaves come first, so the internal nodes are the run after them, and
-    # their edges, grouped by parent, are every edge in the same order
+    # leaves come first, so the internal nodes are the run after them
     first = flat.n - flat.n_internal
     k = np.diff(flat.edge_start[first:])[:, None]
-    G = np.add.reduceat(cache.H[flat.edge_child], flat.edge_start[first:-1], axis=0) / k
+    G = cache.S[first:] / k
     rows = np.arange(len(k))
     targets = flat.indices[first:]
     P = _softmax_rows(G @ head.U.T)

@@ -263,7 +263,7 @@ def packs(flats: Sequence[FlatTree]):
 @dataclass
 class ForwardCache:
     X: np.ndarray    # (n, d) embedding input after masking
-    HT: np.ndarray   # (n, hd) aggregate h~ after masking (zero at leaves)
+    S: np.ndarray    # (n, hd) children's summed h before masking (zero at leaves)
     I: np.ndarray    # (n, hd) input gate
     CB: np.ndarray   # (n, hd) cell candidate c~
     O: np.ndarray    # (n, hd) output gate
@@ -299,7 +299,7 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     C = I * CB
     TC = np.tanh(C)
     H = O * TC
-    HT = np.zeros((n, hd))
+    S = np.zeros((n, hd))
     F = np.empty((flat.n_edges, hd))
     edge_start = flat.edge_start
     for lo, hi, e0, e1 in flat.levels[1:]:
@@ -308,10 +308,9 @@ def forward(flat: FlatTree, model: TreeLstmModel,
         Hch = H[ch]
         f = sigmoid(AF[e0:e1] + Hch @ UfT)
         F[e0:e1] = f
-        ht = np.add.reduceat(Hch, starts, axis=0)
+        ht = S[lo:hi] = np.add.reduceat(Hch, starts, axis=0)
         if masks is not None:
-            ht *= masks.agg[lo:hi]
-        HT[lo:hi] = ht
+            ht = ht * masks.agg[lo:hi]
         i_g = sigmoid(AI[lo:hi] + ht @ UiT)
         cb = np.tanh(AC[lo:hi] + ht @ UcT)
         c = i_g * cb + np.add.reduceat(f * C[ch], starts, axis=0)
@@ -328,7 +327,7 @@ def forward(flat: FlatTree, model: TreeLstmModel,
         name = flat.names[tree]
         raise ArithmeticError("non-finite hidden state in the tree forward pass of "
                               + (name if name else f"tree {tree}"))
-    return ForwardCache(X, HT, I, CB, O, TC, H, C, F, masks)
+    return ForwardCache(X, S, I, CB, O, TC, H, C, F, masks)
 
 
 def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
@@ -375,7 +374,8 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
             if masks is not None:
                 dht *= masks.agg[lo:hi]
             dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ p["forget.U"]
-    X, HT, H = cache.X, cache.HT, cache.H
+    X, H = cache.X, cache.H
+    HT = cache.S if masks is None else cache.S * masks.agg  # the gates' input h~
     grads["input.W"] += dAi.T @ X
     grads["input.U"] += dAi.T @ HT
     grads["input.b"] += dAi.sum(axis=0)
@@ -444,7 +444,7 @@ def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.n
     except ValueError as exc:
         raise DocumentError(f"{source}: {exc}") from exc
     d, hd = doc.get("d"), doc.get("hidden_dim")
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (d, hd)):
+    if not all(jsonio.is_int(v) and v >= 1 for v in (d, hd)):
         raise DocumentError(f"{source}: 'd' and 'hidden_dim' must be positive integers")
     params = {"embeddings": _array_field(doc, "embeddings", (d, len(tokens)), source)}
     shapes = {"W": (hd, d), "U": (hd, hd), "b": (hd,)}

@@ -432,6 +432,14 @@ def test_non_finite_features_are_rejected_naming_their_rows(bad):
             fit()
 
 
+def test_trainers_reject_a_matrix_without_columns():
+    X, y = separable(n=10)
+    for fit in (lambda: train_forest(X[:, :0], y, ClassifierOptions(n_trees=2), seed=0),
+                lambda: train_logistic(X[:, :0], y, 1e-4)):
+        with pytest.raises(ValueError, match="at least one column"):
+            fit()
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(4, 20), st.integers(1, 3), st.sampled_from(["logistic", "forest"]),
        st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))

@@ -176,14 +176,18 @@ def test_pretrain_config_file_and_flag_precedence(tmp_path, workspace):
                                    ["--vocab-size", "0"], ["--min-count", "0"],
                                    ["--config", "float-epochs.json"],
                                    ["--learning-rate", "nan"], ["--learning-rate", "inf"],
-                                   ["--rms-epsilon", "nan"], ["--split", "nan,0.5,0.5"]],
+                                   ["--rms-epsilon", "nan"], ["--split", "nan,0.5,0.5"],
+                                   ["--config", "bool-rates.json"]],
                          ids=["embedding-dim", "hidden-dim", "vocab-size", "min-count",
                               "float-max-epochs-in-config", "nan-learning-rate",
-                              "inf-learning-rate", "nan-rms-epsilon", "nan-split"])
+                              "inf-learning-rate", "nan-rms-epsilon", "nan-split",
+                              "bool-rates-in-config"])
 def test_pretrain_bad_training_options_are_bad_input(tmp_path, workspace, capsys,
                                                      monkeypatch, flags):
     monkeypatch.chdir(tmp_path)
     Path("float-epochs.json").write_text('{"max_epochs": 1.5}\n', encoding="utf-8")
+    Path("bool-rates.json").write_text('{"learning_rate": true, "dropout_rate": false}\n',
+                                       encoding="utf-8")
     assert main(["pretrain", "--corpus", str(workspace["corpus"]),
                  "--output", "model.json", *flags]) == 2
     assert "bad option" in capsys.readouterr().err
@@ -629,6 +633,18 @@ def test_header_only_feature_file_is_bad_input(tmp_path, workspace, capsys):
     out = tmp_path / "clf2.json"
     assert main(["train-classifier", "--features", str(empty), "--output", str(out)]) == 2
     assert f"error: {empty}: feature file has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["forest", "logistic"])
+def test_feature_file_without_feature_columns_is_bad_input(tmp_path, capsys, kind):
+    keys_only = tmp_path / "keys-only.csv"
+    keys_only.write_text("project,version,file_id,label\n"
+                         + "".join(f"p,1,f{i},{i % 2}\n" for i in range(4)), encoding="utf-8")
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(keys_only), "--output", str(out),
+                 "--classifier", kind]) == 2
+    assert f"error: {keys_only}: feature file has no feature columns" in capsys.readouterr().err
     assert not out.exists()
 
 

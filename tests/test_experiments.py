@@ -204,6 +204,22 @@ def test_parse_descriptor_cv():
         parse_descriptor({"experiment": "cv", "classifier": "svm"})
 
 
+def test_parse_descriptor_rejects_unknown_fields():
+    pair = {"train": {"project": "a", "version": "1"},
+            "test": {"project": "b", "version": "2"}}
+    for doc, where, key in [
+            ({"experiment": "cv", "k": 2, "clasifier": "logistic"}, "descriptor", "clasifier"),
+            ({"experiment": "cv", "pairs": [pair]}, "descriptor", "pairs"),
+            ({"experiment": "version-pairs", "k": 2, "pairs": [pair]}, "descriptor", "k"),
+            ({"experiment": "version-pairs", "pairs": [{**pair, "tset": {}}]},
+             r"descriptor\.pairs\[0\]", "tset"),
+            ({"experiment": "version-pairs",
+              "pairs": [pair, {**pair, "test": {**pair["test"], "verison": "3"}}]},
+             r"descriptor\.pairs\[1\]\.test", "verison")]:
+        with pytest.raises(DocumentError, match=rf"^{where}: unknown field '{key}'$"):
+            parse_descriptor(doc)
+
+
 def test_parse_descriptor_pairs():
     doc = {"experiment": "version-pairs",
            "pairs": [{"train": {"project": "a", "version": "1"},

@@ -228,6 +228,15 @@ def test_train_config_validation():
         assert TrainConfig(split=split).split == (0.8, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": True}, {"dropout_rate": False}, {"rms_epsilon": True},
+    {"rms_decay": False}, {"learning_rate": "0.1"}, {"split": [0.8, 0.1, True]}])
+def test_train_config_takes_only_finite_numbers_for_its_float_fields(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**kwargs)
+
+
 def test_split_records_partitions():
     records = generate_records(n=20, seed=3)
     train, val, test = split_records(records, (0.8, 0.1, 0.1), seed=5)
