@@ -16,11 +16,10 @@ from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabular
                      cell, encode, iter_nodes, normalize_label,
                      normalize_labels, read_corpus, tree_depth, write_corpus)
 from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
-                     TrainingDataError, TreeDefectError, UndefinedMetricError)
-from .evaluation import (ConfusionMatrix, MetricsReport, auc, confusion,
-                         evaluate_predictions, f_measure, precision, recall,
-                         report_from_json, report_to_json, report_to_row,
-                         stratified_k_fold, write_report_csv, write_report_json)
+                     TrainingDataError, TreeDefectError)
+from .evaluation import (ConfusionMatrix, MetricsReport, auc, evaluate_predictions,
+                         report_from_json, stratified_k_fold, write_report_csv,
+                         write_report_json)
 from .experiments import (CvDescriptor, CvResult,
                           FoldFeatures, PairsDescriptor, ProjectStats,
                           average_report, cv_feature_folds, cv_from_folds,

@@ -439,12 +439,16 @@ def read_features_csv(path) -> FeatureMatrix:
     if len(rows) == 1:
         raise DocumentError(f"{path}: feature file has no rows")
     dim = len(rows[0]) - 4
-    keys, labels = [], []
+    lines: dict[tuple[str, str, str], int] = {}  # key -> the line that holds it
+    labels = []
     values = np.empty((len(rows) - 1, dim))
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != dim + 4:
             raise DocumentError(f"{path}:{r}: expected {dim + 4} columns, got {len(row)}")
-        keys.append((row[0], row[1], row[2]))
+        key = (row[0], row[1], row[2])
+        if key in lines:
+            raise DocumentError(f"{path}:{r}: repeated key {key} (first on line {lines[key]})")
+        lines[key] = r
         if row[3] == "":
             labels.append(None)
         elif row[3] in ("0", "1"):
@@ -457,4 +461,4 @@ def read_features_csv(path) -> FeatureMatrix:
             raise DocumentError(f"{path}:{r}: bad feature value") from exc
         if not np.all(np.isfinite(values[r - 2])):
             raise DocumentError(f"{path}:{r}: feature values must be finite")
-    return FeatureMatrix(keys, values, labels)
+    return FeatureMatrix(list(lines), values, labels)

@@ -196,19 +196,15 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
+    if args.method == "tree" and (args.vocab or not args.model):
+        raise DocumentError("--method tree needs --model and takes no --vocab")
+    if args.method == "bow" and bool(args.model) == bool(args.vocab):
+        raise DocumentError("--method bow needs one of --model or --vocab for the vocabulary")
     records = read_corpus(args.corpus)
     if args.method == "tree":
-        if not args.model:
-            raise DocumentError("--model is required for --method tree")
-        model, _ = load_model(args.model)
-        features = featurize_corpus(records, model)
+        features = featurize_corpus(records, load_model(args.model)[0])
     else:
-        if args.model:
-            vocab = load_model(args.model)[0].vocab
-        elif args.vocab:
-            vocab = _load_vocab_file(args.vocab)
-        else:
-            raise DocumentError("--method bow needs --model or --vocab for the vocabulary")
+        vocab = load_model(args.model)[0].vocab if args.model else _load_vocab_file(args.vocab)
         try:
             features = bow_featurize(records, vocab, args.threshold)
         except ValueError as exc:  # --threshold below 1

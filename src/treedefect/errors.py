@@ -38,7 +38,3 @@ class DepthLimitError(TreeDefectError):
 
 class TrainingDataError(TreeDefectError):
     """Training data degenerate for the requested model (single class)."""
-
-
-class UndefinedMetricError(TreeDefectError):
-    """Metric undefined on the given input (e.g. AUC with one class)."""

@@ -1,8 +1,10 @@
-"""Confusion-matrix metrics, ranking AUC, stratified folds and report files.
+"""Cell metrics, ranking AUC, stratified folds and report files.
 
-Defective is the positive class throughout. Metrics with a zero denominator
-are reported as 0 together with an explicit flag instead of NaN, so averages
-over experiment cells stay well defined.
+Defective is the positive class throughout. `evaluate_predictions` is the
+one place that counts the confusion matrix and derives precision, recall and
+F-measure from it. Metrics with a zero denominator are reported as 0 together
+with an explicit flag instead of NaN, so averages over experiment cells stay
+well defined; `auc` returns None when the labels hold only one class.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import jsonio
 from .corpus import FileRecord
-from .errors import CorpusError, DocumentError, UndefinedMetricError
+from .errors import CorpusError, DocumentError
 from .rng import stream
 
 
@@ -29,33 +31,9 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion(predictions, labels) -> ConfusionMatrix:
-    preds = np.asarray(predictions)
-    labs = np.asarray(labels)
-    if preds.shape != labs.shape or preds.ndim != 1 or len(preds) == 0:
-        raise ValueError("predictions and labels must be equal-length non-empty vectors")
-    tp = int(np.sum((preds == 1) & (labs == 1)))
-    fp = int(np.sum((preds == 1) & (labs == 0)))
-    fn = int(np.sum((preds == 0) & (labs == 1)))
-    tn = int(np.sum((preds == 0) & (labs == 0)))
-    return ConfusionMatrix(tp, fp, fn, tn)
-
-
-def precision(m: ConfusionMatrix) -> float:
-    return m.tp / (m.tp + m.fp) if m.tp + m.fp else 0.0
-
-
-def recall(m: ConfusionMatrix) -> float:
-    return m.tp / (m.tp + m.fn) if m.tp + m.fn else 0.0
-
-
-def f_measure(m: ConfusionMatrix) -> float:
-    pr, re = precision(m), recall(m)
-    return 2.0 * pr * re / (pr + re) if pr + re else 0.0
-
-
-def auc(scores, labels) -> float:
-    """Mann-Whitney AUC with midrank tie handling (ties earn half credit)."""
+def auc(scores, labels) -> float | None:
+    """Mann-Whitney AUC with midrank tie handling (ties earn half credit),
+    or None when the labels hold only one class."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
@@ -63,7 +41,7 @@ def auc(scores, labels) -> float:
     n_pos = int(np.sum(y == 1))
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC is undefined when only one class is present")
+        return None
     order = np.argsort(s, kind="mergesort")
     ss = s[order]
     n = len(s)
@@ -90,22 +68,25 @@ class MetricsReport:
 def evaluate_predictions(scores, labels, cell: tuple[str, str]) -> MetricsReport:
     """MetricsReport for one experiment cell from P(defective) scores: a
     score of at least 0.5 predicts defective, and the scores rank files for
-    the AUC. Undefined metrics are zeroed (AUC omitted) and flagged."""
-    m = confusion(np.asarray(scores) >= 0.5, labels)
-    flags = []
-    if m.tp + m.fp == 0:
-        flags.append("precision_undefined")
-    if m.tp + m.fn == 0:
-        flags.append("recall_undefined")
-    if precision(m) + recall(m) == 0:
-        flags.append("f_measure_undefined")
-    auc_value: float | None = None
-    try:
-        auc_value = auc(scores, labels)
-    except UndefinedMetricError:
-        flags.append("auc_undefined")
-    return MetricsReport(cell, m, precision(m), recall(m), f_measure(m),
-                         auc_value, tuple(flags))
+    the AUC. Undefined metrics are zeroed (AUC None) and flagged, in the
+    order precision, recall, F-measure, AUC."""
+    predicted = np.asarray(scores) >= 0.5
+    actual = np.asarray(labels)
+    if predicted.shape != actual.shape or predicted.ndim != 1 or len(predicted) == 0:
+        raise ValueError("scores and labels must be equal-length non-empty vectors")
+    tp = int(np.sum(predicted & (actual == 1)))
+    fp = int(np.sum(predicted & (actual == 0)))
+    fn = int(np.sum(~predicted & (actual == 1)))
+    tn = int(np.sum(~predicted & (actual == 0)))
+    pr = tp / (tp + fp) if tp + fp else 0.0
+    re = tp / (tp + fn) if tp + fn else 0.0
+    f = 2.0 * pr * re / (pr + re) if pr + re else 0.0
+    auc_value = auc(scores, labels)
+    undefined = {"precision": tp + fp == 0, "recall": tp + fn == 0,
+                 "f_measure": pr + re == 0, "auc": auc_value is None}
+    return MetricsReport(cell, ConfusionMatrix(tp, fp, fn, tn), pr, re, f, auc_value,
+                         tuple(f"{name}_undefined" for name, flag in undefined.items()
+                               if flag))
 
 
 def stratified_k_fold(records: list[FileRecord], k: int, seed: int) -> list[list[int]]:
@@ -136,46 +117,54 @@ _REPORT_COLUMNS = ("cell_train", "cell_test", "tp", "fp", "fn", "tn",
                    "precision", "recall", "f_measure", "auc", "flags")
 
 
-def report_to_row(report: MetricsReport) -> list[str]:
+def _report_values(report: MetricsReport) -> tuple:
+    """The fields of `report` in _REPORT_COLUMNS order."""
     m = report.matrix
-    return [report.cell[0], report.cell[1], str(m.tp), str(m.fp), str(m.fn),
-            str(m.tn), repr(report.precision), repr(report.recall),
-            repr(report.f_measure),
-            "" if report.auc is None else repr(report.auc),
-            ";".join(report.flags)]
+    return (*report.cell, m.tp, m.fp, m.fn, m.tn, report.precision, report.recall,
+            report.f_measure, report.auc, report.flags)
 
 
 def write_report_csv(path, reports: list[MetricsReport]) -> None:
-    jsonio.write_csv(path, [_REPORT_COLUMNS, *map(report_to_row, reports)])
-
-
-def report_to_json(report: MetricsReport) -> dict:
-    m = report.matrix
-    return {"cell_train": report.cell[0], "cell_test": report.cell[1],
-            "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-            "precision": report.precision, "recall": report.recall,
-            "f_measure": report.f_measure, "auc": report.auc,
-            "flags": list(report.flags)}
+    """One row per report, flags joined by ';'. The csv module writes floats
+    by repr and an undefined AUC (None) as an empty field."""
+    rows = [(*_report_values(r)[:-1], ";".join(r.flags)) for r in reports]
+    jsonio.write_csv(path, [_REPORT_COLUMNS, *rows])
 
 
 def write_report_json(path, reports: list[MetricsReport],
                       average: MetricsReport | None = None) -> None:
-    doc = {"format_version": 1, "reports": [report_to_json(r) for r in reports]}
+    def entry(report):
+        return dict(zip(_REPORT_COLUMNS, _report_values(report)))
+
+    doc = {"format_version": 1, "reports": [entry(r) for r in reports]}
     if average is not None:
-        doc["average"] = report_to_json(average)
+        doc["average"] = entry(average)
     jsonio.write(path, doc)
 
 
 def report_from_json(obj, source: str = "report") -> MetricsReport:
+    """One report entry as `write_report_json` writes it; `auc` and `flags`
+    may be left out. Any other deviation is a DocumentError naming `source`."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{source}: report entry must be an object")
-    try:
-        matrix = ConfusionMatrix(int(obj["tp"]), int(obj["fp"]),
-                                 int(obj["fn"]), int(obj["tn"]))
-        return MetricsReport((obj["cell_train"], obj["cell_test"]), matrix,
-                             float(obj["precision"]), float(obj["recall"]),
-                             float(obj["f_measure"]),
-                             None if obj.get("auc") is None else float(obj["auc"]),
-                             tuple(obj.get("flags", ())))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"{source}: bad report entry: {exc}") from exc
+    jsonio.known_fields(obj, _REPORT_COLUMNS, source)
+    for key in ("cell_train", "cell_test"):
+        if not isinstance(obj.get(key), str):
+            raise DocumentError(f"{source}: {key!r} must be a string")
+    for key in ("tp", "fp", "fn", "tn"):
+        if not (jsonio.is_int(obj.get(key)) and obj[key] >= 0):
+            raise DocumentError(f"{source}: {key!r} must be a non-negative integer")
+    for key in ("precision", "recall", "f_measure"):
+        if not jsonio.is_number(obj.get(key)):
+            raise DocumentError(f"{source}: {key!r} must be a finite number")
+    auc_value = obj.get("auc")
+    if auc_value is not None and not jsonio.is_number(auc_value):
+        raise DocumentError(f"{source}: 'auc' must be a finite number or null")
+    flags = obj.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise DocumentError(f"{source}: 'flags' must be a list of strings")
+    return MetricsReport((obj["cell_train"], obj["cell_test"]),
+                         ConfusionMatrix(obj["tp"], obj["fp"], obj["fn"], obj["tn"]),
+                         float(obj["precision"]), float(obj["recall"]),
+                         float(obj["f_measure"]),
+                         None if auc_value is None else float(auc_value), tuple(flags))

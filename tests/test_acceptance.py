@@ -14,13 +14,13 @@ import pytest
 
 import oracles
 from treedefect import (AstTree, ClassifierOptions, FileRecord,
-                        TrainConfig, auc, confusion, cv_feature_folds,
-                        cv_from_folds, dataset_stats, f_measure,
+                        TrainConfig, auc, cv_feature_folds,
+                        cv_from_folds, dataset_stats, evaluate_predictions,
                         featurize_corpus, flatten, generate_multi_cell,
                         generate_records, init_head, init_model,
                         loss_and_gradients, normalize_labels,
-                        parse_descriptor, parse_mini, precision, pretrain,
-                        recall, save_model, stratified_k_fold,
+                        parse_descriptor, parse_mini, pretrain,
+                        save_model, stratified_k_fold,
                         version_pair_run, write_features_csv,
                         write_report_csv, write_report_json)
 from treedefect.pretrain import PretrainHead, corpus_loss, perplexity
@@ -182,12 +182,13 @@ def test_criterion_5_metric_oracles():
                         continue  # need both classes in the labels
                     preds = [1] * tp + [1] * fp + [0] * fn + [0] * tn
                     labels = [1] * tp + [0] * fp + [1] * fn + [0] * tn
-                    m = confusion(preds, labels)
+                    report = evaluate_predictions(preds, labels, ("train", "test"))
+                    m = report.matrix
                     pr, re, f = oracles.prf(preds, labels)
                     prf_ok &= (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
-                    prf_ok &= abs(precision(m) - pr) <= 1e-12
-                    prf_ok &= abs(recall(m) - re) <= 1e-12
-                    prf_ok &= abs(f_measure(m) - f) <= 1e-12
+                    prf_ok &= abs(report.precision - pr) <= 1e-12
+                    prf_ok &= abs(report.recall - re) <= 1e-12
+                    prf_ok &= abs(report.f_measure - f) <= 1e-12
                     cases += 1
     rng = np.random.default_rng(505)
     auc_err = 0.0

@@ -523,3 +523,8 @@ def test_features_csv_validation(tmp_path):
             read_features_csv(path)
     with pytest.raises(DocumentError):
         read_features_csv(tmp_path / "missing.csv")
+    path.write_text("project,version,file_id,label,f0\np,1,a,1,0.5\np,1,b,0,0.1\n"
+                    "p,1,a,1,0.5\n", encoding="utf-8")
+    with pytest.raises(DocumentError, match=r"bad\.csv:4: repeated key \('p', '1', 'a'\) "
+                                            r"\(first on line 2\)"):
+        read_features_csv(path)

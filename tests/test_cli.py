@@ -201,7 +201,7 @@ def test_featurize_tree_output(workspace):
     assert set(features.labels) <= {0, 1}
 
 
-def test_featurize_bow(tmp_path, workspace):
+def test_featurize_bow(tmp_path, workspace, capsys):
     vocab = tmp_path / "vocab.json"
     main(["vocab", "--corpus", str(workspace["corpus"]), "--output", str(vocab),
           "--min-count", "1"])
@@ -219,6 +219,35 @@ def test_featurize_bow(tmp_path, workspace):
     assert main(["featurize", "--corpus", str(workspace["corpus"]),
                  "--method", "bow", "--vocab", str(vocab),
                  "--threshold", "0", "--output", str(out)]) == 2
+    # a --vocab that the vocabulary of --model would override
+    ignored = ["featurize", "--corpus", str(workspace["corpus"]), "--output", str(out),
+               "--vocab", str(vocab), "--model", str(workspace["model"])]
+    capsys.readouterr()
+    assert main([*ignored, "--method", "tree"]) == 2
+    assert "--method tree needs --model and takes no --vocab" in capsys.readouterr().err
+    assert main([*ignored, "--method", "bow", "--threshold", "1"]) == 2
+    assert "--method bow needs one of --model or --vocab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-classifier", "evaluate"])
+def test_repeated_feature_row_is_bad_input(tmp_path, workspace, capsys, command):
+    clf = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(workspace["features"]),
+                 "--output", str(clf), "--classifier", "logistic"]) == 0
+    lines = workspace["features"].read_text(encoding="utf-8").splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join([*lines, lines[5]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = (["train-classifier", "--features", str(repeated), "--output", str(out)]
+            if command == "train-classifier" else
+            ["evaluate", "--features", str(repeated), "--classifier-file", str(clf),
+             "--output", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {repeated}:{len(lines) + 1}: repeated key" in err
+    assert "(first on line 6)" in err
+    assert not out.exists()
 
 
 def test_train_classifier_and_evaluate(tmp_path, workspace, capsys):

@@ -5,33 +5,35 @@ import pytest
 
 import oracles
 from treedefect import (AstTree, ConfusionMatrix, CorpusError, FileRecord,
-                        MetricsReport, UndefinedMetricError, auc, confusion,
-                        evaluate_predictions, f_measure, precision, recall,
-                        report_from_json, stratified_k_fold, write_report_csv,
-                        write_report_json)
+                        MetricsReport, auc, evaluate_predictions, report_from_json,
+                        stratified_k_fold, write_report_csv, write_report_json)
 from treedefect.errors import DocumentError
 from treedefect.jsonio import parse
 
+CELL = ("tr", "te")
+
 
 def test_confusion_matrix_hand_example():
-    m = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+    m = evaluate_predictions([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], CELL).matrix
     assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 1, 1)
     assert m.total == 5
     with pytest.raises(ValueError):
-        confusion([1, 0], [1])
+        evaluate_predictions([1, 0], [1], CELL)
     with pytest.raises(ValueError):
-        confusion([], [])
+        evaluate_predictions([], [], CELL)
 
 
 def test_prf_hand_values():
-    m = ConfusionMatrix(tp=2, fp=1, fn=1, tn=1)
-    assert precision(m) == pytest.approx(2 / 3, abs=1e-15)
-    assert recall(m) == pytest.approx(2 / 3, abs=1e-15)
-    assert f_measure(m) == pytest.approx(2 / 3, abs=1e-15)
-    zeros = ConfusionMatrix(tp=0, fp=0, fn=3, tn=2)
-    assert precision(zeros) == 0.0
-    assert recall(zeros) == 0.0
-    assert f_measure(zeros) == 0.0
+    report = evaluate_predictions([1, 1, 1, 0, 0], [1, 1, 0, 1, 0], CELL)
+    assert report.matrix == ConfusionMatrix(tp=2, fp=1, fn=1, tn=1)
+    assert report.precision == pytest.approx(2 / 3, abs=1e-15)
+    assert report.recall == pytest.approx(2 / 3, abs=1e-15)
+    assert report.f_measure == pytest.approx(2 / 3, abs=1e-15)
+    zeros = evaluate_predictions([0, 0, 0, 0, 0], [1, 1, 1, 0, 0], CELL)
+    assert zeros.matrix == ConfusionMatrix(tp=0, fp=0, fn=3, tn=2)
+    assert zeros.precision == 0.0
+    assert zeros.recall == 0.0
+    assert zeros.f_measure == 0.0
 
 
 def test_prf_exhaustive_against_recount():
@@ -43,12 +45,13 @@ def test_prf_exhaustive_against_recount():
                     tn = total - tp - fp - fn
                     preds = [1] * tp + [1] * fp + [0] * fn + [0] * tn
                     labels = [1] * tp + [0] * fp + [1] * fn + [0] * tn
-                    m = confusion(preds, labels)
+                    report = evaluate_predictions(preds, labels, CELL)
+                    m = report.matrix
                     assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
                     pr, re, f = oracles.prf(preds, labels)
-                    assert precision(m) == pytest.approx(pr, abs=1e-12)
-                    assert recall(m) == pytest.approx(re, abs=1e-12)
-                    assert f_measure(m) == pytest.approx(f, abs=1e-12)
+                    assert report.precision == pytest.approx(pr, abs=1e-12)
+                    assert report.recall == pytest.approx(re, abs=1e-12)
+                    assert report.f_measure == pytest.approx(f, abs=1e-12)
 
 
 def test_auc_hand_examples():
@@ -83,10 +86,8 @@ def test_auc_invariances():
 
 
 def test_auc_single_class_undefined():
-    with pytest.raises(UndefinedMetricError):
-        auc([0.1, 0.2], [1, 1])
-    with pytest.raises(UndefinedMetricError):
-        auc([0.1, 0.2], [0, 0])
+    assert auc([0.1, 0.2], [1, 1]) is None
+    assert auc([0.1, 0.2], [0, 0]) is None
     with pytest.raises(ValueError):
         auc([0.1, 0.2], [0])
 
@@ -195,10 +196,24 @@ def test_report_json_roundtrip(tmp_path):
     loaded = report_from_json(doc["reports"][0])
     assert loaded == reports[0]
     assert doc["reports"][1]["auc"] is None
+    assert report_from_json(doc["reports"][1]) == reports[1]  # auc null, flags set
     assert report_from_json(doc["average"]) == reports[0]
     before = path.read_bytes()
     write_report_json(path, reports, average=sample_report())
     assert path.read_bytes() == before
+    # auc and flags may be left out; an integral precision reads as a float
+    loaded = report_from_json(report_entry(auc=..., flags=..., precision=1))
+    assert loaded.auc is None and loaded.flags == ()
+    assert isinstance(loaded.precision, float) and loaded.precision == 1.0
+
+
+def report_entry(**changes):
+    """A valid report entry with `changes` applied; a value of ... drops the key."""
+    entry = {"cell_train": "train:a", "cell_test": "test:b", "tp": 3, "fp": 1, "fn": 2,
+             "tn": 4, "precision": 0.75, "recall": 0.6, "f_measure": 0.5, "auc": 0.75,
+             "flags": ["auc_undefined"]}
+    entry.update(changes)
+    return {k: v for k, v in entry.items() if v is not ...}
 
 
 def test_report_from_json_validation():
@@ -206,3 +221,18 @@ def test_report_from_json_validation():
         report_from_json("not an object")
     with pytest.raises(DocumentError):
         report_from_json({"cell_train": "a", "cell_test": "b", "tp": 1})
+    for changes, message in [
+            ({"tp": "3"}, "'tp' must be a non-negative integer"),
+            ({"fp": True}, "'fp' must be a non-negative integer"),
+            ({"fn": 2.9}, "'fn' must be a non-negative integer"),
+            ({"tn": -1}, "'tn' must be a non-negative integer"),
+            ({"tp": ...}, "'tp' must be a non-negative integer"),
+            ({"flags": "ab"}, "'flags' must be a list of strings"),
+            ({"flags": [1]}, "'flags' must be a list of strings"),
+            ({"cell_test": 7}, "'cell_test' must be a string"),
+            ({"precision": "0.5"}, "'precision' must be a finite number"),
+            ({"recall": False}, "'recall' must be a finite number"),
+            ({"auc": "0.75"}, "'auc' must be a finite number or null"),
+            ({"extra": 1}, "unknown field 'extra'")]:
+        with pytest.raises(DocumentError, match=f"^entry: {message}$"):
+            report_from_json(report_entry(**changes), "entry")
