@@ -5,7 +5,7 @@ normalization (identifiers kept, literals folded to type names), and the
 capped frequency vocabulary with its reserved <unk> slot.
 """
 
-from treedefect import build_vocabulary, iter_nodes, normalize_labels, parse_mini
+from treedefect import build_vocabulary, normalize_labels, parse_mini, preorder
 
 SOURCE = """\
 int total = 0;
@@ -37,7 +37,7 @@ def main():
     print("\n== vocabulary (capped at 12, most frequent first) ==")
     for index, token in enumerate(vocab.tokens):
         print(f"  {index:2d}  {token}")
-    print("\nnode count:", sum(1 for _ in iter_nodes(tree)))
+    print("\nnode count:", len(preorder(tree)[0]))
     print("out-of-vocabulary tokens map to", vocab.tokens[0])
 
 

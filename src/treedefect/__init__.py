@@ -13,8 +13,8 @@ from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, Logisti
                           save_classifier, train_forest, train_logistic,
                           write_features_csv)
 from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
-                     cell, encode, iter_nodes, normalize_label,
-                     normalize_labels, read_corpus, tree_depth, write_corpus)
+                     cell, encode, normalize_label, normalize_labels, preorder,
+                     read_corpus, write_corpus)
 from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
                      TrainingDataError, TreeDefectError)
 from .evaluation import (ConfusionMatrix, MetricsReport, auc, evaluate_predictions,

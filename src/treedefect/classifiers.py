@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jsonio
 from .jsonio import is_int, is_number
-from .corpus import FileRecord, Vocabulary, encode, iter_nodes
+from .corpus import FileRecord, Vocabulary, encode, preorder
 from .errors import DocumentError, TrainingDataError
 from .rng import stream
 from .treelstm import TreeLstmModel, forward_root, sigmoid
@@ -97,7 +97,7 @@ def bow_featurize(records: list[FileRecord], vocab: Vocabulary,
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     values = np.zeros((len(records), len(vocab)))
     for i, record in enumerate(records):
-        indices = encode([node.label for node in iter_nodes(record.tree)], vocab)
+        indices = encode(preorder(record.tree)[0], vocab)
         values[i] = np.bincount(indices, minlength=len(vocab)) >= threshold
     return FeatureMatrix([r.key for r in records], values, [r.label for r in records])
 

@@ -20,8 +20,8 @@ from . import jsonio
 from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, bow_featurize,
                           featurize_corpus, load_classifier, predict_proba,
                           read_features_csv, save_classifier, write_features_csv)
-from .corpus import (FileRecord, Vocabulary, build_vocabulary, check_depth,
-                     corpus_from_document, normalize_labels, read_corpus, write_corpus)
+from .corpus import (FileRecord, Vocabulary, build_vocabulary, corpus_from_document,
+                     normalize_labels, read_corpus, write_corpus)
 from .errors import DocumentError, TreeDefectError
 from .evaluation import evaluate_predictions, write_report_csv, write_report_json
 from .experiments import (CvDescriptor, PairsDescriptor, average_report,
@@ -52,6 +52,18 @@ def _add_flags(p: argparse.ArgumentParser, cls, names: tuple[str, ...]) -> None:
 _TRAIN_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 _CLASSIFIER_FLAGS = tuple(f.name for f in dataclasses.fields(ClassifierOptions)
                           if f.name != "kind")
+_BOW_THRESHOLD = 5  # featurize --threshold, read by --method bow only
+# The classifier flags each kind does not read.
+_IGNORED_BY_KIND = {"logistic": ("n_trees", "max_depth", "min_leaf", "features_per_split"),
+                    "forest": ("l2",)}
+
+
+def _reject_ignored(args: argparse.Namespace, names: tuple[str, ...], mode: str) -> None:
+    """DocumentError when a flag among `names` was given, as `mode` ignores them.
+    --config keys are not checked: one file may serve several commands."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise DocumentError(f"--{name.replace('_', '-')} has no effect with {mode}")
 
 
 def _config_file(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict:
@@ -129,7 +141,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             else:
                 source = jsonio.read_text(path)
                 where = f"{path}: "
-                tree = check_depth(normalize_labels(parse_mini(source)))
+                tree = normalize_labels(parse_mini(source))
                 records.append(FileRecord(file_id, args.project, args.version,
                                           labels.get(file_id), tree))
         except TreeDefectError as exc:
@@ -179,6 +191,8 @@ def _load_vocab_file(path: str) -> Vocabulary:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
+    if args.vocab:
+        _reject_ignored(args, ("vocab_size", "min_count"), "--vocab")
     config = _options(TrainConfig, args, _config_file(args, _TRAIN_FLAGS))
     records = read_corpus(args.corpus)
     vocab = _load_vocab_file(args.vocab) if args.vocab else None
@@ -196,8 +210,10 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    if args.method == "tree" and (args.vocab or not args.model):
-        raise DocumentError("--method tree needs --model and takes no --vocab")
+    if args.method == "tree":
+        if args.vocab or not args.model:
+            raise DocumentError("--method tree needs --model and takes no --vocab")
+        _reject_ignored(args, ("threshold",), "--method tree")
     if args.method == "bow" and bool(args.model) == bool(args.vocab):
         raise DocumentError("--method bow needs one of --model or --vocab for the vocabulary")
     records = read_corpus(args.corpus)
@@ -206,7 +222,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     else:
         vocab = load_model(args.model)[0].vocab if args.model else _load_vocab_file(args.vocab)
         try:
-            features = bow_featurize(records, vocab, args.threshold)
+            threshold = _BOW_THRESHOLD if args.threshold is None else args.threshold
+            features = bow_featurize(records, vocab, threshold)
         except ValueError as exc:  # --threshold below 1
             raise DocumentError(f"bad option: {exc}") from exc
     write_features_csv(args.output, features)
@@ -216,6 +233,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train_classifier(args: argparse.Namespace) -> int:
+    _reject_ignored(args, _IGNORED_BY_KIND[args.classifier], f"--classifier {args.classifier}")
     config = _config_file(args, (*_CLASSIFIER_FLAGS, "seed"))
     options = _options(ClassifierOptions, args, config, kind=args.classifier)
     seed = _options(TrainConfig, args, config).seed  # only --seed and "seed" apply
@@ -249,6 +267,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     config = _options(TrainConfig, args, file_config)
     records = read_corpus(args.corpus)
     descriptor = parse_descriptor(jsonio.read(args.descriptor), str(args.descriptor))
+    _reject_ignored(args, _IGNORED_BY_KIND[descriptor.classifier],
+                    f"the {descriptor.classifier} classifier of {args.descriptor}")
     options = _options(ClassifierOptions, args, file_config, kind=descriptor.classifier)
     out_dir = Path(args.output_dir)
     try:
@@ -326,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file (required for --method tree)")
     p.add_argument("--vocab", help="vocabulary file (bow method without a model)")
     p.add_argument("--method", choices=("tree", "bow"), default="tree")
-    p.add_argument("--threshold", type=int, default=5, help="bow binarization count")
+    p.add_argument("--threshold", type=int,
+                   help=f"bow binarization count (default: {_BOW_THRESHOLD})")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train-classifier", help="train a classifier on features")

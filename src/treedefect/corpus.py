@@ -1,11 +1,13 @@
 """AST corpus: tree types, label normalization, vocabulary, document I/O.
 
 A corpus is a list of FileRecord entries, each tying a (project, version,
-file_id) key and an optional defect label to one AST. Trees are immutable;
-every traversal here is iterative so deeply nested inputs cannot overflow the
-interpreter stack. Trees entering the pipeline (parsed sources, corpus
-documents) may be at most MAX_TREE_DEPTH nodes deep, so that every corpus
-document the package writes can be read back.
+file_id) key and an optional defect label to one AST. Trees are immutable.
+`preorder` (labels and child counts) is the one walk over a tree, and
+`_from_preorder` the one builder. Both ways in, `normalize_labels` for parsed
+sources and `corpus_from_document` for documents, build through it, so it is
+the one depth gate: a tree may be at most MAX_TREE_DEPTH nodes deep, and every
+corpus document the package writes can be read back. Nothing recurses, so
+deeply nested inputs cannot overflow the interpreter stack.
 
 On disk a corpus is a JSON document: one sorted table of the labels it uses
 and, per file, its AST in preorder as label indices and child counts::
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -42,8 +44,8 @@ MIN_COUNT = 2
 
 # Deepest tree (in nodes, root to leaf) accepted from sources or documents:
 # the depth every stage of the pipeline is held to. minilang.MAX_NESTING does
-# not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so
-# `ingest` holds each parsed source to it with check_depth.
+# not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so the
+# builder behind normalize_labels and corpus_from_document enforces it.
 MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
@@ -71,26 +73,50 @@ class FileRecord:
         return (self.project, self.version, self.file_id)
 
 
-def iter_nodes(tree: AstTree) -> Iterator[AstTree]:
-    """All nodes in preorder (parent before children, left to right)."""
+def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
+    """Label and child count of every node of `tree` in preorder (parent
+    before children, left to right): the one walk over an AstTree."""
+    labels: list[str] = []
+    arity: list[int] = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+        labels.append(node.label)
+        arity.append(len(node.children))
+        stack += node.children[::-1]
+    return labels, arity
 
 
-def tree_depth(tree: AstTree) -> int:
-    """Depth in nodes along the longest root-to-leaf path (single node: 1)."""
-    best = 0
-    stack = [(tree, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > best:
-            best = depth
-        for child in node.children:
-            stack.append((child, depth + 1))
-    return best
+def _from_preorder(labels: list[str], nodes: list, arity: list, where: str) -> AstTree:
+    """The AstTree whose nodes in preorder have labels `labels[nodes[j]]` and
+    child counts `arity[j]`, built from the last node back: each node takes
+    its children off the stack of subtrees built so far. A bad entry raises
+    DocumentError and a tree deeper than MAX_TREE_DEPTH DepthLimitError; both
+    name the node after `where` (a document entry) when it is given."""
+    built: list[AstTree] = []
+    depths: list[int] = []
+    for j in range(len(nodes) - 1, -1, -1):
+        label, k = nodes[j], arity[j]
+        if type(label) is not int or not 0 <= label < len(labels):
+            raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
+                                f"in [0, {len(labels)}), got {label!r}")
+        if type(k) is not int or not 0 <= k <= len(built):
+            raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
+                                f"in [0, {len(built)}], got {k!r}")
+        depth, children = 1, ()
+        if k:
+            depth += max(depths[-k:])
+            if depth > MAX_TREE_DEPTH:
+                at = f"{where}.nodes[{j}]: " if where else ""
+                raise DepthLimitError(f"{at}tree is deeper than the limit of "
+                                      f"{MAX_TREE_DEPTH} nodes")
+            children = tuple(built[-k:][::-1])
+            del built[-k:], depths[-k:]
+        built.append(AstTree(labels[label], children))
+        depths.append(depth)
+    if len(built) != 1:
+        raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
+    return built[0]
 
 
 def normalize_label(label: str) -> str:
@@ -103,38 +129,13 @@ def normalize_label(label: str) -> str:
     return label
 
 
-def check_depth(tree: AstTree) -> AstTree:
-    """`tree`, or DepthLimitError when it is deeper than MAX_TREE_DEPTH."""
-    depth = tree_depth(tree)
-    if depth > MAX_TREE_DEPTH:
-        raise DepthLimitError(f"AST is {depth} nodes deep, deeper than the limit "
-                              f"of {MAX_TREE_DEPTH}")
-    return tree
-
-
-def fold_tree(tree: AstTree, make_node: Callable[[AstTree, tuple], Any]) -> Any:
-    """Post-order fold: `make_node(node, results of its children)` for every
-    node, children left to right before their parent; returns the root's."""
-    out: list[Any] = []
-    work: list[tuple[Any, bool]] = [(tree, False)]
-    while work:
-        node, expanded = work.pop()
-        if not expanded:
-            work.append((node, True))
-            for child in reversed(node.children):
-                work.append((child, False))
-        else:
-            k = len(node.children)
-            children = tuple(out[len(out) - k:]) if k else ()
-            if k:
-                del out[len(out) - k:]
-            out.append(make_node(node, children))
-    return out[0]
-
-
 def normalize_labels(tree: AstTree) -> AstTree:
-    """Copy of `tree` with every label passed through normalize_label."""
-    return fold_tree(tree, lambda node, ch: AstTree(normalize_label(node.label), ch))
+    """Copy of `tree` with every label passed through normalize_label;
+    DepthLimitError when `tree` is deeper than MAX_TREE_DEPTH."""
+    labels, arity = preorder(tree)
+    table: dict[str, int] = {}
+    nodes = [table.setdefault(label, len(table)) for label in labels]
+    return _from_preorder(list(map(normalize_label, table)), nodes, arity, "")
 
 
 @dataclass
@@ -169,8 +170,7 @@ def build_vocabulary(trees: list[AstTree], size: int = VOCAB_SIZE,
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
     for tree in trees:
-        for node in iter_nodes(tree):
-            counts[node.label] += 1
+        counts.update(preorder(tree)[0])
     counts.pop(UNK_TOKEN, None)  # sentinel is reserved, never a corpus token
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
@@ -184,43 +184,13 @@ def encode(labels: Sequence[str], vocab: Vocabulary) -> np.ndarray:
 
 
 def corpus_to_document(records: list[FileRecord]) -> dict:
-    preorders = [list(iter_nodes(r.tree)) for r in records]
-    labels = sorted({node.label for nodes in preorders for node in nodes})
+    walks = [preorder(r.tree) for r in records]
+    labels = sorted({label for names, _ in walks for label in names})
     index = {label: i for i, label in enumerate(labels)}
     return {"format_version": 2, "labels": labels, "files": [
         {"file_id": r.file_id, "project": r.project, "version": r.version, "label": r.label,
-         "nodes": [index[node.label] for node in nodes],
-         "arity": [len(node.children) for node in nodes]}
-        for r, nodes in zip(records, preorders)]}
-
-
-def _tree_from_preorder(labels: list, nodes: list, arity: list, where: str) -> AstTree:
-    """The AstTree with preorder label indices `nodes` and child counts `arity`,
-    validated as it is built from the last node back: each node takes its
-    children off the stack of subtrees built so far. Errors name the entry."""
-    built: list[AstTree] = []
-    depths: list[int] = []
-    for j in range(len(nodes) - 1, -1, -1):
-        label, k = nodes[j], arity[j]
-        if type(label) is not int or not 0 <= label < len(labels):
-            raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
-                                f"in [0, {len(labels)}), got {label!r}")
-        if type(k) is not int or not 0 <= k <= len(built):
-            raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
-                                f"in [0, {len(built)}], got {k!r}")
-        depth, children = 1, ()
-        if k:
-            depth += max(depths[-k:])
-            if depth > MAX_TREE_DEPTH:
-                raise DepthLimitError(f"{where}.nodes[{j}]: tree is deeper than the "
-                                      f"limit of {MAX_TREE_DEPTH} nodes")
-            children = tuple(built[-k:][::-1])
-            del built[-k:], depths[-k:]
-        built.append(AstTree(labels[label], children))
-        depths.append(depth)
-    if len(built) != 1:
-        raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
-    return built[0]
+         "nodes": [index[label] for label in names], "arity": arity}
+        for r, (names, arity) in zip(records, walks)]}
 
 
 def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
@@ -260,7 +230,7 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
                                 f"of equal length")
         record = FileRecord(entry["file_id"], entry["project"], entry["version"],
                             None if label is None else int(label),
-                            _tree_from_preorder(labels, nodes, arity, where))
+                            _from_preorder(labels, nodes, arity, where))
         if record.key in seen:
             raise DocumentError(f"{where}: duplicate entry for {record.key}")
         seen.add(record.key)

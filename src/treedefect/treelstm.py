@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .corpus import AstTree, Vocabulary, encode, fold_tree
+from .corpus import AstTree, Vocabulary, encode, preorder
 from .errors import DocumentError
 from .rng import stream
 
@@ -109,12 +109,13 @@ class FlatTree:
     """Array form of one AstTree, or of a packed forest of them.
 
     Nodes are ordered by height (0 at a leaf, one more than the tallest child
-    otherwise), ties kept in tree order and then post-order, so children
-    precede parents and each height level is one contiguous run of positions
-    across all trees. A lone tree's root is its last node. Edges (parent,
-    child) are stored grouped by parent: node i's incoming child edges occupy
-    edge_child[edge_start[i]:edge_start[i+1]], so each level's edges are
-    contiguous too.
+    otherwise), ties kept in tree order and then preorder (nodes of one
+    height are never each other's ancestors, so this is post-order too), so
+    children precede parents and each height level is one contiguous run of
+    positions across all trees. A lone tree's root is its last node. Edges
+    (parent, child) are stored grouped by parent: node i's incoming child
+    edges occupy edge_child[edge_start[i]:edge_start[i+1]], so each level's
+    edges are contiguous too.
     """
 
     indices: np.ndarray     # (n,) vocab index per node
@@ -177,27 +178,27 @@ def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray
 
 def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
     """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
-    id) is kept for error messages."""
-    labels: list[str] = []
-    height: list[int] = []
-    counts: list[int] = []
-    edge_child: list[int] = []
-
-    def add(node: AstTree, child_pos: tuple[int, ...]) -> int:
-        edge_child.extend(child_pos)
-        height.append(1 + max([height[c] for c in child_pos]) if child_pos else 0)
-        counts.append(len(child_pos))
-        labels.append(node.label)
-        return len(labels) - 1
-
-    fold_tree(tree, add)
+    id) is kept for error messages. One pass from the last preorder node back
+    finds each node's children and height; any depth fits the stack."""
+    labels, arity = preorder(tree)
     n = len(labels)
+    height = [0] * n
+    edges: list[int] = []  # children per parent, all reversed
+    stack: list[int] = []  # subtrees built so far, leftmost on top
+    for j in range(n - 1, -1, -1):
+        k = arity[j]
+        if k:
+            kids = stack[-k:]
+            del stack[-k:]
+            edges += kids
+            height[j] = 1 + max([height[c] for c in kids])
+        stack.append(j)
     heights = np.asarray(height, dtype=np.intp)
     edge_start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=edge_start[1:])
+    np.cumsum(arity, out=edge_start[1:])
     return _sorted_by_height(np.argsort(heights, kind="stable"), encode(labels, vocab),
-                             heights, np.asarray(edge_child, dtype=np.intp), edge_start,
-                             np.zeros(n, dtype=np.intp), np.array([n - 1]), (name,))
+                             heights, np.asarray(edges[::-1], dtype=np.intp), edge_start,
+                             np.zeros(n, dtype=np.intp), np.array([0]), (name,))
 
 
 @dataclass

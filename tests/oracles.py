@@ -300,3 +300,50 @@ def per_tree_packed_masks(flats, rate, d, hidden_dim, rng):
         agg.append((rng.random((flat.n, hidden_dim)) >= rate) * scale)
     order = np.argsort(np.concatenate([f.height for f in flats]), kind="stable")
     return np.concatenate(w)[order], np.concatenate(agg)[order]
+
+
+def iter_nodes(tree):
+    """Every node of `tree` in preorder (parent before children, left to
+    right), by an explicit stack."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def post_order_flat(tree, vocab, name=None):
+    """FlatTree fields of `tree` as `flatten` once made them: nodes numbered
+    in post-order by a fold (children left to right before their parent),
+    each with its height and its children's numbers, then sorted by height
+    with ties kept in post-order and the edges renumbered. Returns a dict of
+    field name -> value, the dtypes those of a FlatTree."""
+    labels, height, children = [], [], []
+    done, work = [], [(tree, False)]
+    while work:
+        node, expanded = work.pop()
+        if not expanded:
+            work.append((node, True))
+            work.extend((child, False) for child in reversed(node.children))
+            continue
+        k = len(node.children)
+        kids = done[len(done) - k:]
+        del done[len(done) - k:]
+        labels.append(node.label)
+        height.append(1 + max(height[c] for c in kids) if kids else 0)
+        children.append(kids)
+        done.append(len(labels) - 1)
+    order = sorted(range(len(labels)), key=lambda i: height[i])
+    position = {old: new for new, old in enumerate(order)}
+    edge_start = [0]
+    for i in order:
+        edge_start.append(edge_start[-1] + len(children[i]))
+    n = len(labels)
+    return {"indices": np.array([token_index(vocab, labels[i]) for i in order], dtype=np.intp),
+            "height": np.array([height[i] for i in order], dtype=np.intp),
+            "edge_child": np.array([position[c] for i in order for c in children[i]],
+                                   dtype=np.intp),
+            "edge_start": np.array(edge_start, dtype=np.intp),
+            "tree": np.zeros(n, dtype=np.intp),
+            "roots": np.array([position[n - 1]], dtype=np.intp),
+            "names": (name,)}

@@ -12,8 +12,8 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         ForestModel, LogisticModel, TrainingDataError,
                         UNK_TOKEN, Vocabulary, bow_featurize, build_vocabulary,
                         classifier_from_document, classifier_to_document, encode,
-                        featurize_corpus, generate_records, iter_nodes,
-                        load_classifier, predict_proba,
+                        featurize_corpus, generate_records, load_classifier,
+                        predict_proba, preorder,
                         read_features_csv, save_classifier, train_forest,
                         train_logistic, write_features_csv)
 from treedefect import classifiers
@@ -100,7 +100,7 @@ def test_bow_featurize_matches_per_node_oracle():
     records = generate_records(n=12, seed=61)
     # a vocabulary from half the files leaves labels of the rest out of vocabulary
     vocab = build_vocabulary([r.tree for r in records[:6]], min_count=2)
-    assert any(encode([n.label for n in iter_nodes(r.tree)], vocab).min() == 0
+    assert any(encode(preorder(r.tree)[0], vocab).min() == 0
                for r in records)
     for threshold in (1, 2, 3):
         fm = bow_featurize(records, vocab, threshold)

@@ -56,8 +56,8 @@ def test_ingest_sources_with_labels(tmp_path, capsys):
     assert all(r.project == "demo" and r.version == "2.1" for r in records)
     assert records[0].tree.label == "CompilationUnit"
     # literals arrive normalized
-    from treedefect import iter_nodes
-    labels_seen = {n.label for n in iter_nodes(records[0].tree)}
+    from treedefect import preorder
+    labels_seen = set(preorder(records[0].tree)[0])
     assert "IntegerLiteralExpr" in labels_seen and "0" not in labels_seen
 
 
@@ -219,6 +219,12 @@ def test_featurize_bow(tmp_path, workspace, capsys):
     assert main(["featurize", "--corpus", str(workspace["corpus"]),
                  "--method", "bow", "--vocab", str(vocab),
                  "--threshold", "0", "--output", str(out)]) == 2
+    # without --threshold, bow binarizes at 5
+    default, five = tmp_path / "default.csv", tmp_path / "five.csv"
+    for path, extra in ((default, []), (five, ["--threshold", "5"])):
+        assert main(["featurize", "--corpus", str(workspace["corpus"]), "--method", "bow",
+                     "--vocab", str(vocab), "--output", str(path), *extra]) == 0
+    assert default.read_bytes() == five.read_bytes()
     # a --vocab that the vocabulary of --model would override
     ignored = ["featurize", "--corpus", str(workspace["corpus"]), "--output", str(out),
                "--vocab", str(vocab), "--model", str(workspace["model"])]
@@ -227,6 +233,44 @@ def test_featurize_bow(tmp_path, workspace, capsys):
     assert "--method tree needs --model and takes no --vocab" in capsys.readouterr().err
     assert main([*ignored, "--method", "bow", "--threshold", "1"]) == 2
     assert "--method bow needs one of --model or --vocab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, mode", [
+    (["featurize", "--method", "tree", "--model", "{model}", "--threshold", "0"],
+     "--threshold", "--method tree"),
+    (["featurize", "--model", "{model}", "--threshold", "-3"], "--threshold", "--method tree"),
+    (["featurize", "--model", "{model}", "--threshold", "5"], "--threshold", "--method tree"),
+    (["train-classifier", "--features", "{features}", "--classifier", "logistic",
+      "--max-depth", "3", "--n-trees", "7"], "--n-trees", "--classifier logistic"),
+    (["train-classifier", "--features", "{features}", "--classifier", "logistic",
+      "--features-per-split", "2"], "--features-per-split", "--classifier logistic"),
+    (["train-classifier", "--features", "{features}", "--l2", "7"], "--l2", "--classifier forest"),
+    (["experiment", "--descriptor", "{logistic_cv}", "--n-trees", "3"],
+     "--n-trees", "the logistic classifier of {logistic_cv}"),
+    (["experiment", "--descriptor", "{forest_cv}", "--l2", "1"],
+     "--l2", "the forest classifier of {forest_cv}"),
+    (["pretrain", "--vocab", "{vocab}", "--vocab-size", "3", "--min-count", "9"],
+     "--vocab-size", "--vocab"),
+    (["pretrain", "--vocab", "{vocab}", "--min-count", "9"], "--min-count", "--vocab"),
+])
+def test_a_flag_the_mode_ignores_is_bad_input(tmp_path, workspace, capsys, argv, flag, mode):
+    paths = {"model": workspace["model"], "features": workspace["features"],
+             "vocab": tmp_path / "vocab.json", "logistic_cv": tmp_path / "logistic.json",
+             "forest_cv": tmp_path / "forest.json"}
+    assert main(["vocab", "--corpus", str(workspace["corpus"]), "--output",
+                 str(paths["vocab"])]) == 0
+    for kind in ("logistic", "forest"):
+        paths[f"{kind}_cv"].write_text(f'{{"experiment":"cv","k":3,"classifier":"{kind}"}}\n',
+                                       encoding="utf-8")
+    out = tmp_path / "out"
+    given = [arg.format(**paths) for arg in argv]
+    if given[0] != "train-classifier":
+        given += ["--corpus", str(workspace["corpus"])]
+    given += ["--output-dir" if given[0] == "experiment" else "--output", str(out)]
+    capsys.readouterr()
+    assert main(given) == 2
+    assert f"error: {flag} has no effect with {mode.format(**paths)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train-classifier", "evaluate"])
@@ -449,7 +493,8 @@ def test_evaluate_feature_dimension_mismatch_is_bad_input(tmp_path, workspace, c
                                                           kind):
     clf = tmp_path / "clf.json"
     assert main(["train-classifier", "--features", str(workspace["features"]),
-                 "--output", str(clf), "--classifier", kind, "--n-trees", "4"]) == 0
+                 "--output", str(clf), "--classifier", kind,
+                 *(["--n-trees", "4"] if kind == "forest" else [])]) == 0
     assert read(clf)["dim"] == 4
     narrow = tmp_path / "narrow.csv"
     narrow.write_text(NARROW_CSV, encoding="utf-8")
@@ -470,7 +515,7 @@ def test_evaluate_malformed_inputs_are_bad_input(tmp_path, workspace):
     for kind, path in (("forest", forest), ("logistic", logistic)):
         assert main(["train-classifier", "--features", str(workspace["features"]),
                      "--output", str(path), "--classifier", kind,
-                     "--n-trees", "2"]) == 0
+                     *(["--n-trees", "2"] if kind == "forest" else [])]) == 0
     doc = read(forest)
     doc["trees"][0][0] = {"f": "x", "t": 0.5}
     bad = tmp_path / "bad-forest.json"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import iter_nodes
 from treedefect import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        encode, flatten, iter_nodes, normalize_label,
-                        normalize_labels, read_corpus, tree_depth, write_corpus)
+                        encode, flatten, normalize_label, normalize_labels, preorder,
+                        read_corpus, write_corpus)
 from treedefect import jsonio
 from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
@@ -25,16 +26,22 @@ SAMPLE = AstTree("CompilationUnit", (
 ))
 
 
+def depth(tree):
+    return flatten(tree, Vocabulary((UNK_TOKEN,))).depth
+
+
 def test_node_count_and_depth():
-    assert sum(1 for _ in iter_nodes(SAMPLE)) == 15
-    assert tree_depth(SAMPLE) == 6
-    assert sum(1 for _ in iter_nodes(leaf("x"))) == 1
-    assert tree_depth(leaf("x")) == 1
+    assert len(preorder(SAMPLE)[0]) == 15
+    assert depth(SAMPLE) == 6
+    assert preorder(leaf("x")) == (["x"], [0])
+    assert depth(leaf("x")) == 1
 
 
-def test_iter_nodes_preorder():
+def test_preorder_labels_and_arity():
     tree = AstTree("a", (AstTree("b", (leaf("c"), leaf("d"))), leaf("e")))
-    assert [n.label for n in iter_nodes(tree)] == ["a", "b", "c", "d", "e"]
+    assert preorder(tree) == (["a", "b", "c", "d", "e"], [2, 2, 0, 0, 0])
+    nodes = list(iter_nodes(SAMPLE))
+    assert preorder(SAMPLE) == ([n.label for n in nodes], [len(n.children) for n in nodes])
 
 
 def test_normalize_label_rules():
@@ -49,11 +56,13 @@ def test_normalize_label_rules():
 
 def test_normalize_labels_tree():
     tree = normalize_labels(SAMPLE)
-    labels = [n.label for n in iter_nodes(tree)]
+    labels, arity = preorder(tree)
     assert labels.count("IntegerLiteralExpr") == 3
     assert "0" not in labels and "10" not in labels
+    assert labels == [normalize_label(label) for label in preorder(SAMPLE)[0]]
+    assert arity == preorder(SAMPLE)[1]
     # original untouched
-    assert any(n.label == "0" for n in iter_nodes(SAMPLE))
+    assert "0" in preorder(SAMPLE)[0]
 
 
 def test_vocabulary_basics():
@@ -92,7 +101,7 @@ def test_build_vocabulary_never_emits_unk_token():
 
 def test_encode_decode_roundtrip_and_oov():
     vocab = build_vocabulary([SAMPLE], min_count=1)
-    labels = [n.label for n in iter_nodes(SAMPLE)]
+    labels = preorder(SAMPLE)[0]
     encoded = encode(labels, vocab)
     assert encoded.dtype == np.intp and encoded.shape == (len(labels),)
     assert [vocab.tokens[i] for i in encoded] == labels
@@ -106,11 +115,11 @@ def one_file(tree):
 
 def test_tree_json_roundtrip():
     doc = one_file(SAMPLE)
-    preorder = list(iter_nodes(SAMPLE))
-    assert doc["labels"] == sorted({n.label for n in preorder})
+    labels, arity = preorder(SAMPLE)
+    assert doc["labels"] == sorted(set(labels))
     (entry,) = doc["files"]
-    assert [doc["labels"][i] for i in entry["nodes"]] == [n.label for n in preorder]
-    assert entry["arity"] == [len(n.children) for n in preorder]
+    assert [doc["labels"][i] for i in entry["nodes"]] == labels
+    assert entry["arity"] == arity
     assert corpus_from_document(jsonio.parse(jsonio.dumps(doc)))[0].tree == SAMPLE
 
 
@@ -149,19 +158,24 @@ def test_flat_tree_error_paths():
 
 
 def test_deep_tree_operations_are_iterative():
+    # walking, counting and flattening have no depth limit; the builder behind
+    # normalize_labels and the document reader holds trees to MAX_TREE_DEPTH.
+    # Any of them recursing would raise RecursionError instead.
     tree = leaf("x")
     for _ in range(10000):
         tree = AstTree("y", (tree,))
-    assert sum(1 for _ in iter_nodes(tree)) == 10001
-    assert tree_depth(tree) == 10001
-    normalized = normalize_labels(tree)
-    assert normalized.label == "y"
+    labels, arity = preorder(tree)
+    assert labels == ["y"] * 10000 + ["x"] and arity == [1] * 10000 + [0]
     vocab = build_vocabulary([tree], min_count=1)
+    assert vocab.tokens == (UNK_TOKEN, "y", "x")
     flat = flatten(tree, vocab)
+    assert flat.depth == 10001
     # a chain's height order is its preorder reversed
-    assert [vocab.tokens[i] for i in flat.indices] == [n.label for n in iter_nodes(tree)][::-1]
+    assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
+    limit = f"^tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"
+    with pytest.raises(DepthLimitError, match=limit):
+        normalize_labels(tree)
     text = jsonio.dumps(one_file(tree))
-    # documents are written iteratively, but read back only up to MAX_TREE_DEPTH
     with pytest.raises(DepthLimitError, match=r"files\[0\]\.nodes\[.*deeper than the limit"):
         corpus_from_document(jsonio.parse(text))
 
@@ -264,11 +278,10 @@ def spine_tree(levels):
 @example([("y", [], 0)] * MAX_TREE_DEPTH)
 def test_trees_up_to_max_depth_roundtrip_through_json(levels):
     tree = spine_tree(levels)
-    assert tree_depth(tree) == len(levels)
+    assert depth(tree) == len(levels)
     back = corpus_from_document(jsonio.parse(jsonio.dumps(one_file(tree))))[0].tree
     # dataclass == recurses once per level, so compare preorder shapes instead
-    assert ([(n.label, len(n.children)) for n in iter_nodes(back)]
-            == [(n.label, len(n.children)) for n in iter_nodes(tree)])
+    assert preorder(back) == preorder(tree)
 
 
 _JUNK = (st.integers(-3, 40) | st.booleans() | st.floats(allow_nan=True) | st.none()

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from treedefect import (AstTree, CorpusError, FileRecord, PretrainHead, TrainConfig,
                         UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss, encode,
-                        flatten, generate_records, init_model, iter_nodes,
-                        loss_and_gradients, perplexity, pretrain, rmsprop_step,
+                        flatten, generate_records, init_model, loss_and_gradients,
+                        perplexity, preorder, pretrain, rmsprop_step,
                         split_records, write_training_log)
 from treedefect.treelstm import PACK_NODES
 from treedefect.rng import stream
@@ -117,7 +117,7 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=22, scale=0.5)
     head = scaled_head(6, 3, seed=22)
     trees = []
-    while sum(1 for t in trees for _ in iter_nodes(t)) <= 2 * PACK_NODES:
+    while sum(len(preorder(t)[0]) for t in trees) <= 2 * PACK_NODES:
         trees.append(random_tree(rng, vocab_size=6, max_nodes=30))
     counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
     total = sum(counts)
@@ -309,7 +309,7 @@ def test_all_leaf_batches_keep_their_dropout_draws(monkeypatch):
     assert any(not r.tree.children for r in train)
     expected = stream(config.seed, "dropout")
     per_node = config.embedding_dim + config.hidden_dim
-    expected.random(len(result.log) * per_node * sum(1 for r in train for _ in iter_nodes(r.tree)))
+    expected.random(len(result.log) * per_node * sum(len(preorder(r.tree)[0]) for r in train))
     assert generators[("dropout",)].bit_generator.state == expected.bit_generator.state
 
 

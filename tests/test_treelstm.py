@@ -11,7 +11,7 @@ from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
                         model_to_document, pack, sample_masks, save_model,
                         sigmoid)
 from treedefect import treelstm
-from treedefect.corpus import MAX_TREE_DEPTH, check_depth
+from treedefect.corpus import MAX_TREE_DEPTH, normalize_labels, preorder
 from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
@@ -137,17 +137,73 @@ def test_flatten_layout():
 
 
 def test_depth_limit():
-    # the limit guards where trees enter (corpus.check_depth); the passes
-    # themselves iterate, so a deeper tree still flattens and runs
+    # the limit guards where trees enter (corpus.normalize_labels and the
+    # document reader); the passes themselves iterate, so a deeper tree still
+    # flattens and runs
     tree = node(1)
     for _ in range(MAX_TREE_DEPTH):
         tree = node(2, (tree,))
-    assert check_depth(tree.children[0]) is tree.children[0]
+    assert preorder(normalize_labels(tree.children[0])) == preorder(tree.children[0])
     with pytest.raises(DepthLimitError, match=str(MAX_TREE_DEPTH)):
-        check_depth(tree)
+        normalize_labels(tree)
     assert flatten(tree, small_vocab()).depth == MAX_TREE_DEPTH + 1
     record = FileRecord("deep.mini", "p", "1", 0, tree)
     assert np.all(np.isfinite(forward_root([record], scaled_model())[0]))
+
+
+def tree_from_parents(shape):
+    """Tree of nodes 0..len(shape), drawn flat so that hypothesis reports it
+    without recursing: node i >= 1 has label token(shape[i-1][0]) and parent
+    max(0, i - 1 - shape[i-1][1]), and a node's children are in number order.
+    Offset 0 everywhere is a chain; small offsets give many siblings of equal
+    height."""
+    children = [[] for _ in range(len(shape) + 1)]
+    for i, (_, back) in enumerate(shape, start=1):
+        children[max(0, i - 1 - back)].append(i)
+    built = [None] * (len(shape) + 1)
+    for i in range(len(shape), -1, -1):
+        built[i] = node(shape[i - 1][0] if i else 1, [built[c] for c in children[i]])
+    return built[0]
+
+
+def assert_same_bytes(flat, reference):
+    for field in ("indices", "height", "edge_child", "edge_start", "tree", "roots"):
+        got, want = getattr(flat, field), getattr(reference, field)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+        assert got.tobytes() == want.tobytes(), field
+    assert flat.names == reference.names
+
+
+_SHAPES = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3) | st.integers(0, 40)),
+                   max_size=80)
+_CHAIN = [(2, 0)] * (MAX_TREE_DEPTH + 20)
+_COMB = [(3, 0), (4, 1)] * (MAX_TREE_DEPTH // 2 + 10)  # a chain with a leaf per level
+_FULL = [(5, i - 1 - (i - 1) // 3) for i in range(1, 121)]  # complete ternary tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SHAPES)
+@example([])
+@example(_CHAIN)
+@example(_COMB)
+@example(_FULL)
+def test_flatten_equals_post_order_oracle_byte_for_byte(shape):
+    tree = tree_from_parents(shape)
+    vocab = small_vocab(6)  # tokens 6 and 7 are out of vocabulary
+    assert_same_bytes(flatten(tree, vocab, "f.mini"),
+                      FlatTree(**oracles.post_order_flat(tree, vocab, "f.mini")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SHAPES, min_size=1, max_size=4))
+@example([[], _COMB, _FULL])
+def test_pack_of_flattened_trees_equals_pack_of_oracles(shapes):
+    trees = [tree_from_parents(shape) for shape in shapes]
+    vocab = small_vocab(6)
+    assert_same_bytes(
+        pack([flatten(t, vocab, f"f{i}") for i, t in enumerate(trees)]),
+        pack([FlatTree(**oracles.post_order_flat(t, vocab, f"f{i}"))
+              for i, t in enumerate(trees)]))
 
 
 def test_forward_root_matches_encode_then_t_lstm():
