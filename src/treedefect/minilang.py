@@ -18,13 +18,14 @@ Types are int, float, string, bool. Line comments (//) and block comments
 (/* */) are skipped. The lexer matches one lexeme at a time with one regular
 expression and cuts each run of word characters into integers (str.isdigit
 runs) and one identifier or keyword (str.isalpha or "_" first), so Unicode
-text lexes as Python classifies it. Binary operators are parsed by precedence
-climbing over _BINARY_LEVELS. The AST keeps no punctuation or delimiter
-nodes: labels are production names (CompilationUnit, VariableDeclaration,
-AssignStmt, IfStmt, WhileStmt, ForStmt, BlockStmt, ExprStmt, MethodCallExpr),
-operator symbols for unary/binary nodes, identifier and type-keyword text for
-names, and raw literal text for literals (collapse values with
-corpus.normalize_labels afterwards).
+text lexes as Python classifies it. parse_mini ends the tokens with an "end"
+token placed just past the last character, which is where errors at end of
+input point. Binary operators are parsed by precedence climbing over
+_BINARY_LEVELS. The AST keeps no punctuation or delimiter nodes: labels are
+production names (CompilationUnit, VariableDeclaration, AssignStmt, IfStmt,
+WhileStmt, ForStmt, BlockStmt, ExprStmt, MethodCallExpr), operator symbols for
+unary/binary nodes, identifier and type-keyword text for names, and raw literal
+text for literals (collapse values with corpus.normalize_labels afterwards).
 """
 
 from __future__ import annotations
@@ -47,16 +48,16 @@ _LEXEME = re.compile(
     re.DOTALL)
 
 # Statements, expressions and "!" operands that may be open at once. One level
-# costs at most ten interpreter frames (expression, seven _binary when each
-# parenthesis is the right operand of all six operator levels, unary, primary),
-# four for plain parentheses. At this limit the two shapes parse with recursion
-# limits of 634 and 262 (Python 3.11), inside the default of 1000.
+# costs at most eleven interpreter frames (expression, nested, seven _binary
+# when each parenthesis is the right operand of all six operator levels, unary,
+# primary), five for plain parentheses. Called from one function at this limit,
+# the two shapes need recursion limits of 698 and 326 (Python 3.11), under 1000.
 MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # "ident", "keyword", "int", "string", "op"
+    kind: str  # "ident", "keyword", "int", "string", "op"; parse_mini adds "end"
     text: str
     line: int
     col: int
@@ -107,71 +108,67 @@ _LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], end_line: int, end_col: int):
+    """Recursive descent over a token list that ends in two "end" tokens.
+
+    The end token has kind "end", empty text and the position just past the
+    last character, so every test on a token reads its kind or text, and
+    peek(1) stays in the list even on the first end token.
+    """
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.end_line = end_line
-        self.end_col = end_col
         self.nesting = 0
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def fail(self, message: str):
         tok = self.peek()
-        if tok is None:
-            raise MiniSyntaxError(f"{message}, found end of input", self.end_line, self.end_col)
-        raise MiniSyntaxError(f"{message}, found {tok.text!r}", tok.line, tok.col)
+        found = "end of input" if tok.kind == "end" else repr(tok.text)
+        raise MiniSyntaxError(f"{message}, found {found}", tok.line, tok.col)
 
     def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.tokens[self.pos].text == text
 
     def expect(self, text: str) -> Token:
         if not self.at(text):
             self.fail(f"expected {text!r}")
         return self.take()
 
-    def too_deep(self):
-        self.fail(f"nesting deeper than {MAX_NESTING} levels")
+    def nested(self, parse, *args) -> AstTree:
+        """Run parse(*args) one nesting level deeper. Statements, expressions
+        and "!" operands open a level; a failure abandons the whole parse."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        node = parse(*args)
+        self.nesting -= 1
+        return node
 
     # --- statements ---
 
     def program(self) -> AstTree:
         stmts = [self.statement()]
-        while self.peek() is not None:
+        while self.peek().kind != "end":
             stmts.append(self.statement())
         return AstTree("CompilationUnit", tuple(stmts))
 
-    # statement, expression and "!" each open one nesting level and close it
-    # on success; a failure abandons the whole parse
     def statement(self) -> AstTree:
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            self.too_deep()
-        node = self._statement()
-        self.nesting -= 1
-        return node
+        return self.nested(self._statement)
 
     def _statement(self) -> AstTree:
         tok = self.peek()
-        if tok is None:
-            self.fail("expected statement")
-        if tok.kind == "keyword":
+        if tok.kind in ("keyword", "end"):
             if tok.text in TYPE_KEYWORDS:
                 return self.declaration()
-            if tok.text == "if":
-                return self.if_stmt()
-            if tok.text == "while":
-                return self.while_stmt()
+            if tok.text in ("if", "while"):
+                return self.conditional()
             if tok.text == "for":
                 return self.for_stmt()
             self.fail("expected statement")
@@ -184,13 +181,12 @@ class _Parser:
         return AstTree("ExprStmt", (expr,))
 
     def _at_assign(self) -> bool:
-        nxt = self.peek(1)
-        return nxt is not None and nxt.text == "="
+        return self.peek(1).text == "="
 
     def declaration(self) -> AstTree:
         type_tok = self.take()
         name = self.peek()
-        if name is None or name.kind != "ident":
+        if name.kind != "ident":
             self.fail("expected identifier after type")
         self.take()
         children = [AstTree(type_tok.text), AstTree(name.text)]
@@ -208,38 +204,31 @@ class _Parser:
             self.expect(";")
         return AstTree("AssignStmt", (AstTree(name.text), value))
 
-    def if_stmt(self) -> AstTree:
-        self.take()
+    def conditional(self) -> AstTree:
+        """if (cond) stmt [else stmt] and while (cond) stmt."""
+        keyword = self.take().text
         self.expect("(")
         cond = self.expression()
         self.expect(")")
         children = [cond, self.statement()]
-        if self.at("else"):
+        if keyword == "if" and self.at("else"):
             self.take()
             children.append(self.statement())
-        return AstTree("IfStmt", tuple(children))
-
-    def while_stmt(self) -> AstTree:
-        self.take()
-        self.expect("(")
-        cond = self.expression()
-        self.expect(")")
-        return AstTree("WhileStmt", (cond, self.statement()))
+        return AstTree("IfStmt" if keyword == "if" else "WhileStmt", tuple(children))
 
     def for_stmt(self) -> AstTree:
         self.take()
         self.expect("(")
         children: list[AstTree] = []
         tok = self.peek()
-        if tok is not None and tok.kind == "keyword" and tok.text in TYPE_KEYWORDS:
+        if tok.kind == "keyword" and tok.text in TYPE_KEYWORDS:
             children.append(self.declaration())
-        elif tok is not None and tok.kind == "ident" and self._at_assign():
+        elif tok.kind == "ident" and self._at_assign():
             children.append(self.assignment())
         children.append(self.expression())
         self.expect(";")
         if not self.at(")"):
-            tok = self.peek()
-            if tok is None or tok.kind != "ident" or not self._at_assign():
+            if self.peek().kind != "ident" or not self._at_assign():
                 self.fail("expected assignment or ')' in for header")
             children.append(self.assignment(consume_semi=False))
         self.expect(")")
@@ -250,7 +239,7 @@ class _Parser:
         self.take()
         stmts = []
         while not self.at("}"):
-            if self.peek() is None:
+            if self.peek().kind == "end":
                 self.fail("expected '}'")
             stmts.append(self.statement())
         self.take()
@@ -259,17 +248,12 @@ class _Parser:
     # --- expressions ---
 
     def expression(self) -> AstTree:
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            self.too_deep()
-        node = self._binary(0)
-        self.nesting -= 1
-        return node
+        return self.nested(self._binary, 0)
 
     def _binary(self, min_level: int) -> AstTree:
         """Precedence climbing over the left-associative levels >= min_level."""
         node = self.unary()
-        while (tok := self.peek()) is not None and _LEVEL.get(tok.text, -1) >= min_level:
+        while _LEVEL.get((tok := self.peek()).text, -1) >= min_level:
             self.take()
             node = AstTree(tok.text, (node, self._binary(_LEVEL[tok.text] + 1)))
         return node
@@ -277,18 +261,11 @@ class _Parser:
     def unary(self) -> AstTree:
         if self.at("!"):
             tok = self.take()
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
-                self.too_deep()
-            node = AstTree(tok.text, (self.unary(),))
-            self.nesting -= 1
-            return node
+            return AstTree(tok.text, (self.nested(self.unary),))
         return self.primary()
 
     def primary(self) -> AstTree:
         tok = self.peek()
-        if tok is None:
-            self.fail("expected expression")
         if tok.text == "(":
             self.take()
             inner = self.expression()
@@ -323,10 +300,9 @@ def parse_mini(source: str) -> AstTree:
     and nesting deeper than MAX_NESTING statements, expressions and "!"
     operands.
     """
-    lines = source.split("\n")
-    end_line, end_col = len(lines), len(lines[-1]) + 1
     tokens = tokenize(source)
     if not tokens:
         raise MiniSyntaxError("empty input: expected at least one statement", 1, 1)
-    parser = _Parser(tokens, end_line, end_col)
-    return parser.program()
+    end = Token("end", "", source.count("\n") + 1, len(source) - source.rfind("\n"))
+    tokens += (end, end)
+    return _Parser(tokens).program()

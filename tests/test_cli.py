@@ -273,6 +273,35 @@ def test_a_flag_the_mode_ignores_is_bad_input(tmp_path, workspace, capsys, argv,
     assert not out.exists()
 
 
+_CLASSIFIER_FLAG_VALUES = {"--l2": "0.5", "--n-trees": "3", "--max-depth": "2",
+                           "--min-leaf": "4", "--features-per-split": "1", "--seed": "2"}
+
+
+@pytest.mark.parametrize("kind, flag", [
+    pytest.param("logistic", "--seed", marks=pytest.mark.xfail(strict=True, reason=(
+        "logistic fits accept and ignore --seed (FOUND in CHANGES.md); rejecting it "
+        "waits on cli-deep in bench/workloads.py, which passes --seed to both kinds"))),
+    *((kind, flag) for kind in ("logistic", "forest") for flag in _CLASSIFIER_FLAG_VALUES
+      if (kind, flag) != ("logistic", "--seed")),
+])
+def test_each_train_classifier_flag_is_rejected_or_changes_the_classifier(
+        tmp_path, workspace, capsys, kind, flag):
+    def train(*extra):
+        out = tmp_path / f"clf{len(extra)}.json"
+        code = main(["train-classifier", "--features", str(workspace["features"]),
+                     "--output", str(out), "--classifier", kind, *extra])
+        return code, out.read_bytes() if out.exists() else None
+
+    code, without = train()
+    assert code == 0
+    code, with_flag = train(flag, _CLASSIFIER_FLAG_VALUES[flag])
+    if code == 2:
+        assert with_flag is None
+        assert f"error: {flag} has no effect with --classifier {kind}" in capsys.readouterr().err
+    else:
+        assert code == 0 and with_flag != without
+
+
 @pytest.mark.parametrize("command", ["train-classifier", "evaluate"])
 def test_repeated_feature_row_is_bad_input(tmp_path, workspace, capsys, command):
     clf = tmp_path / "clf.json"

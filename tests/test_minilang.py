@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -234,6 +241,10 @@ NESTED = {
     "negations": lambda k: "x = " + "!" * (k - 2) + "y;",
     "if statements": lambda k: "if (a) " * (k - 2) + "x;",
     "calls": lambda k: "x = " + "f(" * (k - 2) + "1" + ")" * (k - 2) + ";",
+    # the deepest shape per level: each parenthesis is the right operand of
+    # all six operator levels
+    "operator levels": lambda k: ("x = " + "a || a && a == a < a + a * (" * (k - 2) + "1"
+                                  + ")" * (k - 2) + ";"),
 }
 
 
@@ -258,6 +269,67 @@ def test_nesting_3000_deep_is_a_syntax_error():
     for make in NESTED.values():
         with pytest.raises(MiniSyntaxError):
             parse_mini(make(3000))
+
+
+def test_nesting_limit_fits_a_small_recursion_limit():
+    # MAX_NESTING's comment: every shape at the limit parses, called from one
+    # function, under a recursion limit of 750 in a fresh interpreter
+    script = textwrap.dedent("""
+        import json, sys
+        from treedefect import parse_mini
+        def main(sources):
+            sys.setrecursionlimit(750)
+            for source in sources:
+                parse_mini(source)
+        main(json.load(sys.stdin))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    sources = [NESTED[kind](MAX_NESTING) for kind in sorted(NESTED)]
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(sources),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# One case per reachable fail() call site, mid-input and at end of input, and
+# end-of-input positions after trailing newlines, comments and \r\n line ends.
+# Errors at end of input point just past the last character.
+@pytest.mark.parametrize("source, message, line, col", [
+    ("else;", "expected statement, found 'else'", 1, 1),
+    ("if (a)", "expected statement, found end of input", 1, 7),
+    ("while (a)\n", "expected statement, found end of input", 2, 1),
+    ("x = ;", "expected expression, found ';'", 1, 5),
+    ("x = ", "expected expression, found end of input", 1, 5),
+    ("x = f(1,", "expected expression, found end of input", 1, 9),
+    # block() only fails at end of input: any other token starts a statement
+    ("{ x;", "expected '}', found end of input", 1, 5),
+    ("{\r\n  x;\r\n", "expected '}', found end of input", 3, 1),
+    ("int 3;", "expected identifier after type, found '3'", 1, 5),
+    ("int", "expected identifier after type, found end of input", 1, 4),
+    ("for (x; 1) y;", "expected assignment or ')' in for header, found '1'", 1, 9),
+    ("for (x;", "expected assignment or ')' in for header, found end of input", 1, 8),
+    ("x = 1 2;", "expected ';', found '2'", 1, 7),
+    ("x = 1", "expected ';', found end of input", 1, 6),
+    ("x = (1;", "expected ')', found ';'", 1, 7),
+    ("x = (1", "expected ')', found end of input", 1, 7),
+    ("x = f(1 2);", "expected ')', found '2'", 1, 9),
+    ("if x;", "expected '(', found 'x'", 1, 4),
+    ("while", "expected '(', found end of input", 1, 6),
+    (NESTED["parentheses"](MAX_NESTING + 1),
+     f"nesting deeper than {MAX_NESTING} levels, found '1'", 1, 4 + MAX_NESTING),
+    ("x = " + "!" * (MAX_NESTING - 1),
+     f"nesting deeper than {MAX_NESTING} levels, found end of input", 1, 4 + MAX_NESTING),
+    ("x = 1\n", "expected ';', found end of input", 2, 1),
+    ("x = 1 /* a\nbb */", "expected ';', found end of input", 2, 6),
+    ("x = 1;\r\ny = 2\r\n", "expected ';', found end of input", 3, 1),
+    ("x = 1;\r\ny = (2", "expected ')', found end of input", 2, 7),
+])
+def test_syntax_error_table(source, message, line, col):
+    with pytest.raises(MiniSyntaxError) as info:
+        parse_mini(source)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 _TOKENS = ("(", ")", "{", "}", "!", ";", ",", "=", "==", "+", "*", "<", "&&",
