@@ -325,9 +325,9 @@ def _tree_from_preorder(nodes, source: str) -> TreeNode:
         if not unfilled:
             raise DocumentError(f"{source}: trailing tree nodes after preorder walk")
         node = unfilled.pop()
-        if not isinstance(spec, dict):
-            raise DocumentError(f"{source}: tree node must be an object")
+        jsonio.known_fields(spec, ("f", "t", "p"), source, "tree node")
         if "p" in spec:
+            jsonio.known_fields(spec, ("p",), source)
             p = spec["p"]
             if not (isinstance(p, list) and len(p) == 2
                     and all(is_number(v) and 0 <= v <= 1 for v in p)
@@ -372,10 +372,17 @@ def _dim(doc, used: int, source: str) -> int:
     return dim
 
 
+_FIELDS = {"logistic": ("format_version", "kind", "dim", "weights", "bias", "l2"),
+           "forest": ("format_version", "kind", "dim", "n_trees", "max_depth", "min_leaf",
+                      "features_per_split", "seed", "trees")}  # a document's keys, per kind
+
+
 def classifier_from_document(doc, source: str = "classifier"):
-    if not isinstance(doc, dict) or doc.get("format_version") != 1:
-        raise DocumentError(f"{source}: expected an object with format_version 1")
-    kind = doc.get("kind")
+    kind = jsonio.known_fields(doc, _FIELDS["logistic"] + _FIELDS["forest"], source,
+                               version=1).get("kind")
+    if kind not in CLASSIFIER_KINDS:  # a list or object kind cannot be a key of _FIELDS
+        raise DocumentError(f"{source}: unknown classifier kind {kind!r}")
+    jsonio.known_fields(doc, _FIELDS[kind], source)
     if kind == "logistic":
         weights, bias, l2 = doc.get("weights"), doc.get("bias"), doc.get("l2")
         if not (isinstance(weights, list) and all(map(is_number, weights))):
@@ -387,29 +394,25 @@ def classifier_from_document(doc, source: str = "classifier"):
             raise DocumentError(f"{source}: 'dim' is {doc['dim']} but there are "
                                 f"{len(weights)} weights")
         return LogisticModel(np.array(weights, dtype=float), float(bias), float(l2))
-    if kind == "forest":
-        trees_doc = doc.get("trees")
-        if not isinstance(trees_doc, list) or not trees_doc:
-            raise DocumentError(f"{source}: 'trees' must be a non-empty list")
-        trees = [_tree_from_preorder(t, f"{source}.trees[{i}]")
-                 for i, t in enumerate(trees_doc)]
-        features = [node["f"] for t in trees_doc for node in t if "p" not in node]
-        dim = _dim(doc, max(features, default=-1) + 1, source)
-        seed = doc.get("seed")
-        if not is_int(seed):
-            raise DocumentError(f"{source}: 'seed' must be an integer")
-        try:
-            options = ClassifierOptions("forest", n_trees=doc.get("n_trees"),
-                                        max_depth=doc.get("max_depth"),
-                                        min_leaf=doc.get("min_leaf"),
-                                        features_per_split=doc.get("features_per_split"))
-        except ValueError as exc:
-            raise DocumentError(f"{source}: {exc}") from exc
-        if options.n_trees != len(trees):
-            raise DocumentError(f"{source}: 'n_trees' is {options.n_trees} but "
-                                f"there are {len(trees)} trees")
-        return ForestModel(trees, options, seed, dim)
-    raise DocumentError(f"{source}: unknown classifier kind {kind!r}")
+    trees_doc = doc.get("trees")
+    if not isinstance(trees_doc, list) or not trees_doc:
+        raise DocumentError(f"{source}: 'trees' must be a non-empty list")
+    trees = [_tree_from_preorder(t, f"{source}.trees[{i}]") for i, t in enumerate(trees_doc)]
+    features = [node["f"] for t in trees_doc for node in t if "p" not in node]
+    dim = _dim(doc, max(features, default=-1) + 1, source)
+    seed = doc.get("seed")
+    if not is_int(seed):
+        raise DocumentError(f"{source}: 'seed' must be an integer")
+    try:
+        options = ClassifierOptions("forest", n_trees=doc.get("n_trees"),
+                                    max_depth=doc.get("max_depth"), min_leaf=doc.get("min_leaf"),
+                                    features_per_split=doc.get("features_per_split"))
+    except ValueError as exc:
+        raise DocumentError(f"{source}: {exc}") from exc
+    if options.n_trees != len(trees):
+        raise DocumentError(f"{source}: 'n_trees' is {options.n_trees} but "
+                            f"there are {len(trees)} trees")
+    return ForestModel(trees, options, seed, dim)
 
 
 def save_classifier(path, model) -> None:

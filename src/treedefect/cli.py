@@ -69,11 +69,7 @@ def _reject_ignored(args: argparse.Namespace, names: tuple[str, ...], mode: str)
 def _config_file(args: argparse.Namespace, allowed: tuple[str, ...]) -> dict:
     if not args.config:
         return {}
-    doc = jsonio.read(args.config)
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{args.config}: config must be an object")
-    jsonio.known_fields(doc, allowed, args.config)
-    return doc
+    return jsonio.known_fields(jsonio.read(args.config), allowed, args.config, "config")
 
 
 def _options(cls, args: argparse.Namespace, config: dict, **fixed):
@@ -121,8 +117,6 @@ def _iter_input_files(inputs: list[str]) -> list[tuple[Path, str]]:
             found.append((path, path.name))
         else:
             raise DocumentError(f"{path}: no such file or directory")
-    if not found:
-        raise DocumentError("no input files given")
     return found
 
 
@@ -179,13 +173,12 @@ def cmd_vocab(args: argparse.Namespace) -> int:
 
 
 def _load_vocab_file(path: str) -> Vocabulary:
-    doc = jsonio.read(path)
-    if (not isinstance(doc, dict) or doc.get("format_version") != 1
-            or not isinstance(doc.get("tokens"), list)
-            or not all(isinstance(t, str) for t in doc["tokens"])):
-        raise DocumentError(f"{path}: not a vocabulary file")
+    tokens = jsonio.known_fields(jsonio.read(path), ("format_version", "tokens"), path,
+                                 "vocabulary file", version=1).get("tokens")
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise DocumentError(f"{path}: 'tokens' must be a list of strings")
     try:
-        return Vocabulary(tuple(doc["tokens"]))
+        return Vocabulary(tuple(tokens))
     except ValueError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
 

@@ -194,13 +194,12 @@ def corpus_to_document(records: list[FileRecord]) -> dict:
 
 
 def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{source}: document must be an object")
-    version = doc.get("format_version")
-    if version != 2:
-        rerun = "; re-run `ingest` on the sources to write version 2" if version == 1 else ""
-        raise DocumentError(f"{source}: format_version must be 2, got {version!r}{rerun}")
-    jsonio.known_fields(doc, ("format_version", "labels", "files"), source)
+    try:
+        jsonio.known_fields(doc, ("format_version", "labels", "files"), source, version=2)
+    except DocumentError as exc:  # a version-1 corpus is also told how to upgrade
+        if str(exc) != f"{source}: format_version must be 2, got 1":
+            raise
+        raise DocumentError(f"{exc}; re-run `ingest` on the sources to write version 2") from None
     labels = doc.get("labels")
     if (not isinstance(labels, list) or not all(isinstance(t, str) and t for t in labels)
             or any(a >= b for a, b in zip(labels, labels[1:]))):
@@ -212,24 +211,21 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
     seen: set[tuple[str, str, str]] = set()
     for i, entry in enumerate(files):
         where = f"{source}: files[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: entry must be an object")
         jsonio.known_fields(entry, ("file_id", "project", "version", "label", "nodes",
-                                    "arity"), where)
+                                    "arity"), where, "entry")
         for key in ("file_id", "project", "version"):
             value = entry.get(key)
             if not isinstance(value, str) or not value:
                 raise DocumentError(f"{where}: {key!r} must be a non-empty string")
         label = entry.get("label")
-        if label is not None and (isinstance(label, bool) or label not in (0, 1)):
+        if label is not None and not (jsonio.is_int(label) and label in (0, 1)):
             raise DocumentError(f"{where}: 'label' must be 0, 1 or null, got {label!r}")
         nodes, arity = entry.get("nodes"), entry.get("arity")
         if not (isinstance(nodes, list) and isinstance(arity, list)
                 and 0 < len(nodes) == len(arity)):
             raise DocumentError(f"{where}: 'nodes' and 'arity' must be non-empty lists "
                                 f"of equal length")
-        record = FileRecord(entry["file_id"], entry["project"], entry["version"],
-                            None if label is None else int(label),
+        record = FileRecord(entry["file_id"], entry["project"], entry["version"], label,
                             _from_preorder(labels, nodes, arity, where))
         if record.key in seen:
             raise DocumentError(f"{where}: duplicate entry for {record.key}")

@@ -32,26 +32,20 @@ class ConfusionMatrix:
 
 
 def auc(scores, labels) -> float | None:
-    """Mann-Whitney AUC with midrank tie handling (ties earn half credit),
-    or None when the labels hold only one class."""
+    """Mann-Whitney AUC: the share of (defective, clean) pairs in which the
+    defective file scores higher, a tie counting one half; None when the
+    labels hold only one class."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length vectors")
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = s[y == 1], np.sort(s[y == 0])
+    if len(pos) == 0 or len(neg) == 0:
         return None
-    order = np.argsort(s, kind="mergesort")
-    ss = s[order]
-    n = len(s)
-    bounds = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
-    sizes = np.diff(np.r_[bounds, n])
-    midranks = bounds + (sizes + 1) / 2.0  # 1-based average rank per tied group
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(midranks, sizes)
-    rank_sum_pos = float(ranks[y == 1].sum())
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # twice U: per defective file, the clean files below it plus those below or tied
+    twice_u = int(np.searchsorted(neg, pos, "left").sum()
+                  + np.searchsorted(neg, pos, "right").sum())
+    return twice_u / 2 / (len(pos) * len(neg))
 
 
 @dataclass
@@ -145,9 +139,7 @@ def write_report_json(path, reports: list[MetricsReport],
 def report_from_json(obj, source: str = "report") -> MetricsReport:
     """One report entry as `write_report_json` writes it; `auc` and `flags`
     may be left out. Any other deviation is a DocumentError naming `source`."""
-    if not isinstance(obj, dict):
-        raise DocumentError(f"{source}: report entry must be an object")
-    jsonio.known_fields(obj, _REPORT_COLUMNS, source)
+    jsonio.known_fields(obj, _REPORT_COLUMNS, source, "report entry")
     for key in ("cell_train", "cell_test"):
         if not isinstance(obj.get(key), str):
             raise DocumentError(f"{source}: {key!r} must be a string")

@@ -194,9 +194,8 @@ class PairsDescriptor:
 
 
 def parse_descriptor(doc, source: str = "descriptor"):
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{source}: descriptor must be an object")
-    kind = doc.get("experiment")
+    kind = jsonio.known_fields(doc, ("experiment", "classifier", "k", "pairs"), source,
+                               "descriptor").get("experiment")
     if kind not in ("cv", "version-pairs"):
         raise DocumentError(f"{source}: 'experiment' must be 'cv' or 'version-pairs'")
     jsonio.known_fields(doc, ("experiment", "classifier", "k" if kind == "cv" else "pairs"),
@@ -215,16 +214,13 @@ def parse_descriptor(doc, source: str = "descriptor"):
     pairs = []
     for i, entry in enumerate(raw):
         where = f"{source}.pairs[{i}]"
-        if not isinstance(entry, dict):
-            raise DocumentError(f"{where}: pair must be an object")
-        jsonio.known_fields(entry, ("train", "test"), where)
+        jsonio.known_fields(entry, ("train", "test"), where, "pair")
         sides = []
         for side in ("train", "test"):
-            spec = entry.get(side)
-            if (not isinstance(spec, dict) or not isinstance(spec.get("project"), str)
-                    or not isinstance(spec.get("version"), str)):
+            spec = jsonio.known_fields(entry.get(side), ("project", "version"),
+                                       f"{where}.{side}", "side")
+            if not (isinstance(spec.get("project"), str) and isinstance(spec.get("version"), str)):
                 raise DocumentError(f"{where}: {side!r} needs string fields project and version")
-            jsonio.known_fields(spec, ("project", "version"), f"{where}.{side}")
             sides.append((spec["project"], spec["version"]))
         pairs.append((sides[0], sides[1]))
     return PairsDescriptor(pairs, classifier)

@@ -4,7 +4,8 @@ JSON documents are written with sorted keys, compact separators and a
 trailing newline so identical inputs produce byte-identical files. Floats go
 through Python's repr (shortest round-trip), so values survive a write/read
 cycle exactly. CSV tables end every line with "\n". Every write is atomic: a
-temporary file renamed over the target.
+temporary file renamed over the target. Readers test each JSON object they
+take with `known_fields` and its values with `is_int` and `is_number`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import csv
 import io
 import json
 import os
+import sys
 from collections.abc import Iterable, Sequence
-from math import isfinite
 from pathlib import Path
 from typing import Any
 
@@ -32,15 +33,26 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A finite JSON number: an int or float, not a bool, NaN or infinite."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and isfinite(value)
+    """A JSON number that is a finite float: an int or float, not a bool, NaN,
+    infinite or an integer too large for a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def known_fields(doc: dict, fields: Iterable[str], where: str) -> None:
-    """Raise DocumentError naming the alphabetically first key of `doc` not in `fields`."""
+def known_fields(doc: Any, fields: Iterable[str], where: str, what: str = "document",
+                 version: int | None = None) -> dict:
+    """`doc`, a JSON object whose keys are all in `fields` and, if `version` is given, whose
+    format_version is that JSON integer. Else a DocumentError "{where}: ...": "{what} must
+    be an object", the version found, or the alphabetically first unknown key, in that order."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{where}: {what} must be an object")
+    found = doc.get("format_version")
+    if version is not None and not (is_int(found) and found == version):
+        raise DocumentError(f"{where}: format_version must be {version}, got {found!r}")
     unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise DocumentError(f"{where}: unknown field {unknown[0]!r}")
+    return doc
 
 
 def dumps(doc: Any) -> str:

@@ -420,22 +420,23 @@ def model_to_document(model: TreeLstmModel, head_u: np.ndarray) -> dict:
 
 
 def _array_field(doc: dict, key: str, shape: tuple[int, ...], source: str) -> np.ndarray:
+    """Field `key` of `doc` as a float array of `shape`; every entry must be a
+    finite JSON number (jsonio.is_number)."""
     try:
         arr = np.asarray(doc[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"{source}: bad or missing field {key!r}") from exc
     if arr.shape != shape:
         raise DocumentError(f"{source}: field {key!r} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"{source}: field {key!r} contains non-finite entries")
+    rows = [doc[key]] if len(shape) == 1 else doc[key]
+    if not all(jsonio.is_number(v) for row in rows for v in row):
+        raise DocumentError(f"{source}: field {key!r} contains non-finite or non-number entries")
     return arr
 
 
 def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.ndarray]:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{source}: document must be an object")
-    if doc.get("format_version") != 1:
-        raise DocumentError(f"{source}: format_version must be 1")
+    jsonio.known_fields(doc, ("format_version", "d", "hidden_dim", "vocab", "embeddings", "head",
+                              *GATE_NAMES), source, version=1)
     tokens = doc.get("vocab")
     if (not isinstance(tokens, list) or not tokens
             or not all(isinstance(t, str) for t in tokens)):
@@ -450,15 +451,11 @@ def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.n
     params = {"embeddings": _array_field(doc, "embeddings", (d, len(tokens)), source)}
     shapes = {"W": (hd, d), "U": (hd, hd), "b": (hd,)}
     for name in GATE_NAMES:
-        group = doc.get(name)
-        if not isinstance(group, dict):
-            raise DocumentError(f"{source}: missing gate group {name!r}")
+        group = jsonio.known_fields(doc.get(name), shapes, f"{source}.{name}", "group")
         for part, shape in shapes.items():
             params[f"{name}.{part}"] = _array_field(group, part, shape, f"{source}.{name}")
-    head_group = doc.get("head")
-    if not isinstance(head_group, dict):
-        raise DocumentError(f"{source}: missing field 'head'")
-    head_u = _array_field(head_group, "U", (len(tokens), hd), f"{source}.head")
+    head = jsonio.known_fields(doc.get("head"), ("U",), f"{source}.head", "group")
+    head_u = _array_field(head, "U", (len(tokens), hd), f"{source}.head")
     return TreeLstmModel(vocab, params), head_u
 
 

@@ -176,6 +176,58 @@ def test_logistic_without_regularization_on_separable_data_stays_finite():
         assert np.array_equal(again.weights, model.weights) and again.bias == model.bias
 
 
+def _fit_without_l2(monkeypatch, X, y):
+    """train_logistic(X, y, 0.0) and the fallbacks it took, read from its
+    Hessian solves and loss evaluations."""
+    solve, loss = np.linalg.solve, classifiers._logistic_loss
+    taken, solves, losses = set(), [], []
+
+    def spy_solve(hessian, grad):
+        solves.append(grad)
+        try:
+            direction = -solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            taken.add("singular Hessian")
+            raise
+        if not -np.inf < float(grad @ direction) < 0.0:
+            taken.add("no descent direction")
+        return -direction
+
+    def spy_loss(*args):
+        losses.append(args)
+        return loss(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(classifiers, "_logistic_loss", spy_loss)
+    model = train_logistic(X, y, 0.0)
+    monkeypatch.undo()
+    if len(losses) > 1 + len(solves):  # one loss per step tried, after the first
+        taken.add("step halved")
+    if len(model.loss_history) == len(solves):  # the last step was not taken
+        taken.add("line search stalled")
+    return model, taken
+
+
+def test_logistic_fallbacks_end_with_finite_weights(monkeypatch):
+    # a duplicated column makes every Hessian singular: gradient steps keep
+    # the two weights equal
+    x = np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1])
+    model, taken = _fit_without_l2(monkeypatch, np.stack([x, x], axis=1),
+                                   np.array([0, 1, 0, 1, 1, 0]))
+    assert "singular Hessian" in taken
+    assert model.weights[0] == model.weights[1] and np.all(np.isfinite(model.weights))
+    # nearly equal columns leave the Hessian solvable at float precision, but
+    # its Newton direction may climb
+    a, e = np.array([-3.0, -3.0, -2.0]), np.array([0.0, -1.0, -1.0])
+    X = np.stack([a, a + e * 2.0**-30], axis=1) * 1e5
+    model, taken = _fit_without_l2(monkeypatch, X, np.array([1, 0, 1]))
+    assert taken == {"singular Hessian", "no descent direction", "step halved",
+                     "line search stalled"}
+    assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+    assert np.all(np.diff(model.loss_history) <= 0)
+    assert len(model.loss_history) - 1 < _MAX_STEPS
+
+
 def test_logistic_bias_fits_base_rate_and_is_unregularized():
     # zero features leave only the bias: optimum is the base rate 3/4,
     # which a regularized bias could not reach exactly
@@ -295,6 +347,32 @@ def test_classifier_document_validation():
     with pytest.raises(DocumentError):
         classifier_from_document({"format_version": 1, "kind": "logistic",
                                   "weights": [[1.0]], "bias": 0.0, "l2": 0.0})
+    logistic = {"format_version": 1, "kind": "logistic", "dim": 1, "weights": [1.0],
+                "bias": 0.0, "l2": 0.0}
+    forest = {"format_version": 1, "kind": "forest", "dim": 1, "n_trees": 1, "max_depth": 2,
+              "min_leaf": 1, "features_per_split": 1, "seed": 0,
+              "trees": [[{"f": 0, "t": 0.5}, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]]}
+    assert classifier_from_document(logistic).dim == classifier_from_document(forest).dim == 1
+    leaf = forest["trees"][0][1]
+    for doc, message in (
+            ([], "^classifier: document must be an object$"),
+            ({**logistic, "format_version": True}, "^classifier: format_version must be 1, "
+                                                   "got True$"),
+            ({**logistic, "format_version": 1.0}, "must be 1, got 1.0$"),
+            ({**logistic, "extra": 1}, "^classifier: unknown field 'extra'$"),
+            ({**logistic, "seed": 1}, "^classifier: unknown field 'seed'$"),
+            ({**forest, "weights": [1.0]}, "^classifier: unknown field 'weights'$"),
+            ({**logistic, "kind": []}, r"^classifier: unknown classifier kind \[\]$"),
+            ({**logistic, "kind": {}}, "^classifier: unknown classifier kind {}$"),
+            ({**forest, "trees": [[{"f": 0, "t": 0.5, "x": 1}, leaf, leaf]]},
+             r"^classifier\.trees\[0\]: unknown field 'x'$"),
+            ({**forest, "trees": [[{"f": 0, "t": 0.5}, {**leaf, "f": 0}, leaf]]},
+             r"^classifier\.trees\[0\]: unknown field 'f'$"),
+            ({**forest, "trees": [[{"f": 0, "t": 0.5}, 7, leaf]]},
+             r"^classifier\.trees\[0\]: tree node must be an object$"),
+            ({**logistic, "weights": [10**400]}, "'weights' must be a number array")):
+        with pytest.raises(DocumentError, match=message):
+            classifier_from_document(doc)
 
 
 def test_classifier_documents_record_and_check_dim():

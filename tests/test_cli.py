@@ -113,9 +113,17 @@ def test_ingest_merges_documents_and_rejects_duplicates(tmp_path, capsys):
     assert f"in {first} and {third}" in err
 
 
-def test_ingest_missing_input(tmp_path):
+def test_ingest_missing_input(tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "nowhere"),
                  "--output", str(tmp_path / "c.json")]) == 2
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (tmp_path / "a.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["ingest", str(tmp_path / "a.mini"), str(empty),
+                 "--output", str(tmp_path / "c.json")]) == 2
+    assert f"error: {empty}: directory contains no files" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_vocab_command(tmp_path, workspace, capsys):
@@ -781,3 +789,101 @@ def test_ingest_rejects_a_label_entry_naming_no_source(tmp_path, capsys):
     assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels),
                  "--skip-bad"]) == 0
     assert [r.label for r in read_corpus(out)] == [1] + [None] * 39
+
+
+def _set(*path_and_value):
+    """An edit of a JSON document: set the value at a path of keys and indices."""
+    *parents, key, value = path_and_value
+
+    def edit(doc):
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+# Each input is bad, and each was read as good before every reader checked its
+# objects, versions, keys and numbers through jsonio.
+@pytest.mark.parametrize("artifact, edit, message", [
+    ("model", _set("format_version", True), ": format_version must be 1, got True"),
+    ("model", _set("extra", 1), ": unknown field 'extra'"),
+    ("model", _set("forget", "V", [[0.0]]), ".forget: unknown field 'V'"),
+    ("model", _set("embeddings", 0, 0, True), ": field 'embeddings' contains non-finite or"),
+    ("logistic", _set("extra", 1), ": unknown field 'extra'"),
+    ("forest", _set("trees", 0, 0, "x", 1), ".trees[0]: unknown field 'x'"),
+    ("vocabulary", _set("format_version", True), ": format_version must be 1, got True"),
+    ("vocabulary", _set("extra", 1), ": unknown field 'extra'"),
+    ("corpus", _set("format_version", 2.0), ": format_version must be 2, got 2.0"),
+    ("corpus", _set("files", 0, "label", 1.0), ": files[0]: 'label' must be 0, 1 or null"),
+], ids=["model-version-true", "model-unknown-key", "model-gate-group-unknown-key",
+        "model-weight-true", "classifier-unknown-key", "classifier-tree-node-unknown-key",
+        "vocabulary-version-true", "vocabulary-extra-key", "corpus-version-2.0",
+        "corpus-label-1.0"])
+def test_newly_rejected_documents_are_bad_input(tmp_path, workspace, capsys, artifact, edit,
+                                                message):
+    good = tmp_path / f"{artifact}.json"
+    out = tmp_path / "out.csv"
+    if artifact in ("logistic", "forest"):
+        assert main(["train-classifier", "--features", str(workspace["features"]),
+                     "--output", str(good), "--classifier", artifact,
+                     *(["--n-trees", "2"] if artifact == "forest" else [])]) == 0
+    elif artifact == "vocabulary":
+        assert main(["vocab", "--corpus", str(workspace["corpus"]), "--output", str(good)]) == 0
+    else:
+        good = workspace[artifact]
+    doc = read(good)
+    edit(doc)
+    bad = tmp_path / f"bad-{artifact}.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"model": ["featurize", "--corpus", str(workspace["corpus"]), "--model", str(bad)],
+            "logistic": ["evaluate", "--features", str(workspace["features"]),
+                         "--classifier-file", str(bad)],
+            "vocabulary": ["featurize", "--corpus", str(workspace["corpus"]), "--method", "bow",
+                           "--vocab", str(bad)],
+            "corpus": ["stats", "--corpus", str(bad)]}
+    argv["forest"] = argv["logistic"]
+    capsys.readouterr()
+    assert main([*argv[artifact], "--output", str(out)]) == 2
+    assert f"error: {bad}{message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_is_bad_input(tmp_path, workspace, capsys):
+    config = _config(tmp_path, "list", [1])
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--config", str(config),
+                 "--output", str(tmp_path / "m.json")]) == 2
+    assert f"error: {config}: config must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["a.mini", "a.mini,1,0", "a.mini,yes", "a.mini,1.0"])
+def test_a_labels_row_that_is_not_file_id_label_is_bad_input(tmp_path, capsys, row):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.mini").write_text(GOOD_SOURCE, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"file_id,label\n{row}\n", encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    assert main(["ingest", str(src), "--output", str(out), "--labels", str(labels)]) == 2
+    assert (f"{labels}:2: expected 'file_id,label' with label 0 or 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "vocabulary file must be an object"),
+    ('{"format_version": 2, "tokens": ["<unk>"]}', "format_version must be 1, got 2"),
+    ('{"format_version": 1}', "'tokens' must be a list of strings"),
+    ('{"format_version": 1, "tokens": ["<unk>", 3]}', "'tokens' must be a list of strings"),
+    ('{"format_version": 1, "tokens": ["a", "<unk>"]}', "<unk>"),
+    ("{", "invalid JSON"),
+])
+def test_a_malformed_vocabulary_file_is_bad_input(tmp_path, workspace, capsys, text, message):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--vocab", str(vocab),
+                 "--output", str(model), "--embedding-dim", "4", "--hidden-dim", "4",
+                 "--max-epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {vocab}: " in err and message in err
+    assert not model.exists()

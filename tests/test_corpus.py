@@ -201,7 +201,9 @@ def test_corpus_document_roundtrip(tmp_path):
 
 
 def test_corpus_document_validation():
-    for version, message in ((3, "must be 2, got 3$"), (1, "got 1; re-run `ingest`")):
+    for version, message in ((3, "must be 2, got 3$"), (1, "got 1; re-run `ingest`"),
+                             (2.0, "must be 2, got 2.0$"), (True, "must be 2, got True$"),
+                             (1.0, "must be 2, got 1.0$")):
         doc = corpus_to_document(make_records())
         doc["format_version"] = version
         with pytest.raises(DocumentError, match=message):
@@ -210,10 +212,11 @@ def test_corpus_document_validation():
     doc["files"][1]["label"] = 2
     with pytest.raises(DocumentError, match=r"files\[1\].*label"):
         corpus_from_document(doc)
-    doc = corpus_to_document(make_records())
-    doc["files"][0]["label"] = True
-    with pytest.raises(DocumentError, match="label"):
-        corpus_from_document(doc)
+    for label in (True, 1.0, 0.0, "1"):
+        doc = corpus_to_document(make_records())
+        doc["files"][0]["label"] = label
+        with pytest.raises(DocumentError, match=r"files\[0\]: 'label' must be 0, 1 or null"):
+            corpus_from_document(doc)
     doc = corpus_to_document(make_records())
     del doc["files"][2]["nodes"]
     with pytest.raises(DocumentError, match=r"files\[2\].*nodes"):

@@ -63,16 +63,18 @@ def test_auc_hand_examples():
 
 
 def test_auc_matches_pair_enumeration():
+    # both count half-credits exactly and divide once, so they agree to the bit
     rng = np.random.default_rng(53)
-    for _ in range(200):
-        n = int(rng.integers(2, 13))
+    for i in range(200):
+        n = int(rng.integers(2, 13 if i < 150 else 60))
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         # coarse scores force plenty of ties
-        scores = rng.integers(0, 4, size=n) / 4.0
+        scores = rng.integers(0, 4, size=n) / 4.0 if i % 2 else rng.normal(size=n)
         expected = oracles.auc_pairs(scores.tolist(), labels.tolist())
-        assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+        value = auc(scores, labels)
+        assert type(value) is float and value == expected
 
 
 def test_auc_invariances():

@@ -121,6 +121,13 @@ def test_for_optional_parts():
     no_update = parse_mini("for (int i = 0; i < 3;) step();")
     kinds = [c.label for c in no_update.children[0].children]
     assert kinds == ["VariableDeclaration", "<", "ExprStmt"]
+    assign_init = parse_mini("for (i = 0; i < 3; i = i + 1) step();")
+    assert assign_init == unit(AstTree("ForStmt", (
+        AstTree("AssignStmt", (leaf("i"), leaf("0"))),
+        AstTree("<", (leaf("i"), leaf("3"))),
+        AstTree("AssignStmt", (leaf("i"), AstTree("+", (leaf("i"), leaf("1"))))),
+        AstTree("ExprStmt", (AstTree("MethodCallExpr", (leaf("step"),)),)),
+    )))
 
 
 def test_comments_are_skipped():

@@ -390,6 +390,31 @@ def test_model_document_validation():
     bad["d"] = bad["hidden_dim"] = True
     with pytest.raises(DocumentError, match="positive integers"):
         model_from_document(bad)
+    # booleans and numeric strings are not numbers, and versions are JSON integers
+    for path, value, message in ((("embeddings", 0, 0), True, r"^model: field 'embeddings'"),
+                                 (("forget", "b", 0), "1e-3", r"^model\.forget: field 'b'"),
+                                 (("head", "U", 3, 1), False, r"^model\.head: field 'U'"),
+                                 (("output", "U", 1, 0), 10**400, r"^model\.output: bad"),
+                                 (("format_version",), True, "must be 1, got True$"),
+                                 (("format_version",), 1.0, "must be 1, got 1.0$")):
+        bad = doc()
+        *parents, key = path
+        target = bad
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(DocumentError, match=message):
+            model_from_document(bad)
+    for where, group in (("model", None), (r"model\.cell", "cell"), (r"model\.head", "head")):
+        bad = doc()
+        (bad[group] if group else bad)["extra"] = 1
+        with pytest.raises(DocumentError, match=rf"^{where}: unknown field 'extra'$"):
+            model_from_document(bad)
+    for bad_group in ([], None):
+        bad = doc()
+        bad["input"] = bad_group
+        with pytest.raises(DocumentError, match=r"^model\.input: group must be an object$"):
+            model_from_document(bad)
 
 
 @pytest.mark.filterwarnings("ignore:embedding dimension")
