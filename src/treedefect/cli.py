@@ -3,8 +3,8 @@
 Subcommands: ingest, vocab, pretrain, featurize, train-classifier, evaluate,
 experiment, stats. Option precedence is flags > --config file > defaults.
 Exit codes: 0 success, 1 a produced report carries undefined-metric flags,
-2 usage or input error or a failed file operation (disk full, I/O error),
-3 internal error.
+2 usage or input error, a failed file operation (disk full, I/O error) or a
+size that cannot be allocated, 3 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, bow_featurize,
                           featurize_corpus, load_classifier, predict_proba,
                           read_features_csv, save_classifier, write_features_csv)
 from .corpus import (FileRecord, Vocabulary, build_vocabulary, corpus_from_document,
-                     normalize_labels, read_corpus, write_corpus)
+                     normalize_labels, read_corpus, vocabulary_from_json, write_corpus)
 from .errors import DocumentError, TreeDefectError
 from .evaluation import evaluate_predictions, write_report_csv, write_report_json
 from .experiments import (CvDescriptor, PairsDescriptor, average_report,
@@ -173,14 +173,9 @@ def cmd_vocab(args: argparse.Namespace) -> int:
 
 
 def _load_vocab_file(path: str) -> Vocabulary:
-    tokens = jsonio.known_fields(jsonio.read(path), ("format_version", "tokens"), path,
-                                 "vocabulary file", version=1).get("tokens")
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-        raise DocumentError(f"{path}: 'tokens' must be a list of strings")
-    try:
-        return Vocabulary(tuple(tokens))
-    except ValueError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    doc = jsonio.known_fields(jsonio.read(path), ("format_version", "tokens"), path,
+                              "vocabulary file", version=1)
+    return vocabulary_from_json(doc.get("tokens"), f"{path}: 'tokens'")
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
@@ -210,10 +205,11 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     if args.method == "bow" and bool(args.model) == bool(args.vocab):
         raise DocumentError("--method bow needs one of --model or --vocab for the vocabulary")
     records = read_corpus(args.corpus)
+    model = load_model(args.model)[0] if args.model else None
     if args.method == "tree":
-        features = featurize_corpus(records, load_model(args.model)[0])
+        features = featurize_corpus(records, model)
     else:
-        vocab = load_model(args.model)[0].vocab if args.model else _load_vocab_file(args.vocab)
+        vocab = model.vocab if model else _load_vocab_file(args.vocab)
         try:
             threshold = _BOW_THRESHOLD if args.threshold is None else args.threshold
             features = bow_featurize(records, vocab, threshold)
@@ -270,17 +266,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise DocumentError(f"{out_dir}: {exc.strerror or exc}") from exc
     if isinstance(descriptor, CvDescriptor):
         result = cv_from_folds(cv_feature_folds(records, descriptor.k, config), options)
-        reports = [*result.folds, result.average]
-        write_report_csv(out_dir / "report.csv", reports)
-        write_report_json(out_dir / "report.json", result.folds, result.average)
-        avg = result.average
+        cells, avg = result.folds, result.average
+        reports = [*cells, avg]  # the CV table ends with its average row
     else:
         assert isinstance(descriptor, PairsDescriptor)
-        reports = [version_pair_run(train, test, records, options, config)
-                   for train, test in descriptor.pairs]
-        write_report_csv(out_dir / "report.csv", reports)
-        avg = average_report(reports, cell=("pairs:average", "pairs:average"))
-        write_report_json(out_dir / "report.json", reports, avg)
+        reports = cells = [version_pair_run(train, test, records, options, config)
+                           for train, test in descriptor.pairs]
+        avg = average_report(cells, cell=("pairs:average", "pairs:average"))
+    write_report_csv(out_dir / "report.csv", reports)
+    write_report_json(out_dir / "report.json", cells, avg)
     auc_text = "undefined" if avg.auc is None else f"{avg.auc:.4f}"
     print(f"wrote {len(reports)} report rows to {out_dir / 'report.csv'}")
     print(f"average: precision {avg.precision:.4f}  recall {avg.recall:.4f}  "
@@ -390,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # the environment failed (disk full, I/O error), not the code
         where = f"{exc.filename}: " if exc.filename else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes this machine cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # contract violations, bugs: report distinctly
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -156,6 +156,18 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def vocabulary_from_json(tokens: Any, where: str) -> Vocabulary:
+    """The Vocabulary of a token list read from a JSON document: the one rule
+    for vocabulary files and model documents. DocumentError names `where`
+    (the document and its field) for anything else."""
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise DocumentError(f"{where} must be a list of strings")
+    try:
+        return Vocabulary(tuple(tokens))
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
+
+
 def build_vocabulary(trees: list[AstTree], size: int = VOCAB_SIZE,
                      min_count: int = MIN_COUNT) -> Vocabulary:
     """Most popular labels across `trees`, capped at `size` entries total.

@@ -153,8 +153,6 @@ def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
               grads: dict[str, np.ndarray] | None) -> float:
     """Mean NLL over the internal nodes of `flats` (each pack draws its
     dropout masks as it is reached); adds its gradients into `grads` if given."""
-    if not flats:
-        raise CorpusError("corpus of trees is empty")
     count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
@@ -294,7 +292,9 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
         result.log.append(EpochStats(epoch, epoch_nll / epoch_nodes, val_perp, improved))
         if stale >= config.patience:
             break
-    assert best_snapshot is not None
+    if best_snapshot is None:
+        raise ArithmeticError(f"no finite validation perplexity in {epoch} epoch(s); "
+                              f"the last was {val_perp}")
     for name, arr in params.items():
         arr[...] = best_snapshot[name]
     result.val_perplexity = best_perp

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jsonio
-from .corpus import AstTree, Vocabulary, encode, preorder
+from .corpus import AstTree, Vocabulary, encode, preorder, vocabulary_from_json
 from .errors import DocumentError
 from .rng import stream
 
@@ -82,7 +82,7 @@ def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None,
     """Model with uniform [-0.05, 0.05] weights and zero biases, drawn from
     the "init" stream of `seed` in a fixed order (embeddings, then W and U of
     forget/input/cell/output); `hidden_dim` None means `d`. Warns when `d`
-    is not smaller than |V|."""
+    is not smaller than |V|. MemoryError for sizes that cannot be allocated."""
     if hidden_dim is None:
         hidden_dim = d
     if d < 1:
@@ -95,12 +95,16 @@ def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None,
             stacklevel=2,
         )
     rng = stream(seed, "init")
-    params = {"embeddings": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d, len(vocab)))}
-    for name in GATE_NAMES:
-        params[f"{name}.W"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, d))
-        params[f"{name}.U"] = rng.uniform(-INIT_SCALE, INIT_SCALE,
-                                          size=(hidden_dim, hidden_dim))
-        params[f"{name}.b"] = np.zeros(hidden_dim)
+    try:
+        params = {"embeddings": rng.uniform(-INIT_SCALE, INIT_SCALE, size=(d, len(vocab)))}
+        for name in GATE_NAMES:
+            params[f"{name}.W"] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(hidden_dim, d))
+            params[f"{name}.U"] = rng.uniform(-INIT_SCALE, INIT_SCALE,
+                                              size=(hidden_dim, hidden_dim))
+            params[f"{name}.b"] = np.zeros(hidden_dim)
+    except ValueError as exc:  # numpy refuses a shape beyond its index range
+        raise MemoryError(f"cannot allocate a model of embedding dimension {d} and "
+                          f"hidden dimension {hidden_dim}: {exc}") from exc
     return TreeLstmModel(vocab, params)
 
 
@@ -377,15 +381,10 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
             dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ p["forget.U"]
     X, H = cache.X, cache.H
     HT = cache.S if masks is None else cache.S * masks.agg  # the gates' input h~
-    grads["input.W"] += dAi.T @ X
-    grads["input.U"] += dAi.T @ HT
-    grads["input.b"] += dAi.sum(axis=0)
-    grads["cell.W"] += dAc.T @ X
-    grads["cell.U"] += dAc.T @ HT
-    grads["cell.b"] += dAc.sum(axis=0)
-    grads["output.W"] += dAo.T @ X
-    grads["output.U"] += dAo.T @ HT
-    grads["output.b"] += dAo.sum(axis=0)
+    for name, dA in (("input", dAi), ("cell", dAc), ("output", dAo)):
+        grads[f"{name}.W"] += dA.T @ X
+        grads[f"{name}.U"] += dA.T @ HT
+        grads[f"{name}.b"] += dA.sum(axis=0)
     dX = dAi @ p["input.W"] + dAc @ p["cell.W"] + dAo @ p["output.W"]
     if flat.n_edges:
         grads["forget.W"] += dAf.T @ X[flat.edge_parent]
@@ -437,25 +436,18 @@ def _array_field(doc: dict, key: str, shape: tuple[int, ...], source: str) -> np
 def model_from_document(doc, source: str = "model") -> tuple[TreeLstmModel, np.ndarray]:
     jsonio.known_fields(doc, ("format_version", "d", "hidden_dim", "vocab", "embeddings", "head",
                               *GATE_NAMES), source, version=1)
-    tokens = doc.get("vocab")
-    if (not isinstance(tokens, list) or not tokens
-            or not all(isinstance(t, str) for t in tokens)):
-        raise DocumentError(f"{source}: 'vocab' must be a non-empty string array")
-    try:
-        vocab = Vocabulary(tuple(tokens))
-    except ValueError as exc:
-        raise DocumentError(f"{source}: {exc}") from exc
+    vocab = vocabulary_from_json(doc.get("vocab"), f"{source}: 'vocab'")
     d, hd = doc.get("d"), doc.get("hidden_dim")
     if not all(jsonio.is_int(v) and v >= 1 for v in (d, hd)):
         raise DocumentError(f"{source}: 'd' and 'hidden_dim' must be positive integers")
-    params = {"embeddings": _array_field(doc, "embeddings", (d, len(tokens)), source)}
+    params = {"embeddings": _array_field(doc, "embeddings", (d, len(vocab)), source)}
     shapes = {"W": (hd, d), "U": (hd, hd), "b": (hd,)}
     for name in GATE_NAMES:
         group = jsonio.known_fields(doc.get(name), shapes, f"{source}.{name}", "group")
         for part, shape in shapes.items():
             params[f"{name}.{part}"] = _array_field(group, part, shape, f"{source}.{name}")
     head = jsonio.known_fields(doc.get("head"), ("U",), f"{source}.head", "group")
-    head_u = _array_field(head, "U", (len(tokens), hd), f"{source}.head")
+    head_u = _array_field(head, "U", (len(vocab), hd), f"{source}.head")
     return TreeLstmModel(vocab, params), head_u
 
 

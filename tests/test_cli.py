@@ -202,6 +202,37 @@ def test_pretrain_bad_training_options_are_bad_input(tmp_path, workspace, capsys
     assert not Path("model.json").exists()
 
 
+# Sizes no machine can map: numpy refuses more than 2**63 bytes before it
+# allocates, and (2**46, 4) floats take 2**51 bytes, beyond the 2**47-byte
+# x86-64 address space.
+@pytest.mark.filterwarnings("ignore:embedding dimension")
+@pytest.mark.parametrize("flags, size", [
+    (["--embedding-dim", str(2**70)], f"embedding dimension {2**70}"),
+    (["--hidden-dim", str(2**46), "--embedding-dim", "4"], f"shape ({2**46}, 4)"),
+], ids=["embedding-dim-2**70", "hidden-dim-2**46"])
+def test_model_sizes_that_cannot_be_allocated_are_bad_input(tmp_path, workspace, capsys,
+                                                            flags, size):
+    model = tmp_path / "model.json"
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--output", str(model),
+                 "--max-epochs", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and size in err
+    assert not model.exists()
+
+
+def test_pretraining_without_a_finite_validation_perplexity_is_named(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, generate_records(24, seed=1))
+    model = tmp_path / "model.json"
+    with np.errstate(divide="ignore"):
+        assert main(["pretrain", "--corpus", str(corpus), "--output", str(model),
+                     "--learning-rate", "1000", "--embedding-dim", "4", "--max-epochs", "3",
+                     "--min-count", "1"]) == 3
+    assert ("internal error: ArithmeticError: no finite validation perplexity in 3 epoch(s); "
+            "the last was inf") in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_featurize_tree_output(workspace):
     features = read_features_csv(workspace["features"])
     assert features.dim == 4
@@ -887,3 +918,26 @@ def test_a_malformed_vocabulary_file_is_bad_input(tmp_path, workspace, capsys, t
     err = capsys.readouterr().err
     assert f"error: {vocab}: " in err and message in err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("tokens", [[], ["a"], ["<unk>", 3], ["<unk>", "<unk>"], "x", None],
+                         ids=["empty", "no-unk", "number", "repeated", "string", "null"])
+def test_vocabulary_files_and_model_documents_share_one_token_list_rule(
+        tmp_path, workspace, capsys, tokens):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({"format_version": 1, "tokens": tokens}), encoding="utf-8")
+    model_doc = read(workspace["model"])
+    model_doc["vocab"] = tokens
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_doc), encoding="utf-8")
+    out = tmp_path / "features.csv"
+    rules = []
+    for flags, where in ((["--method", "bow", "--vocab", str(vocab)], f"{vocab}: 'tokens'"),
+                         (["--model", str(model)], f"{model}: 'vocab'")):
+        assert main(["featurize", "--corpus", str(workspace["corpus"]), *flags,
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}")
+        rules.append(err.replace(where, "<token list>"))
+    assert rules[0] == rules[1]
+    assert not out.exists()

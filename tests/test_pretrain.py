@@ -397,3 +397,12 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
     assert poisoned.file_id in str(info.value)
     assert f"(epoch 1, batch {batch})" in str(info.value)
 
+
+def test_pretraining_without_a_finite_validation_perplexity_says_so():
+    # so large a rate saturates the head: every validation perplexity is inf
+    config = TrainConfig(learning_rate=1000, embedding_dim=4, max_epochs=3, min_count=1)
+    with np.errstate(divide="ignore"), pytest.raises(
+            ArithmeticError,
+            match=r"^no finite validation perplexity in 3 epoch\(s\); the last was inf$"):
+        pretrain(generate_records(24, seed=1), config)
+

@@ -339,6 +339,14 @@ def test_init_rejects_bad_sizes():
         init_model(small_vocab(5), 3, hidden_dim=0, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore:embedding dimension")
+def test_init_reports_a_size_numpy_cannot_index_as_out_of_memory():
+    # 2**70 entries exceed numpy's index range, so nothing is allocated
+    with pytest.raises(MemoryError, match=f"embedding dimension {2**70} and hidden "
+                                          f"dimension {2**70}"):
+        init_model(small_vocab(5), 2**70, None, seed=0)
+
+
 def test_model_file_roundtrip(tmp_path):
     model = scaled_model(vocab_size=6, d=3, hidden_dim=2, seed=12)
     head_u = np.random.default_rng(3).uniform(-0.05, 0.05, size=(6, 2))
