@@ -15,8 +15,8 @@ from .classifiers import (ClassifierOptions, FeatureMatrix, ForestModel, Logisti
 from .corpus import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
                      cell, encode, normalize_label, normalize_labels, preorder,
                      read_corpus, write_corpus)
-from .errors import (CorpusError, DepthLimitError, DocumentError, MiniSyntaxError,
-                     TrainingDataError, TreeDefectError)
+from .errors import (CorpusError, DepthLimitError, DivergenceError, DocumentError,
+                     MiniSyntaxError, TrainingDataError, TreeDefectError)
 from .evaluation import (ConfusionMatrix, MetricsReport, auc, evaluate_predictions,
                          report_from_json, stratified_k_fold, write_report_csv,
                          write_report_json)

@@ -1,7 +1,9 @@
 """AST corpus: tree types, label normalization, vocabulary, document I/O.
 
 A corpus is a list of FileRecord entries, each tying a (project, version,
-file_id) key and an optional defect label to one AST. Trees are immutable.
+file_id) key and an optional defect label to one AST. Trees are immutable,
+which is what keeps valid the height-ordered structure that
+`treelstm.flatten` computes once per tree and keeps with it.
 `preorder` (labels and child counts) is the one walk over a tree, and
 `_from_preorder` the one builder. Both ways in, `normalize_labels` for parsed
 sources and `corpus_from_document` for documents, build through it, so it is

@@ -2,9 +2,12 @@
 
 Everything raised on bad *input* (malformed documents, unparsable source,
 degenerate training data) derives from TreeDefectError so callers can catch
-one type at the boundary. Contract violations inside the library (wrong
-argument types, out-of-range indices, non-finite numerics) deliberately use
-builtin exceptions instead and are reported as internal errors by the CLI.
+one type at the boundary; the CLI reports it with exit 2. Contract
+violations inside the library (wrong argument types, out-of-range indices)
+deliberately use builtin exceptions instead and are reported as internal
+errors (exit 3). Non-finite numerics raise DivergenceError, so exit 2 too:
+they follow from the options and data, such as too large a learning rate.
+The trade-off is that a genuine numerical bug would then also exit 2.
 """
 
 from __future__ import annotations
@@ -38,3 +41,8 @@ class DepthLimitError(TreeDefectError):
 
 class TrainingDataError(TreeDefectError):
     """Training data degenerate for the requested model (single class)."""
+
+
+class DivergenceError(TreeDefectError, ArithmeticError):
+    """Non-finite numbers in a forward pass or in pretraining. Still an
+    ArithmeticError, so callers that catch that keep working."""

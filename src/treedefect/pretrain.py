@@ -22,7 +22,7 @@ import numpy as np
 
 from . import jsonio
 from .corpus import MIN_COUNT, VOCAB_SIZE, FileRecord, Vocabulary, build_vocabulary
-from .errors import CorpusError
+from .errors import CorpusError, DivergenceError
 from .rng import stream
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
                        forward, init_model, pack, packs, sample_masks)
@@ -133,8 +133,9 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     rows = np.arange(len(k))
     targets = flat.indices[first:]
     P = _softmax_rows(G @ head.U.T)
-    nll = np.bincount(flat.tree[first:], weights=-np.log(P[rows, targets]),
-                      minlength=flat.n_trees)
+    with np.errstate(divide="ignore"):  # a saturated head gives log(0) = -inf
+        nll = np.bincount(flat.tree[first:], weights=-np.log(P[rows, targets]),
+                          minlength=flat.n_trees)
     if grads is not None:
         dZ = P
         dZ[rows, targets] -= 1.0
@@ -184,7 +185,9 @@ def loss_and_gradients(flats: list[FlatTree], model: TreeLstmModel, head: Pretra
 
 def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[FlatTree]) -> float:
     """exp(corpus loss) with dropout disabled; |V| for a uniform predictor."""
-    return float(np.exp(corpus_loss(flats, model, head)))
+    loss = corpus_loss(flats, model, head)
+    with np.errstate(over="ignore"):  # a diverged loss gives inf
+        return float(np.exp(loss))
 
 
 def split_records(records: list[FileRecord], fractions: tuple[float, float, float],
@@ -270,8 +273,8 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
                 continue
             try:
                 loss, grads = loss_and_gradients(batch, model, head, dropout)
-            except ArithmeticError as exc:
-                raise ArithmeticError(f"{exc} (epoch {epoch}, batch {number})") from exc
+            except DivergenceError as exc:
+                raise DivergenceError(f"{exc} (epoch {epoch}, batch {number})") from exc
             epoch_nll += loss * count
             epoch_nodes += count
             rmsprop_step(params, grads, mean_square, config)
@@ -279,8 +282,8 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
             raise CorpusError("training partition has no internal nodes")
         try:
             val_perp = perplexity(model, head, val_flats)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"{exc} (epoch {epoch}, validation)") from exc
+        except DivergenceError as exc:
+            raise DivergenceError(f"{exc} (epoch {epoch}, validation)") from exc
         improved = val_perp < best_perp
         if improved:
             best_perp = val_perp
@@ -293,7 +296,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
         if stale >= config.patience:
             break
     if best_snapshot is None:
-        raise ArithmeticError(f"no finite validation perplexity in {epoch} epoch(s); "
+        raise DivergenceError(f"no finite validation perplexity in {epoch} epoch(s); "
                               f"the last was {val_perp}")
     for name, arr in params.items():
         arr[...] = best_snapshot[name]

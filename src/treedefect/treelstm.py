@@ -26,6 +26,10 @@ np.add.reduceat over parent-grouped edges. Backward walks the same levels
 from the top down. Nothing recurses, so any tree depth fits the interpreter
 stack.
 
+A tree's height order does not depend on the vocabulary: its first
+`flatten` computes it and keeps it with the tree, and every FlatTree of the
+tree shares its arrays, read-only, so a later flatten only encodes labels.
+
 During pretraining each pack draws a dropout mask pair (`sample_masks`),
 applied to the embedding input w_t and to the aggregate h~ (inverted
 scaling, so inference needs no adjustment).
@@ -42,7 +46,7 @@ import numpy as np
 
 from . import jsonio
 from .corpus import AstTree, Vocabulary, encode, preorder, vocabulary_from_json
-from .errors import DocumentError
+from .errors import DivergenceError, DocumentError
 from .rng import stream
 
 GATE_NAMES = ("forget", "input", "cell", "output")
@@ -180,10 +184,11 @@ def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray
                     new_start, tree[order], new_pos[roots], names)
 
 
-def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
-    """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
-    id) is kept for error messages. One pass from the last preorder node back
-    finds each node's children and height; any depth fits the stack."""
+def _height_structure(tree: AstTree) -> tuple:
+    """The labels of `tree` in height order, then the read-only height,
+    edge_child, edge_start, tree and roots arrays of its FlatTree. One pass
+    from the last preorder node back finds each node's children and height;
+    any depth fits the stack."""
     labels, arity = preorder(tree)
     n = len(labels)
     height = [0] * n
@@ -200,9 +205,28 @@ def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTr
     heights = np.asarray(height, dtype=np.intp)
     edge_start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(arity, out=edge_start[1:])
-    return _sorted_by_height(np.argsort(heights, kind="stable"), encode(labels, vocab),
-                             heights, np.asarray(edges[::-1], dtype=np.intp), edge_start,
-                             np.zeros(n, dtype=np.intp), np.array([0]), (name,))
+    # node positions stand in for the labels, which are not encoded here
+    flat = _sorted_by_height(np.argsort(heights, kind="stable"), np.arange(n), heights,
+                             np.asarray(edges[::-1], dtype=np.intp), edge_start,
+                             np.zeros(n, dtype=np.intp), np.array([0]), ())
+    arrays = (flat.height, flat.edge_child, flat.edge_start, flat.tree, flat.roots)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return ([labels[j] for j in flat.indices.tolist()], *arrays)
+
+
+def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
+    """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
+    id) is kept for error messages. The rest does not depend on the
+    vocabulary: the first flatten of a tree computes it and keeps it in the
+    tree's __dict__, which the frozen dataclass's fields, ==, hash and repr
+    do not read, and where it stays valid as an AstTree never changes. Every
+    FlatTree of the tree shares those arrays, so they are read-only."""
+    cached = vars(tree).get("_height_structure")
+    if cached is None:
+        cached = vars(tree)["_height_structure"] = _height_structure(tree)
+    labels, *arrays = cached
+    return FlatTree(encode(labels, vocab), *arrays, (name,))
 
 
 @dataclass
@@ -283,7 +307,7 @@ def forward(flat: FlatTree, model: TreeLstmModel,
             masks: DropoutMasks | None = None) -> ForwardCache:
     """States of every node of every tree in `flat`.
 
-    Raises ArithmeticError naming the first tree with a non-finite hidden
+    Raises DivergenceError naming the first tree with a non-finite hidden
     state.
     """
     n, hd, p = flat.n, model.hidden_dim, model.params
@@ -330,7 +354,7 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     if not np.all(np.isfinite(H)):
         tree = int(flat.tree[~np.isfinite(H).all(axis=1)].min())
         name = flat.names[tree]
-        raise ArithmeticError("non-finite hidden state in the tree forward pass of "
+        raise DivergenceError("non-finite hidden state in the tree forward pass of "
                               + (name if name else f"tree {tree}"))
     return ForwardCache(X, S, I, CB, O, TC, H, C, F, masks)
 

@@ -224,12 +224,11 @@ def test_pretraining_without_a_finite_validation_perplexity_is_named(tmp_path, c
     corpus = tmp_path / "corpus.json"
     write_corpus(corpus, generate_records(24, seed=1))
     model = tmp_path / "model.json"
-    with np.errstate(divide="ignore"):
-        assert main(["pretrain", "--corpus", str(corpus), "--output", str(model),
-                     "--learning-rate", "1000", "--embedding-dim", "4", "--max-epochs", "3",
-                     "--min-count", "1"]) == 3
-    assert ("internal error: ArithmeticError: no finite validation perplexity in 3 epoch(s); "
-            "the last was inf") in capsys.readouterr().err
+    assert main(["pretrain", "--corpus", str(corpus), "--output", str(model),
+                 "--learning-rate", "1000", "--embedding-dim", "4", "--max-epochs", "3",
+                 "--min-count", "1"]) == 2
+    assert capsys.readouterr().err == ("error: no finite validation perplexity in 3 epoch(s); "
+                                       "the last was inf\n")
     assert not model.exists()
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, CorpusError, FileRecord, PretrainHead, TrainConfig,
-                        UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss, encode,
-                        flatten, generate_records, init_model, loss_and_gradients,
+from treedefect import (AstTree, CorpusError, DivergenceError, FileRecord, PretrainHead,
+                        TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss,
+                        encode, flatten, generate_records, init_model, loss_and_gradients,
                         perplexity, preorder, pretrain, rmsprop_step,
                         split_records, write_training_log)
 from treedefect.treelstm import PACK_NODES
@@ -401,8 +401,8 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
 def test_pretraining_without_a_finite_validation_perplexity_says_so():
     # so large a rate saturates the head: every validation perplexity is inf
     config = TrainConfig(learning_rate=1000, embedding_dim=4, max_epochs=3, min_count=1)
-    with np.errstate(divide="ignore"), pytest.raises(
-            ArithmeticError,
+    with pytest.raises(
+            DivergenceError,
             match=r"^no finite validation perplexity in 3 epoch\(s\); the last was inf$"):
         pretrain(generate_records(24, seed=1), config)
 

@@ -189,9 +189,16 @@ _FULL = [(5, i - 1 - (i - 1) // 3) for i in range(1, 121)]  # complete ternary t
 @example(_FULL)
 def test_flatten_equals_post_order_oracle_byte_for_byte(shape):
     tree = tree_from_parents(shape)
-    vocab = small_vocab(6)  # tokens 6 and 7 are out of vocabulary
-    assert_same_bytes(flatten(tree, vocab, "f.mini"),
-                      FlatTree(**oracles.post_order_flat(tree, vocab, "f.mini")))
+    fresh = tree_from_parents(shape)
+    # tokens 6 and 7 are out of small_vocab(6), and 3 to 7 out of small_vocab(3):
+    # each flatten after the first reads the tree's cached structure
+    for vocab in (small_vocab(6), small_vocab(3), small_vocab(6)):
+        flat = flatten(tree, vocab, "f.mini")
+        assert_same_bytes(flat, FlatTree(**oracles.post_order_flat(tree, vocab, "f.mini")))
+        for field in ("height", "edge_child", "edge_start"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(flat, field)[:1] = 0
+    assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
 
 
 @settings(max_examples=60, deadline=None)
