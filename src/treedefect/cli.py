@@ -23,7 +23,7 @@ from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, bow_featurize,
 from .corpus import (FileRecord, Vocabulary, build_vocabulary, corpus_from_document,
                      normalize_labels, read_corpus, vocabulary_from_json, write_corpus)
 from .errors import DocumentError, TreeDefectError
-from .evaluation import evaluate_predictions, write_report_csv, write_report_json
+from .evaluation import MetricsReport, evaluate_predictions, write_report_csv, write_report_json
 from .experiments import (CvDescriptor, PairsDescriptor, average_report,
                           cv_from_folds, cv_feature_folds, dataset_stats,
                           format_stats_table, parse_descriptor, train_classifier,
@@ -233,6 +233,13 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
     return 0
 
 
+def _summary(report: MetricsReport) -> str:
+    """The precision, recall, F-measure and AUC of one report, on one line."""
+    auc_text = "undefined" if report.auc is None else f"{report.auc:.4f}"
+    return (f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
+            f"f-measure {report.f_measure:.4f}  auc {auc_text}")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     features = read_features_csv(args.features)
     clf = load_classifier(args.classifier_file)
@@ -245,9 +252,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_report_csv(args.output, [report])
     if args.json_output:
         write_report_json(args.json_output, [report])
-    auc_text = "undefined" if report.auc is None else f"{report.auc:.4f}"
-    print(f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
-          f"f-measure {report.f_measure:.4f}  auc {auc_text}")
+    print(_summary(report))
     return 1 if report.flags else 0
 
 
@@ -275,10 +280,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         avg = average_report(cells, cell=("pairs:average", "pairs:average"))
     write_report_csv(out_dir / "report.csv", reports)
     write_report_json(out_dir / "report.json", cells, avg)
-    auc_text = "undefined" if avg.auc is None else f"{avg.auc:.4f}"
     print(f"wrote {len(reports)} report rows to {out_dir / 'report.csv'}")
-    print(f"average: precision {avg.precision:.4f}  recall {avg.recall:.4f}  "
-          f"f-measure {avg.f_measure:.4f}  auc {auc_text}")
+    print(f"average: {_summary(avg)}")
     return 1 if any(r.flags for r in reports) else 0
 
 

@@ -10,7 +10,11 @@ Training is RMSprop over minibatches of whole trees with inverted dropout on
 the embedding input and the cell aggregate, early stopping on validation
 perplexity, and best-snapshot selection. All randomness flows from named
 streams of the config seed ("split", "init", "batches", "dropout"), so equal
-seeds and corpora give bit-identical models.
+seeds and corpora give bit-identical models. Every corpus shape takes one
+path: with zero epochs the loop does not run, and the result is the
+initialized model with its test perplexity. Divergence raises DivergenceError
+naming the epoch, the batch or validation pass, and the step size options
+(learning_rate, rms_epsilon).
 """
 
 from __future__ import annotations
@@ -35,12 +39,6 @@ class PretrainHead:
     """Softmax weights: one row per vocabulary token, U shape (|V|, hidden)."""
 
     U: np.ndarray
-
-    def __post_init__(self):
-        if self.U.ndim != 2:
-            raise ValueError(f"head weights must be 2-D, got shape {self.U.shape}")
-        if not np.all(np.isfinite(self.U)):
-            raise ValueError("head weights must be finite")
 
 
 def init_head(vocab_size: int, hidden_dim: int, seed: int) -> PretrainHead:
@@ -124,8 +122,6 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     """Summed NLL of each tree in the pack `flat`; accumulates gradients
     scaled by `scale` into `grads` when given."""
     cache = forward(flat, model, masks)
-    if flat.n_internal == 0:
-        return np.zeros(flat.n_trees)
     # leaves come first, so the internal nodes are the run after them
     first = flat.n - flat.n_internal
     k = np.diff(flat.edge_start[first:])[:, None]
@@ -234,8 +230,6 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
     outside it encode to the unknown). Returns the snapshot with the best
     validation perplexity and the per-epoch log.
     """
-    if not records:
-        raise CorpusError("pretraining corpus is empty")
     train_recs, val_recs, test_recs = split_records(records, config.split, config.seed)
     if vocab is None:
         vocab = build_vocabulary([r.tree for r in train_recs],
@@ -248,10 +242,6 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
 
     train_flats, val_flats, test_flats = map(flats_of, (train_recs, val_recs, test_recs))
     result = PretrainResult(model, head)
-    if config.max_epochs == 0:
-        result.test_perplexity = perplexity(model, head, test_flats)
-        return result
-
     params = {**model.params, "head.U": head.U}
     mean_square = {name: np.zeros_like(arr) for name, arr in params.items()}
     batch_rng = stream(config.seed, "batches")
@@ -260,6 +250,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
     best_perp = np.inf
     best_snapshot: dict[str, np.ndarray] | None = None
     stale = 0
+    step = f"; step size: learning_rate {config.learning_rate}, rms_epsilon {config.rms_epsilon}"
     for epoch in range(1, config.max_epochs + 1):
         order = batch_rng.permutation(len(train_flats))
         epoch_nll, epoch_nodes = 0.0, 0
@@ -274,7 +265,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
             try:
                 loss, grads = loss_and_gradients(batch, model, head, dropout)
             except DivergenceError as exc:
-                raise DivergenceError(f"{exc} (epoch {epoch}, batch {number})") from exc
+                raise DivergenceError(f"{exc} (epoch {epoch}, batch {number}){step}") from exc
             epoch_nll += loss * count
             epoch_nodes += count
             rmsprop_step(params, grads, mean_square, config)
@@ -283,10 +274,10 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
         try:
             val_perp = perplexity(model, head, val_flats)
         except DivergenceError as exc:
-            raise DivergenceError(f"{exc} (epoch {epoch}, validation)") from exc
+            raise DivergenceError(f"{exc} (epoch {epoch}, validation){step}") from exc
         improved = val_perp < best_perp
         if improved:
-            best_perp = val_perp
+            best_perp = result.val_perplexity = val_perp
             best_snapshot = {name: arr.copy() for name, arr in params.items()}
             result.best_epoch = epoch
             stale = 0
@@ -295,12 +286,12 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
         result.log.append(EpochStats(epoch, epoch_nll / epoch_nodes, val_perp, improved))
         if stale >= config.patience:
             break
-    if best_snapshot is None:
-        raise DivergenceError(f"no finite validation perplexity in {epoch} epoch(s); "
-                              f"the last was {val_perp}")
-    for name, arr in params.items():
-        arr[...] = best_snapshot[name]
-    result.val_perplexity = best_perp
+    if best_snapshot is not None:
+        for name, arr in params.items():
+            arr[...] = best_snapshot[name]
+    elif result.log:  # epochs ran, and none had a finite validation perplexity
+        raise DivergenceError(f"no finite validation perplexity in {len(result.log)} epoch(s); "
+                              f"the last was {result.log[-1].val_perplexity}{step}")
     result.test_perplexity = perplexity(model, head, test_flats)
     return result
 

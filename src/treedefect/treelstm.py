@@ -303,12 +303,14 @@ class ForwardCache:
     masks: DropoutMasks | None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward(flat: FlatTree, model: TreeLstmModel,
             masks: DropoutMasks | None = None) -> ForwardCache:
     """States of every node of every tree in `flat`.
 
-    Raises DivergenceError naming the first tree with a non-finite hidden
-    state.
+    Gates saturate silently: a product that overflows is +-inf, which sigmoid
+    and tanh take to their limits, without a numpy warning. Raises
+    DivergenceError naming the first tree with a non-finite hidden state.
     """
     n, hd, p = flat.n, model.hidden_dim, model.params
     X = p["embeddings"].T[flat.indices]
@@ -410,11 +412,10 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
         grads[f"{name}.U"] += dA.T @ HT
         grads[f"{name}.b"] += dA.sum(axis=0)
     dX = dAi @ p["input.W"] + dAc @ p["cell.W"] + dAo @ p["output.W"]
-    if flat.n_edges:
-        grads["forget.W"] += dAf.T @ X[flat.edge_parent]
-        grads["forget.U"] += dAf.T @ H[flat.edge_child]
-        grads["forget.b"] += dAf.sum(axis=0)
-        np.add.at(dX, flat.edge_parent, dAf @ p["forget.W"])
+    grads["forget.W"] += dAf.T @ X[flat.edge_parent]
+    grads["forget.U"] += dAf.T @ H[flat.edge_child]
+    grads["forget.b"] += dAf.sum(axis=0)
+    np.add.at(dX, flat.edge_parent, dAf @ p["forget.W"])
     if masks is not None:
         dX *= masks.w
     np.add.at(grads["embeddings"].T, flat.indices, dX)

@@ -228,7 +228,8 @@ def test_pretraining_without_a_finite_validation_perplexity_is_named(tmp_path, c
                  "--learning-rate", "1000", "--embedding-dim", "4", "--max-epochs", "3",
                  "--min-count", "1"]) == 2
     assert capsys.readouterr().err == ("error: no finite validation perplexity in 3 epoch(s); "
-                                       "the last was inf\n")
+                                       "the last was inf; step size: learning_rate 1000.0, "
+                                       "rms_epsilon 1e-06\n")
     assert not model.exists()
 
 
@@ -237,6 +238,50 @@ def test_featurize_tree_output(workspace):
     assert features.dim == 4
     assert len(features.keys) == 18
     assert set(features.labels) <= {0, 1}
+
+
+def _model_with(tmp_path, workspace, **values):
+    """The workspace model with every entry of each named tensor set to a value
+    ("input.W" names a gate's part)."""
+    doc = read(workspace["model"])
+    for name, value in values.items():
+        group, _, part = name.partition(".")
+        owner = doc[group] if part else doc
+        key = part or group
+        owner[key] = np.full(np.shape(owner[key]), value).tolist()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_featurize_with_weights_that_overflow_saturates_silently(tmp_path, workspace,
+                                                                 capsys):
+    # x-side gate products of 1e300 entries overflow to inf: the gates saturate
+    model = _model_with(tmp_path, workspace, **{"embeddings": 1e300, "input.W": 1e300,
+                                                "cell.W": 1e300})
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["featurize", "--corpus", str(workspace["corpus"]), "--model", str(model),
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    values = read_features_csv(out).values
+    assert np.all(np.abs(values) <= 1.0)
+
+
+def test_featurize_reaching_a_non_finite_state_is_one_error_line(tmp_path, workspace,
+                                                                capsys):
+    # every forget gate's x-side term is +inf and its h-side term -inf: nan
+    model = _model_with(tmp_path, workspace, **{
+        "embeddings": 1e300, "input.W": 1e300, "cell.W": 1e300, "output.W": 1e300,
+        "forget.W": 1e300, "forget.U": -1e308})
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["featurize", "--corpus", str(workspace["corpus"]), "--model", str(model),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: non-finite hidden state in the tree forward pass of ")
+    assert not out.exists()
 
 
 def test_featurize_bow(tmp_path, workspace, capsys):
@@ -476,6 +521,15 @@ def test_stats_command(tmp_path, workspace, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "project,versions,files,mean_files,mean_defective,pct_defective"
     assert lines[1].startswith("synthetic,1,18,")
+
+
+def test_a_corpus_whose_files_are_not_a_list_is_bad_input(tmp_path, workspace, capsys):
+    doc = read(workspace["corpus"])
+    doc["files"] = {}
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["stats", "--corpus", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: 'files' must be a list\n"
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ from treedefect import (AstTree, CorpusError, DivergenceError, FileRecord, Pretr
                         encode, flatten, generate_records, init_model, loss_and_gradients,
                         perplexity, preorder, pretrain, rmsprop_step,
                         split_records, write_training_log)
-from treedefect.treelstm import PACK_NODES
+from treedefect.treelstm import PACK_NODES, packs
 from treedefect.rng import stream
 
 from conftest import node, random_tree, small_vocab
@@ -124,6 +124,33 @@ def test_chunked_loss_and_gradients_equal_per_tree_sums():
     ref = sum(oracles.tree_nll(t, model, head.U)[0] for t in trees) / total
     flats = flats_of(trees, model)
     assert corpus_loss(flats, model, head) == pytest.approx(ref, abs=1e-12)
+    loss, grads = loss_and_gradients(flats, model, head)
+    assert loss == pytest.approx(ref, abs=1e-12)
+    summed = {key: np.zeros_like(g) for key, g in grads.items()}
+    for flat, count in zip(flats, counts):
+        if count:
+            for key, g in loss_and_gradients([flat], model, head)[1].items():
+                summed[key] += g * (count / total)
+    for key, g in grads.items():
+        np.testing.assert_allclose(g, summed[key], rtol=0, atol=1e-12)
+
+
+def test_loss_and_gradients_over_an_all_leaf_pack_equal_per_tree_sums(monkeypatch):
+    rng = np.random.default_rng(59)
+    model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=23, scale=0.5)
+    head = scaled_head(6, 3, seed=23)
+    trees = []
+    while len(trees) < 3:
+        tree = random_tree(rng, vocab_size=6, max_nodes=12, min_nodes=5)
+        trees += [tree] if len(preorder(tree)[0]) >= 5 else []
+    trees[1:1] = [node(int(rng.integers(6))) for _ in range(4)]
+    # packs of at most 4 nodes: each larger tree alone, the four leaves together
+    monkeypatch.setattr(sys.modules["treedefect.treelstm"], "PACK_NODES", 4)
+    flats = flats_of(trees, model)
+    assert [f.n for f in packs(flats)][1] == 4
+    counts = [oracles.tree_nll(t, model, head.U)[1] for t in trees]
+    total = sum(counts)
+    ref = sum(oracles.tree_nll(t, model, head.U)[0] for t in trees) / total
     loss, grads = loss_and_gradients(flats, model, head)
     assert loss == pytest.approx(ref, abs=1e-12)
     summed = {key: np.zeros_like(g) for key, g in grads.items()}
@@ -356,8 +383,15 @@ def test_pretrain_with_config_overrides_seed():
 
 
 def test_pretrain_rejects_empty_corpus():
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError,
+                       match=r"^train partition is empty: 0 records split as \(0.8, 0.1, 0.1\)$"):
         pretrain([], small_config())
+
+
+def test_pretrain_rejects_a_training_partition_of_single_node_files():
+    records = [FileRecord(f"leaf{i}.mini", "p", "1", None, node(i % 3)) for i in range(10)]
+    with pytest.raises(CorpusError, match="^training partition has no internal nodes$"):
+        pretrain(records, small_config(embedding_dim=2, hidden_dim=2))
 
 
 def test_write_training_log(tmp_path):
@@ -395,7 +429,32 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
     with pytest.raises(ArithmeticError) as info:
         pretrain(records, config, vocab=vocab)
     assert poisoned.file_id in str(info.value)
-    assert f"(epoch 1, batch {batch})" in str(info.value)
+    assert str(info.value).endswith(
+        f"(epoch 1, batch {batch}); step size: learning_rate 0.001, rms_epsilon 1e-06")
+
+
+def test_pretrain_non_finite_state_first_reached_at_validation_names_it(monkeypatch):
+    records = generate_records(n=30, seed=19)
+    config = small_config(max_epochs=2, seed=23)
+    _, val, _ = split_records(records, config.split, config.seed)
+    poisoned = val[0]
+    poisoned.tree = AstTree("poison", (poisoned.tree,))
+    # only this validation file holds the token, so training never reads it
+    vocab = build_vocabulary([r.tree for r in records], size=100, min_count=1)
+    module = sys.modules["treedefect.pretrain"]
+    real_init = module.init_model
+
+    def poisoned_init(*args, **kwargs):
+        model = real_init(*args, **kwargs)
+        model.params["embeddings"][:, encode(["poison"], vocab)[0]] = np.nan
+        return model
+
+    monkeypatch.setattr(module, "init_model", poisoned_init)
+    with pytest.raises(DivergenceError) as info:
+        pretrain(records, config, vocab=vocab)
+    assert str(info.value) == (
+        f"non-finite hidden state in the tree forward pass of {poisoned.file_id} "
+        "(epoch 1, validation); step size: learning_rate 0.001, rms_epsilon 1e-06")
 
 
 def test_pretraining_without_a_finite_validation_perplexity_says_so():
@@ -403,6 +462,7 @@ def test_pretraining_without_a_finite_validation_perplexity_says_so():
     config = TrainConfig(learning_rate=1000, embedding_dim=4, max_epochs=3, min_count=1)
     with pytest.raises(
             DivergenceError,
-            match=r"^no finite validation perplexity in 3 epoch\(s\); the last was inf$"):
+            match=r"^no finite validation perplexity in 3 epoch\(s\); the last was inf; "
+                  r"step size: learning_rate 1000, rms_epsilon 1e-06$"):
         pretrain(generate_records(24, seed=1), config)
 
