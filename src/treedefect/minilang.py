@@ -15,12 +15,12 @@ Grammar (EBNF)::
                 calls IDENT "(" [expr {"," expr}] ")", IDENT, INT, STRING
 
 Types are int, float, string, bool. Line comments (//) and block comments
-(/* */) are skipped. The lexer matches one lexeme at a time with one regular
-expression and cuts each run of word characters into integers (str.isdigit
-runs) and one identifier or keyword (str.isalpha or "_" first), so Unicode
-text lexes as Python classifies it. parse_mini ends the tokens with an "end"
-token placed just past the last character, which is where errors at end of
-input point. Binary operators are parsed by precedence climbing over
+(/* */) are skipped. The lexer makes one regular-expression match per token,
+the blanks and comments before it included, and cuts each run of word
+characters into integers (str.isdigit runs) and one identifier or keyword
+(str.isalpha or "_" first), so Unicode text lexes as Python classifies it.
+parse_mini ends the tokens with an "end" token placed just past the last
+character, which is where errors at end of input point. Binary operators are parsed by precedence climbing over
 _BINARY_LEVELS. The AST keeps no punctuation or delimiter nodes: labels are
 production names (CompilationUnit, VariableDeclaration, AssignStmt, IfStmt,
 WhileStmt, ForStmt, BlockStmt, ExprStmt, MethodCallExpr), operator symbols for
@@ -31,20 +31,24 @@ text for literals (collapse values with corpus.normalize_labels afterwards).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import AstTree
 from .errors import MiniSyntaxError
 
 TYPE_KEYWORDS = ("int", "float", "string", "bool")
 _KEYWORDS = frozenset(TYPE_KEYWORDS) | {"if", "else", "while", "for"}
-# Tried in order: whitespace and comments, a word run, a string, an operator.
+# One match per token: the blanks and comments before it, then a word run, a
+# string or an operator. The blank run is atomic (a lookahead, which Python
+# never backtracks into, plus a backreference; 3.10 has no possessive "*+"), so
+# a failing token cannot give back part of a comment. The token is optional:
+# a match that ends after the blanks is the end of input or a lexical error.
 # "/*" is no operator, so an unclosed comment, like a lone '"', matches nothing.
-_LEXEME = re.compile(
-    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)'
-    r'|(?P<word>\w+)'
+_TOKEN = re.compile(
+    r'(?=(?P<blank>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*))(?P=blank)'
+    r'(?:(?P<word>\w+)'
     r'|(?P<string>"[^"\n]*")'
-    r'|(?P<op><=|>=|==|!=|&&|\|\||/(?!\*)|[-+*<>!=(){};,])',
+    r'|(?P<op><=|>=|==|!=|&&|\|\||/(?!\*)|[-+*<>!=(){};,]))?',
     re.DOTALL)
 
 # Statements, expressions and "!" operands that may be open at once. One level
@@ -55,8 +59,7 @@ _LEXEME = re.compile(
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "keyword", "int", "string", "op"; parse_mini adds "end"
     text: str
     line: int
@@ -65,40 +68,33 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0  # line_start: offset of the current line
-    while pos < len(source):
-        m = _LEXEME.match(source, pos)
-        if m is None:
-            col = pos - line_start + 1
-            if source.startswith("/*", pos):
+    line, line_start, newline = 1, 0, source.find("\n")  # line_start: offset of the line
+    for m in _TOKEN.finditer(source):
+        kind, start = m.lastgroup, m.end("blank")
+        while 0 <= newline < start:
+            line, line_start, newline = line + 1, newline + 1, source.find("\n", newline + 1)
+        col = start - line_start + 1
+        if kind == "blank":  # no token after the blanks
+            if start == len(source):
+                break
+            if source.startswith("/*", start):
                 raise MiniSyntaxError("unterminated block comment", line, col)
-            if source[pos] == '"':
+            if source[start] == '"':
                 raise MiniSyntaxError("unterminated string literal", line, col)
-            raise MiniSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        kind, text, end = m.lastgroup, m.group(), m.end()
-        if kind == "skip":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + text.rindex("\n") + 1
-        elif kind == "word":
-            while pos < end:
-                ch, col = source[pos], pos - line_start + 1
-                if ch.isalpha() or ch == "_":
-                    word = source[pos:end]
-                    kind = "keyword" if word in _KEYWORDS else "ident"
-                    tokens.append(Token(kind, word, line, col))
-                    break
-                if not ch.isdigit():
-                    raise MiniSyntaxError(f"unexpected character {ch!r}", line, col)
-                digits = pos + 1
-                while digits < end and source[digits].isdigit():
-                    digits += 1
-                tokens.append(Token("int", source[pos:digits], line, col))
-                pos = digits
-        else:
-            tokens.append(Token(kind, text, line, pos - line_start + 1))
-        pos = end
+            raise MiniSyntaxError(f"unexpected character {source[start]!r}", line, col)
+        text = m[kind]
+        if kind == "word":  # integers (str.isdigit), then an identifier (str.isalpha or "_")
+            digits = (len(text) - len(text.lstrip("0123456789")) if text.isascii() else
+                      next((i for i, ch in enumerate(text) if not ch.isdigit()), len(text)))
+            if digits:
+                tokens.append(Token("int", text[:digits], line, col))
+                text, col = text[digits:], col + digits
+                if not text:
+                    continue
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise MiniSyntaxError(f"unexpected character {text[0]!r}", line, col)
+            kind = "keyword" if text in _KEYWORDS else "ident"
+        tokens.append(Token(kind, text, line, col))
     return tokens
 
 

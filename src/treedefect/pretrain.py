@@ -292,7 +292,10 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
     elif result.log:  # epochs ran, and none had a finite validation perplexity
         raise DivergenceError(f"no finite validation perplexity in {len(result.log)} epoch(s); "
                               f"the last was {result.log[-1].val_perplexity}{step}")
-    result.test_perplexity = perplexity(model, head, test_flats)
+    try:
+        result.test_perplexity = perplexity(model, head, test_flats)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{exc} (test){step}") from exc
     return result
 
 

@@ -26,18 +26,20 @@ _NOISE_CALLS = ("log", "trace", "notify")
 
 def generate_source(rng: np.random.Generator, defective: bool) -> str:
     """One mini-language source file; defective files lack the loop guard."""
-    counter = str(rng.choice(_COUNTERS))
-    name = str(rng.choice(_NAMES))
-    checker = str(rng.choice(_CHECKERS))
-    worker = str(rng.choice(_WORKERS))
+    # options[rng.integers(len(options))] is the draw rng.choice(options) makes,
+    # without turning the tuple into an array first
+    counter = _COUNTERS[rng.integers(len(_COUNTERS))]
+    name = _NAMES[rng.integers(len(_NAMES))]
+    checker = _CHECKERS[rng.integers(len(_CHECKERS))]
+    worker = _WORKERS[rng.integers(len(_WORKERS))]
     limit = int(rng.integers(2, 50))
     lines = [f"int {counter} = 0;"]
     for _ in range(2):
         if rng.integers(0, 2):
-            noise = str(rng.choice(_NOISE_CALLS))
-            lines.append(f"{noise}({str(rng.choice(_NAMES))});")
+            noise = _NOISE_CALLS[rng.integers(len(_NOISE_CALLS))]
+            lines.append(f"{noise}({_NAMES[rng.integers(len(_NAMES))]});")
         else:
-            lines.append(f"int {str(rng.choice(_NAMES))} = {int(rng.integers(0, 9))};")
+            lines.append(f"int {_NAMES[rng.integers(len(_NAMES))]} = {int(rng.integers(0, 9))};")
     work = f"{worker}({name});"
     if defective:
         body = f"  {work}"

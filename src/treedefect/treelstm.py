@@ -415,10 +415,18 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     grads["forget.W"] += dAf.T @ X[flat.edge_parent]
     grads["forget.U"] += dAf.T @ H[flat.edge_child]
     grads["forget.b"] += dAf.sum(axis=0)
-    np.add.at(dX, flat.edge_parent, dAf @ p["forget.W"])
+    # Both scatters run on 1-D views, numpy's fast path for np.add.at, over
+    # element offsets: each element still takes its terms in node order, so the
+    # sums are bit-identical. Only a C-contiguous array reshapes to a view.
+    d, embeddings = dX.shape[1], grads["embeddings"]
+    if not embeddings.flags.c_contiguous:
+        raise ValueError("the embedding gradient must be C-contiguous")
+    np.add.at(dX.reshape(-1), (flat.edge_parent[:, None] * d + np.arange(d)).ravel(),
+              (dAf @ p["forget.W"]).ravel())
     if masks is not None:
         dX *= masks.w
-    np.add.at(grads["embeddings"].T, flat.indices, dX)
+    np.add.at(embeddings.reshape(-1), (np.arange(d) * embeddings.shape[1]
+                                       + flat.indices[:, None]).ravel(), dX.ravel())
 
 
 def forward_root(records, model: TreeLstmModel) -> np.ndarray:

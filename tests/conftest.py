@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from types import SimpleNamespace
 
-from treedefect import UNK_TOKEN, AstTree, Vocabulary, flatten, forward
+from treedefect import UNK_TOKEN, AstTree, Vocabulary, encode, flatten, forward
 
 
 def token(index: int) -> str:
@@ -38,6 +38,21 @@ def random_tree(rng: np.random.Generator, vocab_size: int,
         return node(index, children)
 
     return build()
+
+
+def poison_embedding(monkeypatch, record, label: str = "poison") -> None:
+    """Give `record` a new root labeled `label`, and start every model that
+    pretraining initializes with a nan embedding for that token."""
+    record.tree = AstTree(label, (record.tree,))
+    module = sys.modules["treedefect.pretrain"]
+    real_init = module.init_model
+
+    def poisoned_init(vocab, *args, **kwargs):
+        model = real_init(vocab, *args, **kwargs)
+        model.params["embeddings"][:, encode([label], vocab)[0]] = np.nan
+        return model
+
+    monkeypatch.setattr(module, "init_model", poisoned_init)
 
 
 def small_vocab(size: int = 6) -> Vocabulary:

@@ -9,8 +9,11 @@ rank statistics, exhaustive enumeration instead of closed forms.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
+
+from treedefect import MiniSyntaxError
 
 
 def sigmoid(z):
@@ -347,3 +350,77 @@ def post_order_flat(tree, vocab, name=None):
             "tree": np.zeros(n, dtype=np.intp),
             "roots": np.array([position[n - 1]], dtype=np.intp),
             "names": (name,)}
+
+
+_LEXEME = re.compile(
+    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)'
+    r'|(?P<word>\w+)'
+    r'|(?P<string>"[^"\n]*")'
+    r'|(?P<op><=|>=|==|!=|&&|\|\||/(?!\*)|[-+*<>!=(){};,])',
+    re.DOTALL)
+_KEYWORDS = {"int", "float", "string", "bool", "if", "else", "while", "for"}
+
+
+def tokenize(source):
+    """(kind, text, line, col) of each mini-language token, one lexeme per
+    regex match: a blank or comment, a word run, a string or an operator.
+    Each word run is cut character by character into integers (str.isdigit
+    runs) and one identifier or keyword (str.isalpha or "_" first). Raises
+    MiniSyntaxError as the package's lexer does."""
+    tokens = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _LEXEME.match(source, pos)
+        if m is None:
+            col = pos - line_start + 1
+            if source.startswith("/*", pos):
+                raise MiniSyntaxError("unterminated block comment", line, col)
+            if source[pos] == '"':
+                raise MiniSyntaxError("unterminated string literal", line, col)
+            raise MiniSyntaxError(f"unexpected character {source[pos]!r}", line, col)
+        kind, text, end = m.lastgroup, m.group(), m.end()
+        if kind == "skip":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "word":
+            while pos < end:
+                ch, col = source[pos], pos - line_start + 1
+                if ch.isalpha() or ch == "_":
+                    word = source[pos:end]
+                    tokens.append(("keyword" if word in _KEYWORDS else "ident", word, line, col))
+                    break
+                if not ch.isdigit():
+                    raise MiniSyntaxError(f"unexpected character {ch!r}", line, col)
+                digits = pos + 1
+                while digits < end and source[digits].isdigit():
+                    digits += 1
+                tokens.append(("int", source[pos:digits], line, col))
+                pos = digits
+        else:
+            tokens.append((kind, text, line, pos - line_start + 1))
+        pos = end
+    return tokens
+
+
+def generate_source(rng, defective):
+    """The synthetic source file of `treedefect.synthetic`, each name drawn
+    with `rng.choice` over its tuple of options."""
+    names = ("buf", "stack", "queue", "data", "items", "cache")
+    counter = str(rng.choice(("i", "j", "k", "n")))
+    name = str(rng.choice(names))
+    checker = str(rng.choice(("hasNext", "isReady", "contains")))
+    worker = str(rng.choice(("pop", "push", "update")))
+    limit = int(rng.integers(2, 50))
+    lines = [f"int {counter} = 0;"]
+    for _ in range(2):
+        if rng.integers(0, 2):
+            noise = str(rng.choice(("log", "trace", "notify")))
+            lines.append(f"{noise}({str(rng.choice(names))});")
+        else:
+            lines.append(f"int {str(rng.choice(names))} = {int(rng.integers(0, 9))};")
+    work = f"{worker}({name});"
+    body = f"  {work}" if defective else f"  if ({checker}({name})) {{ {work} }}"
+    lines += [f"while ({counter} < {limit}) {{", body, f"  {counter} = {counter} + 1;", "}"]
+    return "\n".join(lines) + "\n"

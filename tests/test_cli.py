@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from treedefect import (TrainConfig, generate_multi_cell, generate_records, pretrain,
-                        read_corpus, read_features_csv, save_model, write_corpus)
+                        read_corpus, read_features_csv, save_model, split_records,
+                        write_corpus)
 from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
+
+from conftest import poison_embedding
 
 GOOD_SOURCE = "int i = 0;\nwhile (i < 3) {\n  work(i);\n  i = i + 1;\n}\n"
 OTHER_SOURCE = 'string msg = "hi";\nif (ready(msg)) { send(msg); }\n'
@@ -230,6 +233,26 @@ def test_pretraining_without_a_finite_validation_perplexity_is_named(tmp_path, c
     assert capsys.readouterr().err == ("error: no finite validation perplexity in 3 epoch(s); "
                                        "the last was inf; step size: learning_rate 1000.0, "
                                        "rms_epsilon 1e-06\n")
+    assert not model.exists()
+
+
+def test_pretraining_reaching_a_non_finite_state_at_test_is_one_error_line(
+        tmp_path, capsys, monkeypatch):
+    records = generate_records(30, seed=19)
+    _, _, test = split_records(records, TrainConfig().split, 23)
+    poison_embedding(monkeypatch, test[0])
+    corpus, vocab, model = (tmp_path / name for name in ("corpus.json", "vocab.json",
+                                                         "model.json"))
+    write_corpus(corpus, records)
+    assert main(["vocab", "--corpus", str(corpus), "--output", str(vocab),
+                 "--min-count", "1"]) == 0
+    capsys.readouterr()
+    assert main(["pretrain", "--corpus", str(corpus), "--output", str(model), "--vocab",
+                 str(vocab), "--embedding-dim", "4", "--hidden-dim", "4", "--batch-size", "4",
+                 "--max-epochs", "2", "--seed", "23"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: non-finite hidden state in the tree forward pass of {test[0].file_id} "
+        "(test); step size: learning_rate 0.001, rms_epsilon 1e-06\n")
     assert not model.exists()
 
 

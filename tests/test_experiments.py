@@ -1,6 +1,10 @@
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+
+import oracles
 
 from treedefect import (AstTree, ClassifierOptions, CorpusError, FileRecord,
                         ForestModel, LogisticModel, TrainConfig,
@@ -9,9 +13,11 @@ from treedefect import (AstTree, ClassifierOptions, CorpusError, FileRecord,
                         cv_from_folds, dataset_stats, format_stats_table,
                         generate_multi_cell, generate_records,
                         parse_descriptor, train_classifier, version_pair_run)
+from treedefect.corpus import corpus_to_document
 from treedefect.errors import DocumentError
 from treedefect.evaluation import ConfusionMatrix, MetricsReport
 from treedefect.experiments import CvDescriptor, PairsDescriptor
+from treedefect.synthetic import generate_source
 
 
 def fast_config(**overrides):
@@ -252,6 +258,21 @@ def test_generate_records_properties():
         generate_records(n=0)
     with pytest.raises(ValueError):
         generate_records(n=5, defect_rate=1.5)
+
+
+def test_generated_sources_match_the_rng_choice_oracle():
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for defective in (False, True):
+            assert generate_source(ours, defective) == oracles.generate_source(theirs, defective)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_generated_corpus_matches_the_rng_choice_oracle(seed, monkeypatch):
+    ours = corpus_to_document(generate_records(60, seed=seed))
+    monkeypatch.setattr(sys.modules["treedefect.synthetic"], "generate_source",
+                        oracles.generate_source)
+    assert ours == corpus_to_document(generate_records(60, seed=seed))
 
 
 def test_generate_multi_cell_layout():

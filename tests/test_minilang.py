@@ -6,10 +6,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treedefect import AstTree, MiniSyntaxError, parse_mini
 from treedefect.minilang import MAX_NESTING, tokenize
+
+import oracles
 
 
 def leaf(label):
@@ -181,6 +183,32 @@ def test_tokenize_table(source, expected):
         tokenize(source)
     assert str(info.value) == f"line {line}, col {col}: {message}"
     assert (info.value.line, info.value.col) == (line, col)
+
+
+_LEX_PIECES = (*"abcxyzABCXYZ_0123456789", "é", "²", "½", "٣", "<=", ">=", "==", "!=", "&&",
+               "||", *"-+*/<>!=(){};,", '"', "//", "/*", "*/", " ", "\t", "\n", "\r\n", "@")
+
+
+def _lexed(lex, source):
+    """The (kind, text, line, col) tokens of `source`, or its error's message
+    and position."""
+    try:
+        return [tuple(token) for token in lex(source)]
+    except MiniSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# comments that a blank prefix able to give characters back would reopen, and
+# word runs that start with digits
+@example("x=1;   // tail")
+@example("/* a */ @ x /* b */ y")
+@example("12ab")
+@example("12²")
+@example("x = 1; /* open")
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_tokenize_matches_the_one_lexeme_per_match_oracle(source):
+    assert _lexed(tokenize, source) == _lexed(oracles.tokenize, source)
 
 
 def test_equality_vs_assignment_disambiguation():

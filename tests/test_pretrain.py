@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import oracles
-from treedefect import (AstTree, CorpusError, DivergenceError, FileRecord, PretrainHead,
+from treedefect import (CorpusError, DivergenceError, FileRecord, PretrainHead,
                         TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss,
-                        encode, flatten, generate_records, init_model, loss_and_gradients,
+                        flatten, generate_records, init_model, loss_and_gradients,
                         perplexity, preorder, pretrain, rmsprop_step,
                         split_records, write_training_log)
 from treedefect.treelstm import PACK_NODES, packs
 from treedefect.rng import stream
 
-from conftest import node, random_tree, small_vocab
+from conftest import node, poison_embedding, random_tree, small_vocab
 from test_treelstm import scaled_model
 
 
@@ -413,17 +413,8 @@ def test_pretrain_non_finite_failure_names_file_epoch_and_batch(monkeypatch):
     config = small_config(max_epochs=2, seed=23)
     train, _, _ = split_records(records, config.split, config.seed)
     poisoned = train[5]
-    poisoned.tree = AstTree("poison", (poisoned.tree,))
+    poison_embedding(monkeypatch, poisoned)
     vocab = build_vocabulary([r.tree for r in records], size=100, min_count=1)
-    module = sys.modules["treedefect.pretrain"]
-    real_init = module.init_model
-
-    def poisoned_init(*args, **kwargs):
-        model = real_init(*args, **kwargs)
-        model.params["embeddings"][:, encode(["poison"], vocab)[0]] = np.nan
-        return model
-
-    monkeypatch.setattr(module, "init_model", poisoned_init)
     order = stream(config.seed, "batches").permutation(len(train)).tolist()
     batch = order.index(5) // config.batch_size + 1
     with pytest.raises(ArithmeticError) as info:
@@ -438,23 +429,30 @@ def test_pretrain_non_finite_state_first_reached_at_validation_names_it(monkeypa
     config = small_config(max_epochs=2, seed=23)
     _, val, _ = split_records(records, config.split, config.seed)
     poisoned = val[0]
-    poisoned.tree = AstTree("poison", (poisoned.tree,))
     # only this validation file holds the token, so training never reads it
+    poison_embedding(monkeypatch, poisoned)
     vocab = build_vocabulary([r.tree for r in records], size=100, min_count=1)
-    module = sys.modules["treedefect.pretrain"]
-    real_init = module.init_model
-
-    def poisoned_init(*args, **kwargs):
-        model = real_init(*args, **kwargs)
-        model.params["embeddings"][:, encode(["poison"], vocab)[0]] = np.nan
-        return model
-
-    monkeypatch.setattr(module, "init_model", poisoned_init)
     with pytest.raises(DivergenceError) as info:
         pretrain(records, config, vocab=vocab)
     assert str(info.value) == (
         f"non-finite hidden state in the tree forward pass of {poisoned.file_id} "
         "(epoch 1, validation); step size: learning_rate 0.001, rms_epsilon 1e-06")
+
+
+@pytest.mark.parametrize("max_epochs", [2, 0])
+def test_pretrain_non_finite_state_first_reached_at_test_names_it(monkeypatch, max_epochs):
+    records = generate_records(n=30, seed=19)
+    config = small_config(max_epochs=max_epochs, seed=23)
+    _, _, test = split_records(records, config.split, config.seed)
+    poisoned = test[0]
+    # only this test file holds the token, so neither training nor validation reads it
+    poison_embedding(monkeypatch, poisoned)
+    vocab = build_vocabulary([r.tree for r in records], size=100, min_count=1)
+    with pytest.raises(DivergenceError) as info:
+        pretrain(records, config, vocab=vocab)
+    assert str(info.value) == (
+        f"non-finite hidden state in the tree forward pass of {poisoned.file_id} "
+        "(test); step size: learning_rate 0.001, rms_epsilon 1e-06")
 
 
 def test_pretraining_without_a_finite_validation_perplexity_says_so():

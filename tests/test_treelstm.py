@@ -306,6 +306,17 @@ def test_backward_with_dropout_masks_matches_finite_differences():
     assert _finite_difference_worst(tree, model, masks) < 1e-4
 
 
+def test_backward_refuses_an_embedding_gradient_it_would_copy():
+    # the embedding scatter runs on a 1-D view; a copy would drop the update
+    model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=9)
+    flat = flatten(random_tree(np.random.default_rng(21), 5, 8, 4), model.vocab)
+    cache = forward(flat, model)
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    grads["embeddings"] = np.asfortranarray(grads["embeddings"])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        backward(flat, model, cache, np.ones_like(cache.H), grads)
+
+
 def test_init_model_deterministic():
     vocab = small_vocab(8)
     a = init_model(vocab, d=4, hidden_dim=3, seed=5)
