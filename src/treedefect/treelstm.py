@@ -19,12 +19,12 @@ Each tree is flattened once to arrays whose nodes are sorted by height
 of one), and `packs` cuts any sequence of trees into packs of at most
 PACK_NODES nodes, for every pass over many trees. The passes run by height
 level rather than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
-forward evaluates every node of every tree as a leaf in one vectorised step,
-then recomputes the nodes of height 1, 2, ... across all trees at once with a
-few matrix products on contiguous row ranges, summing children with
-np.add.reduceat over parent-grouped edges. Backward walks the same levels
-from the top down. Nothing recurses, so any tree depth fits the interpreter
-stack.
+forward evaluates the leaves of every tree in one vectorised step, then the
+nodes of height 1, 2, ... across all trees at once with a few matrix products
+on contiguous row ranges, summing children with np.add.reduceat over
+parent-grouped edges, and writes each gate straight into its rows of the
+cache. Backward walks the same levels from the top down. Nothing recurses, so
+any tree depth fits the interpreter stack.
 
 A tree's height order does not depend on the vocabulary: its first
 `flatten` computes it and keeps it with the tree, and every FlatTree of the
@@ -41,6 +41,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -58,8 +59,19 @@ PACK_NODES = 1024
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form: stable for any magnitude without overflow warnings
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+    """The logistic function of `z`, as a new float array."""
+    out = np.array(z, dtype=float)
+    _sigmoid_(out)
+    return out
+
+
+def _sigmoid_(z: np.ndarray) -> None:
+    """z = sigmoid(z) in place, in the tanh form 0.5 * (tanh(0.5 * z) + 1),
+    which is stable for any magnitude without overflow warnings."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
 
 
 @dataclass
@@ -261,20 +273,20 @@ def pack(flats: Sequence[FlatTree]) -> FlatTree:
     """Merge trees into one FlatTree that forward and backward process in a
     single pass. Tree numbers follow the order of `flats`, and each tree's
     nodes keep their order; per-tree results are those of the trees alone."""
-    node_base = np.cumsum([0] + [f.n for f in flats])
-    edge_base = np.cumsum([0] + [f.n_edges for f in flats])
-    tree_base = np.cumsum([0] + [f.n_trees for f in flats])
+    sizes = np.array([(f.n, f.n_edges, f.n_trees) for f in flats])
+    nodes, edges, trees = sizes.T
+    node_base, edge_base, tree_base = (np.cumsum(sizes, axis=0) - sizes).T
     height = np.concatenate([f.height for f in flats])
     return _sorted_by_height(
         np.argsort(height, kind="stable"),
         np.concatenate([f.indices for f in flats]),
         height,
-        np.concatenate([f.edge_child + b for f, b in zip(flats, node_base)]),
-        np.concatenate([f.edge_start[:-1] + b for f, b in zip(flats, edge_base)]
-                       + [edge_base[-1:]]),
-        np.concatenate([f.tree + b for f, b in zip(flats, tree_base)]),
-        np.concatenate([f.roots + b for f, b in zip(flats, node_base)]),
-        sum((f.names for f in flats), ()))
+        np.concatenate([f.edge_child for f in flats]) + np.repeat(node_base, edges),
+        np.append(np.concatenate([f.edge_start[:-1] for f in flats])
+                  + np.repeat(edge_base, nodes), edges.sum()),
+        np.concatenate([f.tree for f in flats]) + np.repeat(tree_base, nodes),
+        np.concatenate([f.roots for f in flats]) + np.repeat(node_base, trees),
+        tuple(chain.from_iterable(f.names for f in flats)))
 
 
 def packs(flats: Sequence[FlatTree]):
@@ -316,43 +328,44 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     X = p["embeddings"].T[flat.indices]
     if masks is not None:
         X = X * masks.w
-    # x-dependent gate terms for all nodes in four matmuls
-    AF = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]  # one row per edge
-    AI = X @ p["input.W"].T + p["input.b"]
-    AC = X @ p["cell.W"].T + p["cell.b"]
-    AO = X @ p["output.W"].T + p["output.b"]
+    # x-dependent gate terms of all nodes in four matmuls. Each gate's array
+    # starts as its terms and becomes the gate in place: the leaves in one
+    # step (h~ = 0, no forget terms), then each level above them, whose
+    # children are final
+    F = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]  # one row per edge
+    I = X @ p["input.W"].T + p["input.b"]
+    CB = X @ p["cell.W"].T + p["cell.b"]
+    O = X @ p["output.W"].T + p["output.b"]
     UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in GATE_NAMES)
-    # every node as a leaf (h~ = 0, no forget terms) in one step; each level
-    # above the leaves then overwrites its nodes, whose children are final
-    I = sigmoid(AI)
-    CB = np.tanh(AC)
-    O = sigmoid(AO)
-    C = I * CB
-    TC = np.tanh(C)
-    H = O * TC
+    C, TC, H = (np.empty((n, hd)) for _ in range(3))
     S = np.zeros((n, hd))
-    F = np.empty((flat.n_edges, hd))
+    leaves = slice(0, flat.levels[0][1])
+    _sigmoid_(I[leaves])
+    np.tanh(CB[leaves], out=CB[leaves])
+    _sigmoid_(O[leaves])
+    np.multiply(I[leaves], CB[leaves], out=C[leaves])
+    np.multiply(O[leaves], np.tanh(C[leaves], out=TC[leaves]), out=H[leaves])
     edge_start = flat.edge_start
     for lo, hi, e0, e1 in flat.levels[1:]:
         ch = flat.edge_child[e0:e1]
         starts = edge_start[lo:hi] - e0
         Hch = H[ch]
-        f = sigmoid(AF[e0:e1] + Hch @ UfT)
-        F[e0:e1] = f
-        ht = S[lo:hi] = np.add.reduceat(Hch, starts, axis=0)
+        f = F[e0:e1]
+        f += Hch @ UfT
+        _sigmoid_(f)
+        ht = np.add.reduceat(Hch, starts, axis=0, out=S[lo:hi])
         if masks is not None:
             ht = ht * masks.agg[lo:hi]
-        i_g = sigmoid(AI[lo:hi] + ht @ UiT)
-        cb = np.tanh(AC[lo:hi] + ht @ UcT)
-        c = i_g * cb + np.add.reduceat(f * C[ch], starts, axis=0)
-        o = sigmoid(AO[lo:hi] + ht @ UoT)
-        tc = np.tanh(c)
-        I[lo:hi] = i_g
-        CB[lo:hi] = cb
-        O[lo:hi] = o
-        C[lo:hi] = c
-        TC[lo:hi] = tc
-        H[lo:hi] = o * tc
+        i_g, cb, o = I[lo:hi], CB[lo:hi], O[lo:hi]
+        i_g += ht @ UiT
+        _sigmoid_(i_g)
+        cb += ht @ UcT
+        np.tanh(cb, out=cb)
+        c = np.multiply(i_g, cb, out=C[lo:hi])
+        c += np.add.reduceat(f * C[ch], starts, axis=0)
+        o += ht @ UoT
+        _sigmoid_(o)
+        np.multiply(o, np.tanh(c, out=TC[lo:hi]), out=H[lo:hi])
     if not np.all(np.isfinite(H)):
         tree = int(flat.tree[~np.isfinite(H).all(axis=1)].min())
         name = flat.names[tree]
@@ -383,22 +396,26 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
         dh = dH[lo:hi]
         o = O[lo:hi]
         tc = TC[lo:hi]
-        dc = dC[lo:hi] + dh * o * (1.0 - tc * tc)
-        da_o = dh * tc * o * (1.0 - o)
+        dc = dC[lo:hi]
+        dc += dh * o * (1.0 - tc * tc)
+        da_o = np.multiply(dh, tc, out=dAo[lo:hi])
+        da_o *= o
+        da_o *= 1.0 - o
         i_g = I[lo:hi]
         cb = CB[lo:hi]
-        da_i = dc * cb * i_g * (1.0 - i_g)
-        da_c = dc * i_g * (1.0 - cb * cb)
-        dAi[lo:hi] = da_i
-        dAc[lo:hi] = da_c
-        dAo[lo:hi] = da_o
+        da_i = np.multiply(dc, cb, out=dAi[lo:hi])
+        da_i *= i_g
+        da_i *= 1.0 - i_g
+        da_c = np.multiply(dc, i_g, out=dAc[lo:hi])
+        da_c *= 1.0 - cb * cb
         if e1 > e0:
             ch = flat.edge_child[e0:e1]
             counts = np.diff(edge_start[lo:hi + 1])
             f = F[e0:e1]
             dc_e = np.repeat(dc, counts, axis=0)
-            da_f = (C[ch] * dc_e) * f * (1.0 - f)
-            dAf[e0:e1] = da_f
+            da_f = np.multiply(C[ch], dc_e, out=dAf[e0:e1])
+            da_f *= f
+            da_f *= 1.0 - f
             # each child has one parent, so no index repeats within a level
             dC[ch] += f * dc_e
             dht = da_i @ p["input.U"] + da_c @ p["cell.U"] + da_o @ p["output.U"]

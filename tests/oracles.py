@@ -3,7 +3,11 @@
 Everything here is written straight from the defining formulas, favoring
 clarity over speed, and shares no code with the package: recursive node
 evaluation instead of flattened arrays, explicit pair counting instead of
-rank statistics, exhaustive enumeration instead of closed forms.
+rank statistics, exhaustive enumeration instead of closed forms. A few are
+earlier versions of package code, kept verbatim as byte references for a
+faster rewrite: the lexer, the synthetic source generator, and the
+Tree-LSTM level loop (`level_pack`, `level_forward`, `level_backward`), which
+use the package's FlatTree and ForwardCache only as containers.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import re
 
 import numpy as np
 
-from treedefect import MiniSyntaxError
+from treedefect import FlatTree, MiniSyntaxError
+from treedefect.treelstm import ForwardCache
 
 
 def sigmoid(z):
@@ -424,3 +429,144 @@ def generate_source(rng, defective):
     body = f"  {work}" if defective else f"  if ({checker}({name})) {{ {work} }}"
     lines += [f"while ({counter} < {limit}) {{", body, f"  {counter} = {counter} + 1;", "}"]
     return "\n".join(lines) + "\n"
+
+
+def _tanh_sigmoid(z):
+    """The package's sigmoid, in its tanh form and order of operations."""
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+
+
+def _sorted_flat(order, indices, height, edge_child, edge_start, tree, roots, names):
+    """FlatTree whose node j is node order[j] of the given arrays."""
+    n = len(order)
+    new_pos = np.empty(n, dtype=np.intp)
+    new_pos[order] = np.arange(n, dtype=np.intp)
+    counts = np.diff(edge_start)[order]
+    new_start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=new_start[1:])
+    old_edge = (np.repeat(edge_start[:-1][order] - new_start[:-1], counts)
+                + np.arange(new_start[-1], dtype=np.intp))
+    return FlatTree(indices[order], height[order], new_pos[edge_child[old_edge]],
+                    new_start, tree[order], new_pos[roots], names)
+
+
+def level_pack(flats):
+    """`treelstm.pack` as it once was: each tree's arrays shifted by its
+    node, edge and tree offsets one tree at a time, then concatenated and
+    sorted by height."""
+    node_base = np.cumsum([0] + [f.n for f in flats])
+    edge_base = np.cumsum([0] + [f.n_edges for f in flats])
+    tree_base = np.cumsum([0] + [f.n_trees for f in flats])
+    height = np.concatenate([f.height for f in flats])
+    return _sorted_flat(
+        np.argsort(height, kind="stable"),
+        np.concatenate([f.indices for f in flats]),
+        height,
+        np.concatenate([f.edge_child + b for f, b in zip(flats, node_base)]),
+        np.concatenate([f.edge_start[:-1] + b for f, b in zip(flats, edge_base)]
+                       + [edge_base[-1:]]),
+        np.concatenate([f.tree + b for f, b in zip(flats, tree_base)]),
+        np.concatenate([f.roots + b for f, b in zip(flats, node_base)]),
+        sum((f.names for f in flats), ()))
+
+
+def level_forward(flat, model, masks=None):
+    """`treelstm.forward` as it once was, the byte reference of the level
+    loop: every node evaluated as a leaf, each level above the leaves then
+    recomputed in temporaries and copied into the cache. Finite inputs only
+    (no divergence check)."""
+    n, hd, p = flat.n, model.hidden_dim, model.params
+    X = p["embeddings"].T[flat.indices]
+    if masks is not None:
+        X = X * masks.w
+    AF = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]
+    AI = X @ p["input.W"].T + p["input.b"]
+    AC = X @ p["cell.W"].T + p["cell.b"]
+    AO = X @ p["output.W"].T + p["output.b"]
+    UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in ("forget", "input", "cell", "output"))
+    I = _tanh_sigmoid(AI)
+    CB = np.tanh(AC)
+    O = _tanh_sigmoid(AO)
+    C = I * CB
+    TC = np.tanh(C)
+    H = O * TC
+    S = np.zeros((n, hd))
+    F = np.empty((flat.n_edges, hd))
+    edge_start = flat.edge_start
+    for lo, hi, e0, e1 in flat.levels[1:]:
+        ch = flat.edge_child[e0:e1]
+        starts = edge_start[lo:hi] - e0
+        Hch = H[ch]
+        f = _tanh_sigmoid(AF[e0:e1] + Hch @ UfT)
+        F[e0:e1] = f
+        ht = S[lo:hi] = np.add.reduceat(Hch, starts, axis=0)
+        if masks is not None:
+            ht = ht * masks.agg[lo:hi]
+        i_g = _tanh_sigmoid(AI[lo:hi] + ht @ UiT)
+        cb = np.tanh(AC[lo:hi] + ht @ UcT)
+        c = i_g * cb + np.add.reduceat(f * C[ch], starts, axis=0)
+        o = _tanh_sigmoid(AO[lo:hi] + ht @ UoT)
+        tc = np.tanh(c)
+        I[lo:hi] = i_g
+        CB[lo:hi] = cb
+        O[lo:hi] = o
+        C[lo:hi] = c
+        TC[lo:hi] = tc
+        H[lo:hi] = o * tc
+    return ForwardCache(X, S, I, CB, O, TC, H, C, F, masks)
+
+
+def level_backward(flat, model, cache, dH, grads):
+    """`treelstm.backward` as it once was: each level's gate gradients built
+    in temporaries and copied into their arrays."""
+    n, hd, p = flat.n, model.hidden_dim, model.params
+    masks = cache.masks
+    edge_start = flat.edge_start
+    dC = np.zeros((n, hd))
+    dAi = np.empty((n, hd))
+    dAc = np.empty((n, hd))
+    dAo = np.empty((n, hd))
+    dAf = np.empty((flat.n_edges, hd))
+    I, CB, O, TC, C, F = cache.I, cache.CB, cache.O, cache.TC, cache.C, cache.F
+    for lo, hi, e0, e1 in reversed(flat.levels):
+        dh = dH[lo:hi]
+        o = O[lo:hi]
+        tc = TC[lo:hi]
+        dc = dC[lo:hi] + dh * o * (1.0 - tc * tc)
+        da_o = dh * tc * o * (1.0 - o)
+        i_g = I[lo:hi]
+        cb = CB[lo:hi]
+        da_i = dc * cb * i_g * (1.0 - i_g)
+        da_c = dc * i_g * (1.0 - cb * cb)
+        dAi[lo:hi] = da_i
+        dAc[lo:hi] = da_c
+        dAo[lo:hi] = da_o
+        if e1 > e0:
+            ch = flat.edge_child[e0:e1]
+            counts = np.diff(edge_start[lo:hi + 1])
+            f = F[e0:e1]
+            dc_e = np.repeat(dc, counts, axis=0)
+            da_f = (C[ch] * dc_e) * f * (1.0 - f)
+            dAf[e0:e1] = da_f
+            dC[ch] += f * dc_e
+            dht = da_i @ p["input.U"] + da_c @ p["cell.U"] + da_o @ p["output.U"]
+            if masks is not None:
+                dht *= masks.agg[lo:hi]
+            dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ p["forget.U"]
+    X, H = cache.X, cache.H
+    HT = cache.S if masks is None else cache.S * masks.agg
+    for name, dA in (("input", dAi), ("cell", dAc), ("output", dAo)):
+        grads[f"{name}.W"] += dA.T @ X
+        grads[f"{name}.U"] += dA.T @ HT
+        grads[f"{name}.b"] += dA.sum(axis=0)
+    dX = dAi @ p["input.W"] + dAc @ p["cell.W"] + dAo @ p["output.W"]
+    grads["forget.W"] += dAf.T @ X[flat.edge_parent]
+    grads["forget.U"] += dAf.T @ H[flat.edge_child]
+    grads["forget.b"] += dAf.sum(axis=0)
+    d, embeddings = dX.shape[1], grads["embeddings"]
+    np.add.at(dX.reshape(-1), (flat.edge_parent[:, None] * d + np.arange(d)).ravel(),
+              (dAf @ p["forget.W"]).ravel())
+    if masks is not None:
+        dX *= masks.w
+    np.add.at(embeddings.reshape(-1), (np.arange(d) * embeddings.shape[1]
+                                       + flat.indices[:, None]).ravel(), dX.ravel())

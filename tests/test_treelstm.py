@@ -566,3 +566,54 @@ def test_non_finite_forward_names_the_first_bad_tree():
     with pytest.raises(ArithmeticError, match="bad.mini"):
         forward(flat, model)
 
+
+_CACHE_FIELDS = ("X", "S", "I", "CB", "O", "TC", "H", "C", "F")
+_WIDE = [(1, 0)] + [(2 + j % 5, j) for j in range(13)]  # a node with 13 leaf children
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(_SHAPES, min_size=1, max_size=5), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from([None, 0.0, 0.5]), st.integers(1, 64) | st.just(treelstm.PACK_NODES),
+       st.integers(0, 2**32 - 1))
+@example([[], [], []], 3, 3, None, 1024, 0)          # an all-leaf pack
+@example([[], [], []], 2, 4, 0.5, 2, 1)              # single-node trees, masked, cut
+@example([[(2, 0)] * 299], 4, 2, None, 1024, 2)      # a 300-deep chain
+@example([[(2, 0)] * 299, []], 2, 3, 0.5, 1024, 3)
+@example([_WIDE, [(3, 40)] * 13], 3, 5, None, 1024, 4)  # 13 children per node
+@example([_WIDE, [(3, 40)] * 9, [(4, 40)] * 8], 5, 2, 0.5, 16, 5)
+def test_level_loop_keeps_the_bytes_of_its_reference(shapes, d, hidden_dim, rate, pack_nodes,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    model = scaled_model(vocab_size=8, d=d, hidden_dim=hidden_dim, seed=seed % 997)
+    flats = [flatten(tree_from_parents(shape), model.vocab, f"f{i}.mini")
+             for i, shape in enumerate(shapes)]
+    with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
+        cut = list(packs(flats))
+    start = 0
+    for flat in cut:
+        assert_same_bytes(flat, oracles.level_pack(flats[start:start + flat.n_trees]))
+        start += flat.n_trees
+        masks = None if rate is None else sample_masks(flat, rate, d, hidden_dim, rng)
+        got, want = forward(flat, model, masks), oracles.level_forward(flat, model, masks)
+        for field in _CACHE_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        dH = rng.normal(size=(flat.n, hidden_dim))
+        dH_want = dH.copy()
+        grads = {key: np.zeros_like(arr) for key, arr in model.params.items()}
+        grads_want = {key: np.zeros_like(arr) for key, arr in model.params.items()}
+        backward(flat, model, got, dH, grads)
+        oracles.level_backward(flat, model, want, dH_want, grads_want)
+        assert np.array_equal(dH, dH_want)
+        for key in grads:
+            assert np.array_equal(grads[key], grads_want[key]), key
+    assert start == len(flats)
+
+
+def test_pack_of_1024_single_node_trees_keeps_each_tree_in_order():
+    names = tuple(f"f{i:04d}.mini" for i in range(1024))
+    flats = [flatten(node(i % 6), small_vocab(6), name) for i, name in enumerate(names)]
+    (flat,) = packs(flats)
+    assert flat.names == names
+    assert np.array_equal(flat.tree, np.arange(1024))
+    assert np.array_equal(flat.roots, np.arange(1024))
+    assert np.array_equal(flat.indices, np.arange(1024) % 6)
