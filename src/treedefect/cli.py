@@ -121,6 +121,9 @@ def _iter_input_files(inputs: list[str]) -> list[tuple[Path, str]]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    for flag in ("project", "version"):
+        if not getattr(args, flag):  # a corpus entry holds non-empty strings only
+            raise DocumentError(f"--{flag} must be a non-empty string")
     inputs = _iter_input_files(args.inputs)
     sources = {file_id for path, file_id in inputs if path.suffix != ".json"}
     labels = _read_labels_file(args.labels, sources) if args.labels else {}

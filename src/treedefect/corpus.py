@@ -221,6 +221,8 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
     files = doc.get("files")
     if not isinstance(files, list):
         raise DocumentError(f"{source}: 'files' must be a list")
+    if not files:
+        raise DocumentError(f"{source}: 'files' is empty; a corpus holds at least one file")
     records: list[FileRecord] = []
     seen: set[tuple[str, str, str]] = set()
     for i, entry in enumerate(files):

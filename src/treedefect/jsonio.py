@@ -4,8 +4,9 @@ JSON documents are written with sorted keys, compact separators and a
 trailing newline so identical inputs produce byte-identical files. Floats go
 through Python's repr (shortest round-trip), so values survive a write/read
 cycle exactly. CSV tables end every line with "\n". Every write is atomic: a
-temporary file renamed over the target. Readers test each JSON object they
-take with `known_fields` and its values with `is_int` and `is_number`.
+temporary file renamed over the target. `parse` rejects an object that
+repeats a key; readers test each JSON object they take with `known_fields`
+and its values with `is_int` and `is_number`.
 """
 
 from __future__ import annotations
@@ -105,8 +106,18 @@ def read(path: str | Path) -> Any:
 
 
 def parse(text: str, source: str = "<string>") -> Any:
+    """The JSON value of `text`; DocumentError naming `source` if it is not
+    JSON or an object in it repeats a key (json.loads would keep the last)."""
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise DocumentError(f"{source}: repeated key {repeated!r}")
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{source}: invalid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -95,11 +95,12 @@ class TrainConfig:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                  mean_square: dict[str, np.ndarray], config: TrainConfig) -> None:
     """In-place update of `params` and of the running `mean_square` (same
     keys, zeros at the start): ms <- rho ms + (1-rho) g^2;
-    theta <- theta - eta g/sqrt(ms+eps)."""
+    theta <- theta - eta g/sqrt(ms+eps). Overflow is silent, as in _pack_loss."""
     rho, eta, eps = config.rms_decay, config.learning_rate, config.rms_epsilon
     for name, theta in params.items():
         g = grads[name]
@@ -116,22 +117,24 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return Z
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
                masks: DropoutMasks | None, grads: dict[str, np.ndarray] | None,
                scale: float) -> np.ndarray:
     """Summed NLL of each tree in the pack `flat`; accumulates gradients
-    scaled by `scale` into `grads` when given."""
+    scaled by `scale` into `grads` when given. Overflow, and log(0) = -inf at a
+    saturated head, are silent: the next forward pass or the perplexity check
+    names a diverging step."""
     cache = forward(flat, model, masks)
     # leaves come first, so the internal nodes are the run after them
-    first = flat.n - flat.n_internal
-    k = np.diff(flat.edge_start[first:])[:, None]
+    first = flat.levels[0][1]
+    k = (flat.edge_start[first + 1:] - flat.edge_start[first:-1])[:, None]
     G = cache.S[first:] / k
     rows = np.arange(len(k))
     targets = flat.indices[first:]
     P = _softmax_rows(G @ head.U.T)
-    with np.errstate(divide="ignore"):  # a saturated head gives log(0) = -inf
-        nll = np.bincount(flat.tree[first:], weights=-np.log(P[rows, targets]),
-                          minlength=flat.n_trees)
+    nll = np.bincount(flat.tree[first:], weights=-np.log(P[rows, targets]),
+                      minlength=flat.n_trees)
     if grads is not None:
         dZ = P
         dZ[rows, targets] -= 1.0
@@ -140,7 +143,7 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
         dG = dZ @ head.U
         dH = np.zeros_like(cache.H)
         # every node has at most one parent: one scatter spreads the means back
-        dH[flat.edge_child] = np.repeat(dG / k, k[:, 0], axis=0)
+        dH[flat.edge_child] = (dG / k)[flat.edge_parent - first]
         backward(flat, model, cache, dH, grads)
     return nll
 

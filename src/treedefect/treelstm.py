@@ -19,12 +19,12 @@ Each tree is flattened once to arrays whose nodes are sorted by height
 of one), and `packs` cuts any sequence of trees into packs of at most
 PACK_NODES nodes, for every pass over many trees. The passes run by height
 level rather than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
-forward evaluates the leaves of every tree in one vectorised step, then the
-nodes of height 1, 2, ... across all trees at once with a few matrix products
-on contiguous row ranges, summing children with np.add.reduceat over
-parent-grouped edges, and writes each gate straight into its rows of the
-cache. Backward walks the same levels from the top down. Nothing recurses, so
-any tree depth fits the interpreter stack.
+forward evaluates the nodes of height 0, 1, 2, ... in turn, each level
+across all trees at once with a few matrix products on contiguous row
+ranges, summing children with np.add.reduceat over parent-grouped edges, and
+writes each gate straight into its rows of the cache. Backward walks the
+same levels from the top down and reaches each edge's parent row through
+edge_parent. Nothing recurses, so any tree depth fits the interpreter stack.
 
 A tree's height order does not depend on the vocabulary: its first
 `flatten` computes it and keeps it with the tree, and every FlatTree of the
@@ -156,7 +156,7 @@ class FlatTree:
 
     @property
     def n_internal(self) -> int:
-        return int(np.count_nonzero(self.height))
+        return self.n - self.levels[0][1]
 
     @property
     def n_trees(self) -> int:
@@ -329,9 +329,8 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     if masks is not None:
         X = X * masks.w
     # x-dependent gate terms of all nodes in four matmuls. Each gate's array
-    # starts as its terms and becomes the gate in place: the leaves in one
-    # step (h~ = 0, no forget terms), then each level above them, whose
-    # children are final
+    # starts as its terms and becomes the gate in place, level by level from
+    # the leaves up; a level with child edges first adds the children's terms
     F = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]  # one row per edge
     I = X @ p["input.W"].T + p["input.b"]
     CB = X @ p["cell.W"].T + p["cell.b"]
@@ -339,32 +338,27 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in GATE_NAMES)
     C, TC, H = (np.empty((n, hd)) for _ in range(3))
     S = np.zeros((n, hd))
-    leaves = slice(0, flat.levels[0][1])
-    _sigmoid_(I[leaves])
-    np.tanh(CB[leaves], out=CB[leaves])
-    _sigmoid_(O[leaves])
-    np.multiply(I[leaves], CB[leaves], out=C[leaves])
-    np.multiply(O[leaves], np.tanh(C[leaves], out=TC[leaves]), out=H[leaves])
-    edge_start = flat.edge_start
-    for lo, hi, e0, e1 in flat.levels[1:]:
-        ch = flat.edge_child[e0:e1]
-        starts = edge_start[lo:hi] - e0
-        Hch = H[ch]
-        f = F[e0:e1]
-        f += Hch @ UfT
-        _sigmoid_(f)
-        ht = np.add.reduceat(Hch, starts, axis=0, out=S[lo:hi])
-        if masks is not None:
-            ht = ht * masks.agg[lo:hi]
+    for lo, hi, e0, e1 in flat.levels:
         i_g, cb, o = I[lo:hi], CB[lo:hi], O[lo:hi]
-        i_g += ht @ UiT
+        if e1 > e0:
+            ch = flat.edge_child[e0:e1]
+            starts = flat.edge_start[lo:hi] - e0
+            Hch = H[ch]
+            f = F[e0:e1]
+            f += Hch @ UfT
+            _sigmoid_(f)
+            ht = np.add.reduceat(Hch, starts, axis=0, out=S[lo:hi])
+            if masks is not None:
+                ht = ht * masks.agg[lo:hi]
+            i_g += ht @ UiT
+            cb += ht @ UcT
+            o += ht @ UoT
         _sigmoid_(i_g)
-        cb += ht @ UcT
         np.tanh(cb, out=cb)
-        c = np.multiply(i_g, cb, out=C[lo:hi])
-        c += np.add.reduceat(f * C[ch], starts, axis=0)
-        o += ht @ UoT
         _sigmoid_(o)
+        c = np.multiply(i_g, cb, out=C[lo:hi])
+        if e1 > e0:
+            c += np.add.reduceat(f * C[ch], starts, axis=0)
         np.multiply(o, np.tanh(c, out=TC[lo:hi]), out=H[lo:hi])
     if not np.all(np.isfinite(H)):
         tree = int(flat.tree[~np.isfinite(H).all(axis=1)].min())
@@ -385,7 +379,6 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
     """
     n, hd, p = flat.n, model.hidden_dim, model.params
     masks = cache.masks
-    edge_start = flat.edge_start
     dC = np.zeros((n, hd))
     dAi = np.empty((n, hd))
     dAc = np.empty((n, hd))
@@ -410,9 +403,9 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
         da_c *= 1.0 - cb * cb
         if e1 > e0:
             ch = flat.edge_child[e0:e1]
-            counts = np.diff(edge_start[lo:hi + 1])
+            up = flat.edge_parent[e0:e1] - lo  # each edge's parent row in this level
             f = F[e0:e1]
-            dc_e = np.repeat(dc, counts, axis=0)
+            dc_e = dc[up]
             da_f = np.multiply(C[ch], dc_e, out=dAf[e0:e1])
             da_f *= f
             da_f *= 1.0 - f
@@ -421,7 +414,7 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
             dht = da_i @ p["input.U"] + da_c @ p["cell.U"] + da_o @ p["output.U"]
             if masks is not None:
                 dht *= masks.agg[lo:hi]
-            dH[ch] += np.repeat(dht, counts, axis=0) + da_f @ p["forget.U"]
+            dH[ch] += dht[up] + da_f @ p["forget.U"]
     X, H = cache.X, cache.H
     HT = cache.S if masks is None else cache.S * masks.agg  # the gates' input h~
     for name, dA in (("input", dAi), ("cell", dAc), ("output", dAo)):

@@ -236,6 +236,29 @@ def test_pretraining_without_a_finite_validation_perplexity_is_named(tmp_path, c
     assert not model.exists()
 
 
+@pytest.fixture(scope="module")
+def corpus_of_60(tmp_path_factory):
+    path = tmp_path_factory.mktemp("diverge") / "corpus.json"
+    write_corpus(path, generate_records(60, seed=1))
+    return path
+
+
+# numpy overflows in rmsprop_step's divide (1e308, 1.7e308), in the softmax's
+# subtract (1e307 seed 1) and in the head's product (1e307 seed 3, 5e307)
+@pytest.mark.parametrize("rate, seed", [("1e308", "1"), ("1e308", "2"), ("1.7e308", "1"),
+                                        ("1.7e308", "2"), ("1e307", "1"), ("1e307", "3"),
+                                        ("5e307", "1")])
+def test_a_step_size_that_overflows_is_one_error_line(tmp_path, corpus_of_60, capsys, rate,
+                                                      seed):
+    model = tmp_path / "model.json"
+    assert main(["pretrain", "--corpus", str(corpus_of_60), "--output", str(model),
+                 "--embedding-dim", "4", "--max-epochs", "3", "--patience", "3",
+                 "--min-count", "1", "--learning-rate", rate, "--seed", seed]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not model.exists()
+
+
 def test_pretraining_reaching_a_non_finite_state_at_test_is_one_error_line(
         tmp_path, capsys, monkeypatch):
     records = generate_records(30, seed=19)
@@ -553,6 +576,66 @@ def test_a_corpus_whose_files_are_not_a_list_is_bad_input(tmp_path, workspace, c
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["stats", "--corpus", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: 'files' must be a list\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "vocab", "featurize"])
+def test_a_corpus_without_files_is_bad_input(tmp_path, workspace, capsys, command):
+    doc = read(workspace["corpus"])
+    doc["files"] = []
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    flags = {"stats": [], "vocab": ["--output", str(out)],
+             "featurize": ["--model", str(workspace["model"]), "--output", str(out)]}
+    assert main([command, "--corpus", str(bad), *flags[command]]) == 2
+    assert capsys.readouterr().err == (f"error: {bad}: 'files' is empty; "
+                                       "a corpus holds at least one file\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--project", "--version"])
+def test_ingest_rejects_an_empty_project_or_version_before_reading(tmp_path, capsys, flag):
+    out = tmp_path / "corpus.json"
+    # the input does not exist: the flag is checked first
+    assert main(["ingest", str(tmp_path / "absent"), "--output", str(out), flag, ""]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a non-empty string\n"
+    assert not out.exists()
+
+
+def _repeat_first(text: str, key: str, value: str) -> str:
+    """`text` with `"key":value,` put before the first `"key":` in it."""
+    return text.replace(f'"{key}":', f'"{key}":{value},"{key}":', 1)
+
+
+def test_a_repeated_key_in_a_config_file_is_bad_input(tmp_path, workspace, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"max_epochs": 0, "seed": 1, "seed": 2}', encoding="utf-8")
+    out = tmp_path / "model.json"
+    assert main(["pretrain", "--corpus", str(workspace["corpus"]), "--output", str(out),
+                 "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: repeated key 'seed'\n"
+    assert not out.exists()
+
+
+def test_a_repeated_key_in_a_corpus_entry_is_bad_input(tmp_path, workspace, capsys):
+    text = workspace["corpus"].read_text(encoding="utf-8")
+    bad = tmp_path / "corpus.json"
+    # the first "file_id" is that of files[0]
+    bad.write_text(_repeat_first(text, "file_id", '"other.mini"'), encoding="utf-8")
+    assert main(["stats", "--corpus", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: repeated key 'file_id'\n"
+
+
+def test_a_repeated_key_in_a_model_document_is_bad_input(tmp_path, workspace, capsys):
+    text = workspace["model"].read_text(encoding="utf-8")
+    bad = tmp_path / "model.json"
+    # the first "b" is the bias of the cell gate group
+    bad.write_text(_repeat_first(text, "b", "[0, 0, 0, 0]"), encoding="utf-8")
+    out = tmp_path / "features.csv"
+    assert main(["featurize", "--corpus", str(workspace["corpus"]), "--model", str(bad),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: repeated key 'b'\n"
+    assert not out.exists()
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

@@ -592,6 +592,7 @@ def test_level_loop_keeps_the_bytes_of_its_reference(shapes, d, hidden_dim, rate
     start = 0
     for flat in cut:
         assert_same_bytes(flat, oracles.level_pack(flats[start:start + flat.n_trees]))
+        assert flat.n_internal == np.count_nonzero(flat.height)
         start += flat.n_trees
         masks = None if rate is None else sample_masks(flat, rate, d, hidden_dim, rng)
         got, want = forward(flat, model, masks), oracles.level_forward(flat, model, masks)
