@@ -8,8 +8,12 @@ which is what keeps valid the height-ordered structure that
 `_from_preorder` the one builder. Both ways in, `normalize_labels` for parsed
 sources and `corpus_from_document` for documents, build through it, so it is
 the one depth gate: a tree may be at most MAX_TREE_DEPTH nodes deep, and every
-corpus document the package writes can be read back. Nothing recurses, so
-deeply nested inputs cannot overflow the interpreter stack.
+corpus document the package writes can be read back. The builder's root
+keeps the tree's shape (preorder labels and child counts, each node's height
+and the child edges) and makes its node objects only when `.children` is
+first read, so reading, counting, writing and flattening a built tree make
+none. Nothing recurses, so deeply nested inputs cannot overflow the
+interpreter stack.
 
 On disk a corpus is a JSON document: one sorted table of the labels it uses
 and, per file, its AST in preorder as label indices and child counts::
@@ -56,10 +60,28 @@ STRING_LITERAL_LABEL = "StringLiteralExpr"
 
 @dataclass(frozen=True)
 class AstTree:
-    """One AST node; a leaf has an empty children tuple."""
+    """One AST node; a leaf has an empty children tuple. A root made by
+    `_from_preorder` keeps the tree's shape in its __dict__ instead, and
+    `__getattr__` makes its nodes from it when `children` is first read (a
+    default factory, not a class-level default, lets the lookup reach it)."""
 
     label: str
-    children: tuple["AstTree", ...] = ()
+    children: tuple["AstTree", ...] = field(default_factory=tuple)
+
+    def __getattr__(self, name: str):
+        shape = vars(self).get("_shape") if name == "children" else None
+        if shape is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels, arity = shape[0], shape[1]
+        built: list[AstTree] = []
+        for j in range(len(labels) - 1, 0, -1):
+            k, children = arity[j], ()
+            if k:
+                children = tuple(built[-k:][::-1])
+                del built[-k:]
+            built.append(AstTree(labels[j], children))
+        children = vars(self)["children"] = tuple(built[::-1])
+        return children
 
 
 @dataclass
@@ -77,7 +99,12 @@ class FileRecord:
 
 def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
     """Label and child count of every node of `tree` in preorder (parent
-    before children, left to right): the one walk over an AstTree."""
+    before children, left to right): the one walk over an AstTree. A root
+    made by `_from_preorder` returns its kept lists, which must not be
+    changed, without walking."""
+    shape = vars(tree).get("_shape")
+    if shape is not None:
+        return shape[0], shape[1]
     labels: list[str] = []
     arity: list[int] = []
     stack = [tree]
@@ -89,36 +116,57 @@ def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
     return labels, arity
 
 
-def _from_preorder(labels: list[str], nodes: list, arity: list, where: str) -> AstTree:
+def _from_preorder(labels: list[str], nodes: Sequence, arity: list, where: str,
+                   max_depth: int = MAX_TREE_DEPTH) -> AstTree:
     """The AstTree whose nodes in preorder have labels `labels[nodes[j]]` and
-    child counts `arity[j]`, built from the last node back: each node takes
-    its children off the stack of subtrees built so far. A bad entry raises
-    DocumentError and a tree deeper than MAX_TREE_DEPTH DepthLimitError; both
-    name the node after `where` (a document entry) when it is given."""
-    built: list[AstTree] = []
-    depths: list[int] = []
+    child counts `arity[j]`. One pass from the last node back, each node
+    taking its children off the stack of subtrees seen so far, finds every
+    node's height and the child edges (the children of each parent, all
+    reversed); the root keeps them with the labels and child counts as the
+    tree's shape and makes no node objects. A bad entry raises DocumentError
+    and a tree deeper than `max_depth` DepthLimitError; both name the node
+    after `where` (a document entry) when it is given."""
+    height = [0] * len(nodes)
+    edges: list[int] = []
+    stack: list[int] = []    # subtree roots seen so far, leftmost on top
+    heights: list[int] = []  # their heights
     for j in range(len(nodes) - 1, -1, -1):
         label, k = nodes[j], arity[j]
         if type(label) is not int or not 0 <= label < len(labels):
             raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
                                 f"in [0, {len(labels)}), got {label!r}")
-        if type(k) is not int or not 0 <= k <= len(built):
+        if type(k) is not int or not 0 <= k <= len(stack):
             raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
-                                f"in [0, {len(built)}], got {k!r}")
-        depth, children = 1, ()
+                                f"in [0, {len(stack)}], got {k!r}")
+        h = 0
         if k:
-            depth += max(depths[-k:])
-            if depth > MAX_TREE_DEPTH:
+            h = height[j] = 1 + max(heights[-k:])
+            if h >= max_depth:
                 at = f"{where}.nodes[{j}]: " if where else ""
                 raise DepthLimitError(f"{at}tree is deeper than the limit of "
                                       f"{MAX_TREE_DEPTH} nodes")
-            children = tuple(built[-k:][::-1])
-            del built[-k:], depths[-k:]
-        built.append(AstTree(labels[label], children))
-        depths.append(depth)
-    if len(built) != 1:
+            edges += stack[-k:]
+            del stack[-k:], heights[-k:]
+        stack.append(j)
+        heights.append(h)
+    if len(stack) != 1:
         raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
-    return built[0]
+    names = [labels[i] for i in nodes]
+    root = object.__new__(AstTree)
+    vars(root).update(label=names[0], _shape=(names, list(arity), height, edges))
+    return root
+
+
+def tree_shape(tree: AstTree) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Preorder labels, child counts and heights of `tree`, and its child
+    edges, as `_from_preorder` finds them: a built root's kept lists, or
+    those of its pass over a walk of `tree`, with no depth limit (no tree is
+    deeper than its node count)."""
+    kept = vars(tree).get("_shape")
+    if kept is None:
+        labels, arity = preorder(tree)
+        kept = vars(_from_preorder(labels, range(len(labels)), arity, "", len(labels)))["_shape"]
+    return kept
 
 
 def normalize_label(label: str) -> str:
@@ -203,7 +251,7 @@ def corpus_to_document(records: list[FileRecord]) -> dict:
     index = {label: i for i, label in enumerate(labels)}
     return {"format_version": 2, "labels": labels, "files": [
         {"file_id": r.file_id, "project": r.project, "version": r.version, "label": r.label,
-         "nodes": [index[label] for label in names], "arity": arity}
+         "nodes": [index[label] for label in names], "arity": list(arity)}
         for r, (names, arity) in zip(records, walks)]}
 
 

@@ -150,10 +150,12 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
 
 def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
               dropout: tuple[float, np.random.Generator] | None,
-              grads: dict[str, np.ndarray] | None) -> float:
-    """Mean NLL over the internal nodes of `flats` (each pack draws its
-    dropout masks as it is reached); adds its gradients into `grads` if given."""
-    count = sum(f.n_internal for f in flats)
+              grads: dict[str, np.ndarray] | None, count: int | None = None) -> float:
+    """Mean NLL over the internal nodes of `flats`, `count` of them unless
+    None (each pack draws its dropout masks as it is reached); adds its
+    gradients into `grads` if given."""
+    if count is None:
+        count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
     total = 0.0
@@ -265,8 +267,9 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
                     sample_masks(pack(batch), config.dropout_rate, model.d, model.hidden_dim,
                                  dropout_rng)
                 continue
+            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
             try:
-                loss, grads = loss_and_gradients(batch, model, head, dropout)
+                loss = _mean_nll(batch, model, head, dropout, grads, count)
             except DivergenceError as exc:
                 raise DivergenceError(f"{exc} (epoch {epoch}, batch {number}){step}") from exc
             epoch_nll += loss * count

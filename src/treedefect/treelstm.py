@@ -27,8 +27,10 @@ same levels from the top down and reaches each edge's parent row through
 edge_parent. Nothing recurses, so any tree depth fits the interpreter stack.
 
 A tree's height order does not depend on the vocabulary: its first
-`flatten` computes it and keeps it with the tree, and every FlatTree of the
-tree shares its arrays, read-only, so a later flatten only encodes labels.
+`flatten` sorts the heights and child edges of the tree's shape
+(`corpus.tree_shape`) and keeps the result with the tree, and every FlatTree
+of the tree shares its arrays, read-only, so a later flatten only encodes
+labels.
 
 During pretraining each pack draws a dropout mask pair (`sample_masks`),
 applied to the embedding input w_t and to the aggregate h~ (inverted
@@ -46,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from . import jsonio
-from .corpus import AstTree, Vocabulary, encode, preorder, vocabulary_from_json
+from .corpus import AstTree, Vocabulary, encode, tree_shape, vocabulary_from_json
 from .errors import DivergenceError, DocumentError
 from .rng import stream
 
@@ -154,9 +156,9 @@ class FlatTree:
     def n_edges(self) -> int:
         return len(self.edge_child)
 
-    @property
+    @cached_property
     def n_internal(self) -> int:
-        return self.n - self.levels[0][1]
+        return int(np.count_nonzero(self.height))
 
     @property
     def n_trees(self) -> int:
@@ -198,22 +200,10 @@ def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray
 
 def _height_structure(tree: AstTree) -> tuple:
     """The labels of `tree` in height order, then the read-only height,
-    edge_child, edge_start, tree and roots arrays of its FlatTree. One pass
-    from the last preorder node back finds each node's children and height;
-    any depth fits the stack."""
-    labels, arity = preorder(tree)
+    edge_child, edge_start, tree and roots arrays of its FlatTree, sorted
+    from the heights and child edges of `tree_shape`."""
+    labels, arity, height, edges = tree_shape(tree)
     n = len(labels)
-    height = [0] * n
-    edges: list[int] = []  # children per parent, all reversed
-    stack: list[int] = []  # subtrees built so far, leftmost on top
-    for j in range(n - 1, -1, -1):
-        k = arity[j]
-        if k:
-            kids = stack[-k:]
-            del stack[-k:]
-            edges += kids
-            height[j] = 1 + max([height[c] for c in kids])
-        stack.append(j)
     heights = np.asarray(height, dtype=np.intp)
     edge_start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(arity, out=edge_start[1:])

@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from types import SimpleNamespace
 
-from treedefect import UNK_TOKEN, AstTree, Vocabulary, encode, flatten, forward
+from treedefect import UNK_TOKEN, AstTree, FileRecord, Vocabulary, encode, flatten, forward
+from treedefect.corpus import corpus_from_document, corpus_to_document
 
 
 def token(index: int) -> str:
@@ -38,6 +39,30 @@ def random_tree(rng: np.random.Generator, vocab_size: int,
         return node(index, children)
 
     return build()
+
+
+def tree_from_parents(shape, label=token) -> AstTree:
+    """Tree of nodes 0..len(shape), drawn flat so that hypothesis reports it
+    without recursing: node i >= 1 has label label(shape[i-1][0]) and parent
+    max(0, i - 1 - shape[i-1][1]), the root label(1), and a node's children
+    are in number order. Offset 0 everywhere is a chain; small offsets give
+    many siblings of equal height."""
+    children = [[] for _ in range(len(shape) + 1)]
+    for i, (_, back) in enumerate(shape, start=1):
+        children[max(0, i - 1 - back)].append(i)
+    built = [None] * (len(shape) + 1)
+    for i in range(len(shape), -1, -1):
+        built[i] = AstTree(label(shape[i - 1][0] if i else 1),
+                           tuple(built[c] for c in children[i]))
+    return built[0]
+
+
+def read_back(tree: AstTree) -> AstTree:
+    """`tree` as the corpus reader returns it from a document: a root that
+    keeps the tree's shape and makes its node objects only when `.children`
+    is first read. DepthLimitError when `tree` is deeper than MAX_TREE_DEPTH."""
+    doc = corpus_to_document([FileRecord("a.mini", "p", "1", None, tree)])
+    return corpus_from_document(doc)[0].tree
 
 
 def poison_embedding(monkeypatch, record, label: str = "poison") -> None:

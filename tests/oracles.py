@@ -5,9 +5,11 @@ clarity over speed, and shares no code with the package: recursive node
 evaluation instead of flattened arrays, explicit pair counting instead of
 rank statistics, exhaustive enumeration instead of closed forms. A few are
 earlier versions of package code, kept verbatim as byte references for a
-faster rewrite: the lexer, the synthetic source generator, and the
-Tree-LSTM level loop (`level_pack`, `level_forward`, `level_backward`), which
-use the package's FlatTree and ForwardCache only as containers.
+faster rewrite: the lexer, the synthetic source generator, the eager
+tree builder and the height structure of a flattened tree
+(`eager_from_preorder`, `height_structure`), and the Tree-LSTM level loop
+(`level_pack`, `level_forward`, `level_backward`), which use the package's
+AstTree, FlatTree and ForwardCache only as containers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import re
 
 import numpy as np
 
-from treedefect import FlatTree, MiniSyntaxError
+from treedefect import AstTree, FlatTree, MiniSyntaxError, normalize_label
+from treedefect.corpus import MAX_TREE_DEPTH
+from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.treelstm import ForwardCache
 
 
@@ -318,6 +322,73 @@ def iter_nodes(tree):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
+
+
+def eager_from_preorder(labels, nodes, arity, where):
+    """`corpus._from_preorder` as it once was: every node built as an
+    AstTree, from the last preorder node back, each taking its children off
+    the stack of subtrees built so far, with the same checks and messages."""
+    built = []
+    depths = []
+    for j in range(len(nodes) - 1, -1, -1):
+        label, k = nodes[j], arity[j]
+        if type(label) is not int or not 0 <= label < len(labels):
+            raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
+                                f"in [0, {len(labels)}), got {label!r}")
+        if type(k) is not int or not 0 <= k <= len(built):
+            raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
+                                f"in [0, {len(built)}], got {k!r}")
+        depth, children = 1, ()
+        if k:
+            depth += max(depths[-k:])
+            if depth > MAX_TREE_DEPTH:
+                at = f"{where}.nodes[{j}]: " if where else ""
+                raise DepthLimitError(f"{at}tree is deeper than the limit of "
+                                      f"{MAX_TREE_DEPTH} nodes")
+            children = tuple(built[-k:][::-1])
+            del built[-k:], depths[-k:]
+        built.append(AstTree(labels[label], children))
+        depths.append(depth)
+    if len(built) != 1:
+        raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
+    return built[0]
+
+
+def eager_normalize_labels(tree):
+    """`corpus.normalize_labels` over the eager builder."""
+    nodes = list(iter_nodes(tree))
+    table = {}
+    ids = [table.setdefault(n.label, len(table)) for n in nodes]
+    return eager_from_preorder([normalize_label(label) for label in table], ids,
+                               [len(n.children) for n in nodes], "")
+
+
+def height_structure(labels, arity):
+    """`treelstm._height_structure` as it once was, over a tree's preorder
+    labels and child counts: one pass from the last node back finds each
+    node's children and height, then the nodes are sorted by height. Returns
+    the labels in height order and the height, edge_child, edge_start, tree
+    and roots arrays."""
+    n = len(labels)
+    height = [0] * n
+    edges = []  # children per parent, all reversed
+    stack = []  # subtrees built so far, leftmost on top
+    for j in range(n - 1, -1, -1):
+        k = arity[j]
+        if k:
+            kids = stack[-k:]
+            del stack[-k:]
+            edges += kids
+            height[j] = 1 + max([height[c] for c in kids])
+        stack.append(j)
+    heights = np.asarray(height, dtype=np.intp)
+    edge_start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(arity, out=edge_start[1:])
+    flat = _sorted_flat(np.argsort(heights, kind="stable"), np.arange(n), heights,
+                        np.asarray(edges[::-1], dtype=np.intp), edge_start,
+                        np.zeros(n, dtype=np.intp), np.array([0]), ())
+    return ([labels[j] for j in flat.indices.tolist()], flat.height, flat.edge_child,
+            flat.edge_start, flat.tree, flat.roots)
 
 
 def post_order_flat(tree, vocab, name=None):

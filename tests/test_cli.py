@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treedefect import (TrainConfig, generate_multi_cell, generate_records, pretrain,
-                        read_corpus, read_features_csv, save_model, split_records,
-                        write_corpus)
+from treedefect import (TrainConfig, bow_featurize, build_vocabulary, featurize_corpus,
+                        flatten, generate_multi_cell, generate_records, normalize_labels,
+                        parse_mini, pretrain, read_corpus, read_features_csv, save_model,
+                        split_records, write_corpus)
 from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
@@ -1100,3 +1101,25 @@ def test_vocabulary_files_and_model_documents_share_one_token_list_rule(
         rules.append(err.replace(where, "<token list>"))
     assert rules[0] == rules[1]
     assert not out.exists()
+
+
+def test_the_command_path_makes_no_tree_nodes(tmp_path):
+    # what ingest, vocab, pretrain, featurize and a corpus rewrite do to trees
+    # reads only the shape the builder keeps at each root: no node objects
+    made = [normalize_labels(parse_mini(GOOD_SOURCE))]
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, generate_records(24, seed=5))
+    records = read_corpus(corpus)
+    vocab = build_vocabulary([r.tree for r in records], min_count=1)
+    flats = [flatten(r.tree, vocab, r.file_id) for r in records]
+    assert sum(f.n for f in flats) > 10 * len(records)
+    config = TrainConfig(embedding_dim=4, hidden_dim=4, max_epochs=1, batch_size=8,
+                         min_count=1, seed=5)
+    result = pretrain(records, config)
+    featurize_corpus(records, result.model)
+    bow_featurize(records, vocab, 1)
+    copy = tmp_path / "copy.json"
+    write_corpus(copy, records)
+    assert copy.read_bytes() == corpus.read_bytes()
+    assert [r.file_id for r in records if "children" in vars(r.tree)] == []
+    assert ["children" in vars(tree) for tree in made] == [False]

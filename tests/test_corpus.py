@@ -1,16 +1,20 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from oracles import iter_nodes
-from treedefect import (AstTree, FileRecord, UNK_TOKEN, Vocabulary, build_vocabulary,
-                        encode, flatten, normalize_label, normalize_labels, preorder,
-                        read_corpus, write_corpus)
+from treedefect import (AstTree, FileRecord, FlatTree, UNK_TOKEN, Vocabulary,
+                        build_vocabulary, encode, flatten, normalize_label, normalize_labels,
+                        preorder, read_corpus, write_corpus)
 from treedefect import jsonio
 from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
+
+from conftest import read_back, tree_from_parents
 
 
 def leaf(label):
@@ -121,6 +125,12 @@ def test_tree_json_roundtrip():
     assert [doc["labels"][i] for i in entry["nodes"]] == labels
     assert entry["arity"] == arity
     assert corpus_from_document(jsonio.parse(jsonio.dumps(doc)))[0].tree == SAMPLE
+    # a read-back tree and the documents written from it share no lists
+    back = corpus_from_document(doc)[0].tree
+    entry["arity"][0] = 9
+    written = one_file(back)["files"][0]
+    written["arity"][0] = 9
+    assert preorder(back) == (labels, arity) and back == SAMPLE
 
 
 def flat_document(nodes, arity, labels=None):
@@ -160,24 +170,36 @@ def test_flat_tree_error_paths():
 def test_deep_tree_operations_are_iterative():
     # walking, counting and flattening have no depth limit; the builder behind
     # normalize_labels and the document reader holds trees to MAX_TREE_DEPTH.
-    # Any of them recursing would raise RecursionError instead.
-    tree = leaf("x")
-    for _ in range(10000):
-        tree = AstTree("y", (tree,))
-    labels, arity = preorder(tree)
-    assert labels == ["y"] * 10000 + ["x"] and arity == [1] * 10000 + [0]
-    vocab = build_vocabulary([tree], min_count=1)
-    assert vocab.tokens == (UNK_TOKEN, "y", "x")
-    flat = flatten(tree, vocab)
-    assert flat.depth == 10001
-    # a chain's height order is its preorder reversed
-    assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
+    # Any of them recursing would raise RecursionError instead. Each runs on a
+    # hand-built chain and on a read-back chain as deep as the limit allows.
+    chains = []
+    for levels in (10001, MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1):
+        tree = leaf("x")
+        for _ in range(levels - 1):
+            tree = AstTree("y", (tree,))
+        chains.append(tree)
+    twin = read_back(chains[1])
+    for tree, levels in ((chains[0], 10001), (twin, MAX_TREE_DEPTH)):
+        labels, arity = preorder(tree)
+        assert labels == ["y"] * (levels - 1) + ["x"] and arity == [1] * (levels - 1) + [0]
+        vocab = build_vocabulary([tree], min_count=1)
+        assert vocab.tokens == (UNK_TOKEN, "y", "x")
+        flat = flatten(tree, vocab)
+        assert flat.depth == levels
+        # a chain's height order is its preorder reversed
+        assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
+    assert preorder(normalize_labels(twin)) == preorder(twin)
+    assert "children" not in vars(twin)
     limit = f"^tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"
-    with pytest.raises(DepthLimitError, match=limit):
-        normalize_labels(tree)
-    text = jsonio.dumps(one_file(tree))
+    for tree in (chains[0], chains[2], AstTree("y", (twin,))):
+        with pytest.raises(DepthLimitError, match=limit):
+            normalize_labels(tree)
+    text = jsonio.dumps(one_file(chains[0]))
     with pytest.raises(DepthLimitError, match=r"files\[0\]\.nodes\[.*deeper than the limit"):
         corpus_from_document(jsonio.parse(text))
+    with pytest.raises(DepthLimitError, match=r"^corpus: files\[0\]\.nodes\[0\]: tree is "
+                                              rf"deeper than the limit of {MAX_TREE_DEPTH} nodes$"):
+        read_back(chains[2])
 
 
 def make_records():
@@ -359,3 +381,107 @@ def test_corrupted_documents_raise_only_document_errors(trees, data):
         preorder = list(iter_nodes(record.tree))
         assert [n.label for n in preorder] == [doc["labels"][i] for i in entry["nodes"]]
         assert [len(n.children) for n in preorder] == entry["arity"]
+
+
+# labels for drawn trees: literals that normalize_label collapses, the
+# sentinel, and plain names
+_NAMES = ["a", "y", UNK_TOKEN, "IntegerLiteralExpr", '"s"', "é", "12", '"']
+_TREE_SHAPES = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3) | st.integers(0, 40)),
+                        max_size=60)
+_WIDE = [(j % 8, j) for j in range(13)]  # a root with 13 leaf children
+_CHAIN = [(1, 0)] * (MAX_TREE_DEPTH - 1)  # as deep as the limit allows
+_PAST = [(1, 0)] * (MAX_TREE_DEPTH + 40)  # deeper than the limit
+
+
+def _drawn(shape):
+    return tree_from_parents(shape, _NAMES.__getitem__)
+
+
+def assert_same_nodes(got, want):
+    """Equal trees, compared node by node in preorder: == recurses once per
+    level, so deep trees are compared by this walk instead."""
+    assert ([(n.label, len(n.children)) for n in iter_nodes(got)]
+            == [(n.label, len(n.children)) for n in iter_nodes(want)])
+
+
+def assert_flattens_as_oracle(tree, labels, arity, vocab):
+    got = flatten(tree, vocab, "f.mini")
+    order, *arrays = oracles.height_structure(labels, arity)
+    want = FlatTree(encode(order, vocab), *arrays, ("f.mini",))
+    for field in ("indices", "height", "edge_child", "edge_start", "tree", "roots"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_TREE_SHAPES, min_size=1, max_size=4))
+@example([[], [], []])  # all-leaf trees
+@example([_WIDE, [(2, 0)] * 5])
+@example([_CHAIN, []])
+def test_read_back_roots_defer_their_nodes_and_equal_the_eager_oracle(shapes):
+    trees = [_drawn(shape) for shape in shapes]
+    doc = jsonio.parse(jsonio.dumps(corpus_to_document(
+        [FileRecord(f"f{i}.mini", "p", "1", None, t) for i, t in enumerate(trees)])))
+    records = corpus_from_document(doc)
+    vocab = Vocabulary((UNK_TOKEN, "a", "y", "é"))
+    for i, (entry, record) in enumerate(zip(doc["files"], records)):
+        root, labels = record.tree, [doc["labels"][j] for j in entry["nodes"]]
+        want = oracles.eager_from_preorder(doc["labels"], entry["nodes"], entry["arity"],
+                                           f"corpus: files[{i}]")
+        assert preorder(root) == (labels, entry["arity"])
+        assert_flattens_as_oracle(root, labels, entry["arity"], vocab)
+        assert root.label == want.label and "children" not in vars(root)
+        assert_same_nodes(root, want)  # reads .children: the nodes are made now
+        assert "children" in vars(root) and preorder(root) == preorder(want)
+        assert all("_shape" not in vars(n) for n in list(iter_nodes(root))[1:])
+        if len(labels) < 100:
+            assert root == want and hash(root) == hash(want) and repr(root) == repr(want)
+            assert root == trees[i] and record == FileRecord(f"f{i}.mini", "p", "1", None, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TREE_SHAPES)
+@example([])  # a lone leaf
+@example(_WIDE)
+@example(_CHAIN)
+@example(_PAST)
+def test_hand_built_trees_flatten_and_normalize_as_the_eager_oracle(shape):
+    # a tree made outside the builder takes the builder's loop with no depth
+    # limit to flatten; normalize_labels gates it as the eager builder did
+    tree = _drawn(shape)
+    nodes = list(iter_nodes(tree))
+    labels, arity = [n.label for n in nodes], [len(n.children) for n in nodes]
+    assert preorder(tree) == (labels, arity)
+    assert_flattens_as_oracle(tree, labels, arity, Vocabulary((UNK_TOKEN, "a", "y", "é")))
+    try:
+        want = oracles.eager_normalize_labels(tree)
+    except DepthLimitError as exc:
+        assert len(shape) >= MAX_TREE_DEPTH
+        with pytest.raises(DepthLimitError, match=f"^{re.escape(str(exc))}$"):
+            normalize_labels(tree)
+        return
+    got = normalize_labels(tree)
+    assert preorder(got) == (list(map(normalize_label, labels)), arity)
+    assert "children" not in vars(got)
+    assert_same_nodes(got, want)
+    assert_same_nodes(normalize_labels(got), want)  # a built root normalizes again
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2, 5) | st.booleans(), min_size=1, max_size=12),
+       st.lists(st.integers(-1, 4) | st.just(1.0), min_size=1, max_size=12))
+def test_document_errors_match_the_eager_oracle(nodes, arity):
+    # any list pair, valid or not: the checks, and their messages, are the
+    # eager builder's
+    arity = arity[:len(nodes)]
+    nodes = nodes[:len(arity)]
+    labels, where = ["a", "b", "c"], "corpus: files[0]"
+    try:
+        want = oracles.eager_from_preorder(labels, nodes, arity, where)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError, match=f"^{re.escape(str(exc))}$"):
+            corpus_from_document(flat_document(nodes, arity, labels))
+        return
+    got = corpus_from_document(flat_document(nodes, arity, labels))[0].tree
+    assert preorder(got) == ([labels[j] for j in nodes], arity)
+    assert got == want

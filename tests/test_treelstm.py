@@ -17,7 +17,8 @@ from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
 from treedefect.treelstm import GATE_NAMES, packs
 
-from conftest import node, random_tree, root_state, small_vocab
+from conftest import (node, random_tree, read_back, root_state, small_vocab,
+                      tree_from_parents)
 
 
 def scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=0, scale=0.8):
@@ -139,31 +140,25 @@ def test_flatten_layout():
 def test_depth_limit():
     # the limit guards where trees enter (corpus.normalize_labels and the
     # document reader); the passes themselves iterate, so a deeper tree still
-    # flattens and runs
+    # flattens and runs, whether built by hand, read back from a document or
+    # holding a read-back tree as a subtree
     tree = node(1)
     for _ in range(MAX_TREE_DEPTH):
         tree = node(2, (tree,))
-    assert preorder(normalize_labels(tree.children[0])) == preorder(tree.children[0])
-    with pytest.raises(DepthLimitError, match=str(MAX_TREE_DEPTH)):
-        normalize_labels(tree)
-    assert flatten(tree, small_vocab()).depth == MAX_TREE_DEPTH + 1
-    record = FileRecord("deep.mini", "p", "1", 0, tree)
-    assert np.all(np.isfinite(forward_root([record], scaled_model())[0]))
-
-
-def tree_from_parents(shape):
-    """Tree of nodes 0..len(shape), drawn flat so that hypothesis reports it
-    without recursing: node i >= 1 has label token(shape[i-1][0]) and parent
-    max(0, i - 1 - shape[i-1][1]), and a node's children are in number order.
-    Offset 0 everywhere is a chain; small offsets give many siblings of equal
-    height."""
-    children = [[] for _ in range(len(shape) + 1)]
-    for i, (_, back) in enumerate(shape, start=1):
-        children[max(0, i - 1 - back)].append(i)
-    built = [None] * (len(shape) + 1)
-    for i in range(len(shape), -1, -1):
-        built[i] = node(shape[i - 1][0] if i else 1, [built[c] for c in children[i]])
-    return built[0]
+    twin = read_back(tree.children[0])
+    for deepest in (tree.children[0], twin):
+        assert preorder(normalize_labels(deepest)) == preorder(tree.children[0])
+        assert flatten(deepest, small_vocab()).depth == MAX_TREE_DEPTH
+    with pytest.raises(DepthLimitError, match=f"files\\[0\\].nodes\\[0\\]: tree is deeper "
+                                              f"than the limit of {MAX_TREE_DEPTH} nodes$"):
+        read_back(tree)
+    for deeper in (tree, node(2, (twin,))):
+        with pytest.raises(DepthLimitError, match=str(MAX_TREE_DEPTH)):
+            normalize_labels(deeper)
+        assert preorder(deeper) == preorder(tree)
+        assert flatten(deeper, small_vocab()).depth == MAX_TREE_DEPTH + 1
+        record = FileRecord("deep.mini", "p", "1", 0, deeper)
+        assert np.all(np.isfinite(forward_root([record], scaled_model())[0]))
 
 
 def assert_same_bytes(flat, reference):
