@@ -27,9 +27,8 @@ from .experiments import (CvDescriptor, CvResult,
                           train_classifier, version_pair_run)
 from .minilang import parse_mini
 from .pretrain import (EpochStats, PretrainHead, PretrainResult, TrainConfig,
-                       corpus_loss, init_head, loss_and_gradients,
-                       perplexity, pretrain, rmsprop_step, split_records,
-                       write_training_log)
+                       corpus_loss, init_head, perplexity, pretrain,
+                       rmsprop_step, split_records, write_training_log)
 from .rng import derive_seed, stream
 from .synthetic import generate_multi_cell, generate_records, generate_source
 from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,

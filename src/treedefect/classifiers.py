@@ -79,8 +79,10 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def label_array(self) -> np.ndarray:
-        if any(lab is None for lab in self.labels):
-            raise TrainingDataError("feature matrix has unlabeled rows")
+        unlabeled = [key for key, lab in zip(self.keys, self.labels) if lab is None]
+        if unlabeled:
+            raise TrainingDataError(f"feature matrix has {len(unlabeled)} unlabeled row(s); "
+                                    f"the first is {unlabeled[0]}")
         return np.asarray(self.labels, dtype=np.intp)
 
 

@@ -19,7 +19,7 @@ from .classifiers import (CLASSIFIER_KINDS, ClassifierOptions, FeatureMatrix,
                           featurize_corpus, predict_proba, train_forest,
                           train_logistic)
 from .corpus import FileRecord, cell
-from .errors import CorpusError, DocumentError
+from .errors import CorpusError, DocumentError, TrainingDataError
 from .evaluation import (ConfusionMatrix, MetricsReport, evaluate_predictions,
                          stratified_k_fold)
 from .pretrain import PretrainResult, TrainConfig, pretrain
@@ -96,8 +96,11 @@ def _fit_and_report(train: FeatureMatrix, test: FeatureMatrix,
                     options: ClassifierOptions, seed: int,
                     cell: tuple[str, str]) -> MetricsReport:
     """Fit a classifier on `train` under the cell's seed, score `test` and
-    report the cell."""
-    clf = train_classifier(train, options, derive_seed(seed, "classifier", options.kind))
+    report the cell. A fit that fails names the cell's training side."""
+    try:
+        clf = train_classifier(train, options, derive_seed(seed, "classifier", options.kind))
+    except TrainingDataError as exc:
+        raise TrainingDataError(f"{cell[0]}: {exc}") from exc
     return evaluate_predictions(predict_proba(clf, test.values), test.label_array(), cell)
 
 
@@ -117,12 +120,12 @@ def version_pair_run(train_cell: tuple[str, str], test_cell: tuple[str, str],
     test_recs = cell(records, *test_cell)
     train_name = f"{train_cell[0]}:{train_cell[1]}"
     test_name = f"{test_cell[0]}:{test_cell[1]}"
-    if not train_recs:
-        raise CorpusError(f"training cell {train_name} is empty")
-    if not test_recs:
-        raise CorpusError(f"test cell {test_name} is empty")
-    if any(r.label is None for r in test_recs):
-        raise CorpusError(f"test cell {test_name} has unlabeled files")
+    for role, name, recs in (("training", train_name, train_recs),
+                             ("test", test_name, test_recs)):
+        if not recs:
+            raise CorpusError(f"{role} cell {name} is empty")
+        if any(r.label is None for r in recs):
+            raise CorpusError(f"{role} cell {name} has unlabeled files")
     pair_seed = derive_seed(config.seed, "pair", train_name, test_name)
     result = pretrain(train_recs, replace(config, seed=pair_seed))
     return _fit_and_report(featurize_corpus(train_recs, result.model),

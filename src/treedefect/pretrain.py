@@ -5,6 +5,8 @@ states, g_t = (1/|C(t)|) sum_k h_k, into a distribution over the vocabulary
 via softmax(U g_t); the loss is the mean negative log probability of the true
 parent label over all internal nodes. (The Tree-LSTM cell itself aggregates
 children by sum; the head divides the cell's own sum by the child count.)
+`corpus_loss` is that loss, one pass over the packed trees: `dropout` makes
+it the training-time loss and `grads` collects its exact gradients.
 
 Training is RMSprop over minibatches of whole trees with inverted dropout on
 the embedding input and the cell aggregate, early stopping on validation
@@ -148,14 +150,15 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     return nll
 
 
-def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
-              dropout: tuple[float, np.random.Generator] | None,
-              grads: dict[str, np.ndarray] | None, count: int | None = None) -> float:
-    """Mean NLL over the internal nodes of `flats`, `count` of them unless
-    None (each pack draws its dropout masks as it is reached); adds its
-    gradients into `grads` if given."""
-    if count is None:
-        count = sum(f.n_internal for f in flats)
+def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
+                dropout: tuple[float, np.random.Generator] | None = None,
+                grads: dict[str, np.ndarray] | None = None) -> float:
+    """Mean NLL of true parent labels over all internal nodes of `flats`
+    (trees flattened through the model's vocabulary). With `dropout` (rate,
+    generator) each pack draws its masks as it is reached and holds them for
+    its gradients; with `grads` the exact gradients of every tensor are added
+    into it (model.params keys plus "head.U")."""
+    count = sum(f.n_internal for f in flats)
     if count == 0:
         raise CorpusError("corpus has no internal nodes; nothing to predict")
     total = 0.0
@@ -164,24 +167,6 @@ def _mean_nll(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
                  else sample_masks(flat, dropout[0], model.d, model.hidden_dim, dropout[1]))
         total += float(_pack_loss(flat, model, head, masks, grads, 1.0 / count).sum())
     return total / count
-
-
-def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead) -> float:
-    """Mean NLL of true parent labels over all internal nodes of `flats`
-    (trees flattened through the model's vocabulary), without dropout."""
-    return _mean_nll(flats, model, head, None, None)
-
-
-def loss_and_gradients(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
-                       dropout: tuple[float, np.random.Generator] | None = None
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-    """Corpus loss plus exact reverse-mode gradients for every tensor
-    (embeddings, four gate groups, head). `dropout` (rate, generator) makes
-    this the training-time loss: each pack draws its masks from the
-    generator, and they are held fixed for its gradients."""
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-    grads["head.U"] = np.zeros_like(head.U)
-    return _mean_nll(flats, model, head, dropout, grads), grads
 
 
 def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[FlatTree]) -> float:
@@ -269,7 +254,7 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
                 continue
             grads = {name: np.zeros_like(arr) for name, arr in params.items()}
             try:
-                loss = _mean_nll(batch, model, head, dropout, grads, count)
+                loss = corpus_loss(batch, model, head, dropout, grads)
             except DivergenceError as exc:
                 raise DivergenceError(f"{exc} (epoch {epoch}, batch {number}){step}") from exc
             epoch_nll += loss * count

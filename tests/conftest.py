@@ -10,7 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from types import SimpleNamespace
 
-from treedefect import UNK_TOKEN, AstTree, FileRecord, Vocabulary, encode, flatten, forward
+from treedefect import (UNK_TOKEN, AstTree, FileRecord, Vocabulary, corpus_loss, encode,
+                        flatten, forward)
 from treedefect.corpus import corpus_from_document, corpus_to_document
 
 
@@ -78,6 +79,12 @@ def poison_embedding(monkeypatch, record, label: str = "poison") -> None:
         return model
 
     monkeypatch.setattr(module, "init_model", poisoned_init)
+
+
+def loss_and_gradients(flats, model, head, dropout=None):
+    """corpus_loss and its gradients, added into fresh zeros for every tensor."""
+    grads = {name: np.zeros_like(arr) for name, arr in {**model.params, "head.U": head.U}.items()}
+    return corpus_loss(flats, model, head, dropout, grads), grads
 
 
 def small_vocab(size: int = 6) -> Vocabulary:

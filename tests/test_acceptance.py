@@ -18,7 +18,7 @@ from treedefect import (AstTree, ClassifierOptions, FileRecord,
                         cv_from_folds, dataset_stats, evaluate_predictions,
                         featurize_corpus, flatten, generate_multi_cell,
                         generate_records, init_head, init_model,
-                        loss_and_gradients, normalize_labels,
+                        normalize_labels,
                         parse_descriptor, parse_mini, pretrain,
                         save_model, stratified_k_fold,
                         version_pair_run, write_features_csv,
@@ -26,7 +26,7 @@ from treedefect import (AstTree, ClassifierOptions, FileRecord,
 from treedefect.pretrain import PretrainHead, corpus_loss, perplexity
 from treedefect import jsonio
 
-from conftest import random_tree, root_state, small_vocab
+from conftest import loss_and_gradients, random_tree, root_state, small_vocab
 
 LAYOUTS = Path(__file__).resolve().parent.parent / "layouts"
 

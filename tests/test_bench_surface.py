@@ -5,6 +5,7 @@ The benchmark calls the library through `td.<name>`, wraps the functions in
 public name removed from the package fails here, not in a benchmark run.
 """
 
+import ast
 import importlib
 import re
 import sys
@@ -18,7 +19,8 @@ from treedefect.corpus import corpus_from_document, corpus_to_document
 
 from conftest import read_back
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -33,6 +35,26 @@ def test_every_td_name_in_the_benchmark_exists():
              for name in re.findall(r"\btd\.([A-Za-z_]\w*)", path.read_text(encoding="utf-8"))}
     assert "report_from_json" in names  # the scan sees the workloads
     assert sorted(name for name in names if not hasattr(treedefect, name)) == []
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # a public name that only tests use is dead API: the package, the
+    # benchmark or a demo must load it, as a name or as an attribute
+    package = ROOT / "src" / "treedefect"
+    exported = {alias.asname or alias.name
+                for stmt in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    assert {"corpus_loss", "perplexity", "parse_mini"} <= exported
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(BENCH.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    read = set()
+    for path in sources:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    assert sorted(exported - read) == []
 
 
 def test_every_traced_and_timed_function_exists(bench_modules):

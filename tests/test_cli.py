@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from treedefect import (TrainConfig, bow_featurize, build_vocabulary, featurize_corpus,
                         flatten, generate_multi_cell, generate_records, normalize_labels,
                         parse_mini, pretrain, read_corpus, read_features_csv, save_model,
-                        split_records, write_corpus)
+                        split_records, write_corpus, write_features_csv)
 from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
@@ -451,6 +452,60 @@ def test_repeated_feature_row_is_bad_input(tmp_path, workspace, capsys, command)
     assert f"error: {repeated}:{len(lines) + 1}: repeated key" in err
     assert "(first on line 6)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-classifier", "evaluate"])
+def test_unlabeled_feature_rows_are_counted_and_named(tmp_path, workspace, capsys, command):
+    clf = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(workspace["features"]),
+                 "--output", str(clf), "--classifier", "logistic"]) == 0
+    features = read_features_csv(workspace["features"])
+    features.labels[2] = features.labels[5] = None
+    unlabeled = tmp_path / "unlabeled.csv"
+    write_features_csv(unlabeled, features)
+    out = tmp_path / "out"
+    argv = (["train-classifier", "--features", str(unlabeled), "--output", str(out)]
+            if command == "train-classifier" else
+            ["evaluate", "--features", str(unlabeled), "--classifier-file", str(clf),
+             "--output", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: feature matrix has 2 unlabeled row(s); "
+                                       f"the first is {features.keys[2]}\n")
+    assert not out.exists()
+
+
+def test_a_single_class_cv_fold_is_named(tmp_path, capsys):
+    records = [replace(r, label=int(i == 0))
+               for i, r in enumerate(generate_records(40, seed=3))]
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, records)
+    descriptor = tmp_path / "cv.json"
+    descriptor.write_text('{"experiment":"cv","k":2,"classifier":"logistic"}\n',
+                          encoding="utf-8")
+    code = main(["experiment", "--corpus", str(corpus), "--descriptor", str(descriptor),
+                 "--output-dir", str(tmp_path / "out"), *FAST_TRAIN, "--max-epochs", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: fold0:train: training data contains a single class\n")
+
+
+def test_an_unlabeled_training_cell_is_rejected_before_pretraining(tmp_path, capsys,
+                                                                  monkeypatch):
+    records = [replace(r, label=None) if r.version == "1" else r
+               for r in generate_multi_cell({"a": ["1", "2"]}, 12, seed=3)]
+    corpus = tmp_path / "corpus.json"
+    write_corpus(corpus, records)
+    descriptor = tmp_path / "pairs.json"
+    descriptor.write_text(
+        '{"experiment":"version-pairs","classifier":"logistic","pairs":['
+        '{"train":{"project":"a","version":"1"},"test":{"project":"a","version":"2"}}]}\n',
+        encoding="utf-8")
+    monkeypatch.setattr(sys.modules["treedefect.experiments"], "pretrain", None)
+    code = main(["experiment", "--corpus", str(corpus), "--descriptor", str(descriptor),
+                 "--output-dir", str(tmp_path / "out"), *FAST_TRAIN])
+    assert code == 2
+    assert capsys.readouterr().err == "error: training cell a:1 has unlabeled files\n"
 
 
 def test_train_classifier_and_evaluate(tmp_path, workspace, capsys):

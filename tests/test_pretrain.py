@@ -8,13 +8,13 @@ import pytest
 import oracles
 from treedefect import (CorpusError, DivergenceError, FileRecord, PretrainHead,
                         TrainConfig, UNK_TOKEN, Vocabulary, build_vocabulary, corpus_loss,
-                        flatten, generate_records, init_model, loss_and_gradients,
-                        perplexity, preorder, pretrain, rmsprop_step,
-                        split_records, write_training_log)
+                        flatten, generate_records, init_model, perplexity, preorder,
+                        pretrain, rmsprop_step, split_records, write_training_log)
 from treedefect.treelstm import PACK_NODES, packs
 from treedefect.rng import stream
 
-from conftest import node, poison_embedding, random_tree, small_vocab
+from conftest import (loss_and_gradients, node, poison_embedding, random_tree,
+                      small_vocab)
 from test_treelstm import scaled_model
 
 
@@ -173,9 +173,7 @@ def _fd_corpus_worst(flats, model, head, rate=None, eps=1e-5):
         return None if rate is None else (rate, np.random.default_rng(3))
 
     def loss():
-        if rate is None:
-            return corpus_loss(flats, model, head)
-        return loss_and_gradients(flats, model, head, dropout())[0]
+        return corpus_loss(flats, model, head, dropout())
 
     _, grads = loss_and_gradients(flats, model, head, dropout())
     worst = 0.0
