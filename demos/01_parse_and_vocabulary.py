@@ -1,8 +1,11 @@
 """Parse mini-language source into a labeled AST and build a vocabulary.
 
-Walks one small source file through the front end: tokenize/parse, label
-normalization (identifiers kept, literals folded to type names), and the
-capped frequency vocabulary with its reserved <unk> slot.
+Walks one small source file through the front end: tokenize/parse (the
+parser appends each node's label and child count in preorder, and a tree
+makes its node objects only when `show` first reads `.children`), label
+normalization (identifiers kept, literals, Unicode digits included, folded
+to type names), and the capped frequency vocabulary with its reserved <unk>
+slot.
 """
 
 from treedefect import build_vocabulary, normalize_labels, parse_mini, preorder

@@ -5,15 +5,17 @@ file_id) key and an optional defect label to one AST. Trees are immutable,
 which is what keeps valid the height-ordered structure that
 `treelstm.flatten` computes once per tree and keeps with it.
 `preorder` (labels and child counts) is the one walk over a tree, and
-`_from_preorder` the one builder. Both ways in, `normalize_labels` for parsed
-sources and `corpus_from_document` for documents, build through it, so it is
-the one depth gate: a tree may be at most MAX_TREE_DEPTH nodes deep, and every
-corpus document the package writes can be read back. The builder's root
-keeps the tree's shape (preorder labels and child counts, each node's height
-and the child edges) and makes its node objects only when `.children` is
-first read, so reading, counting, writing and flattening a built tree make
-none. Nothing recurses, so deeply nested inputs cannot overflow the
-interpreter stack.
+`_from_preorder` the one builder: `minilang.parse_mini` builds through it
+from the lists its parser appends, and `corpus_from_document` from a
+document. The builder's root keeps the tree's shape (preorder labels and
+child counts, each node's height and the child edges) and makes its node
+objects only when `.children` is first read, so parsing, normalizing,
+reading, counting, writing and flattening a tree make none.
+`normalize_labels` relabels a shape and keeps its child counts, heights and
+edges. The document reader and `normalize_labels` are the depth gates: a
+tree entering the pipeline may be at most MAX_TREE_DEPTH nodes deep, and
+every corpus document the package writes can be read back. Nothing
+recurses, so deeply nested inputs cannot overflow the interpreter stack.
 
 On disk a corpus is a JSON document: one sorted table of the labels it uses
 and, per file, its AST in preorder as label indices and child counts::
@@ -50,29 +52,32 @@ MIN_COUNT = 2
 
 # Deepest tree (in nodes, root to leaf) accepted from sources or documents:
 # the depth every stage of the pipeline is held to. minilang.MAX_NESTING does
-# not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so the
-# builder behind normalize_labels and corpus_from_document enforces it.
+# not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so
+# normalize_labels and the builder behind corpus_from_document enforce it.
 MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
 STRING_LITERAL_LABEL = "StringLiteralExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstTree:
     """One AST node; a leaf has an empty children tuple. A root made by
-    `_from_preorder` keeps the tree's shape in its __dict__ instead, and
-    `__getattr__` makes its nodes from it when `children` is first read (a
-    default factory, not a class-level default, lets the lookup reach it)."""
+    `_from_preorder` keeps the tree's shape in `_shape` and leaves the
+    `children` slot unset, and `__getattr__` makes its nodes from the shape
+    when `children` is first read. `flatten` keeps its height order in
+    `_height_structure`. Neither slot takes part in ==, hash or repr."""
 
     label: str
     children: tuple["AstTree", ...] = field(default_factory=tuple)
+    _shape: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _height_structure: tuple | None = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     def __getattr__(self, name: str):
-        shape = vars(self).get("_shape") if name == "children" else None
-        if shape is None:
+        if name != "children" or self._shape is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels, arity = shape[0], shape[1]
+        labels, arity = self._shape[0], self._shape[1]
         built: list[AstTree] = []
         for j in range(len(labels) - 1, 0, -1):
             k, children = arity[j], ()
@@ -80,7 +85,8 @@ class AstTree:
                 children = tuple(built[-k:][::-1])
                 del built[-k:]
             built.append(AstTree(labels[j], children))
-        children = vars(self)["children"] = tuple(built[::-1])
+        children = tuple(built[::-1])
+        object.__setattr__(self, "children", children)
         return children
 
 
@@ -102,9 +108,8 @@ def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
     before children, left to right): the one walk over an AstTree. A root
     made by `_from_preorder` returns its kept lists, which must not be
     changed, without walking."""
-    shape = vars(tree).get("_shape")
-    if shape is not None:
-        return shape[0], shape[1]
+    if tree._shape is not None:
+        return tree._shape[0], tree._shape[1]
     labels: list[str] = []
     arity: list[int] = []
     stack = [tree]
@@ -151,9 +156,15 @@ def _from_preorder(labels: list[str], nodes: Sequence, arity: list, where: str,
         heights.append(h)
     if len(stack) != 1:
         raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
-    names = [labels[i] for i in nodes]
+    return _root([labels[i] for i in nodes], list(arity), height, edges)
+
+
+def _root(names: list[str], arity: list[int], height: list[int], edges: list[int]) -> AstTree:
+    """A root that keeps the tree's shape and has no node objects yet."""
     root = object.__new__(AstTree)
-    vars(root).update(label=names[0], _shape=(names, list(arity), height, edges))
+    object.__setattr__(root, "label", names[0])
+    object.__setattr__(root, "_shape", (names, arity, height, edges))
+    object.__setattr__(root, "_height_structure", None)
     return root
 
 
@@ -162,17 +173,18 @@ def tree_shape(tree: AstTree) -> tuple[list[str], list[int], list[int], list[int
     edges, as `_from_preorder` finds them: a built root's kept lists, or
     those of its pass over a walk of `tree`, with no depth limit (no tree is
     deeper than its node count)."""
-    kept = vars(tree).get("_shape")
-    if kept is None:
-        labels, arity = preorder(tree)
-        kept = vars(_from_preorder(labels, range(len(labels)), arity, "", len(labels)))["_shape"]
-    return kept
+    if tree._shape is not None:
+        return tree._shape
+    labels, arity = preorder(tree)
+    return _from_preorder(labels, range(len(labels)), arity, "", len(labels))._shape
 
 
 def normalize_label(label: str) -> str:
-    """Collapse literal values: all-digit labels become IntegerLiteralExpr,
-    double-quoted labels become StringLiteralExpr, anything else is kept."""
-    if label.isascii() and label.isdigit():
+    """Collapse literal values: labels of str.isdigit characters only (what
+    the lexer calls an integer, Unicode digits included) become
+    IntegerLiteralExpr, double-quoted labels become StringLiteralExpr,
+    anything else is kept."""
+    if label.isdigit():
         return INT_LITERAL_LABEL
     if len(label) >= 2 and label.startswith('"') and label.endswith('"'):
         return STRING_LITERAL_LABEL
@@ -180,12 +192,15 @@ def normalize_label(label: str) -> str:
 
 
 def normalize_labels(tree: AstTree) -> AstTree:
-    """Copy of `tree` with every label passed through normalize_label;
-    DepthLimitError when `tree` is deeper than MAX_TREE_DEPTH."""
-    labels, arity = preorder(tree)
-    table: dict[str, int] = {}
-    nodes = [table.setdefault(label, len(table)) for label in labels]
-    return _from_preorder(list(map(normalize_label, table)), nodes, arity, "")
+    """Copy of `tree` with every label passed through normalize_label, once
+    per distinct label; DepthLimitError when `tree` is deeper than
+    MAX_TREE_DEPTH. The copy shares the child counts, heights and edges of
+    `tree`'s shape, which no tree changes."""
+    labels, arity, height, edges = tree_shape(tree)
+    if height[0] >= MAX_TREE_DEPTH:
+        raise DepthLimitError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} nodes")
+    table = {label: normalize_label(label) for label in set(labels)}
+    return _root(list(map(table.__getitem__, labels)), arity, height, edges)
 
 
 @dataclass

@@ -54,8 +54,15 @@ def cv_feature_folds(records: list[FileRecord], k: int,
                      config: TrainConfig) -> list[FoldFeatures]:
     """Pretrain per fold on the training partition only and featurize both
     partitions. Shared by both classifier kinds so the expensive pretraining
-    happens once per fold."""
+    happens once per fold. A class with fewer than 2 files is rejected first:
+    the folds deal each class round-robin, so then, and only then, some
+    fold's training partition lacks it."""
     folds = stratified_k_fold(records, k, config.seed)
+    for cls in (0, 1):
+        count = sum(r.label == cls for r in records)
+        if count < 2:
+            raise CorpusError(f"cross-validation needs at least 2 files of each class; "
+                              f"class {cls} has {count}")
     out = []
     for i, test_idx in enumerate(folds):
         test_set = set(test_idx)

@@ -221,12 +221,13 @@ def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTr
     """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
     id) is kept for error messages. The rest does not depend on the
     vocabulary: the first flatten of a tree computes it and keeps it in the
-    tree's __dict__, which the frozen dataclass's fields, ==, hash and repr
-    do not read, and where it stays valid as an AstTree never changes. Every
-    FlatTree of the tree shares those arrays, so they are read-only."""
-    cached = vars(tree).get("_height_structure")
+    tree's `_height_structure` slot, which ==, hash and repr do not read,
+    and where it stays valid as an AstTree never changes. Every FlatTree of
+    the tree shares those arrays, so they are read-only."""
+    cached = tree._height_structure
     if cached is None:
-        cached = vars(tree)["_height_structure"] = _height_structure(tree)
+        cached = _height_structure(tree)
+        object.__setattr__(tree, "_height_structure", cached)
     labels, *arrays = cached
     return FlatTree(encode(labels, vocab), *arrays, (name,))
 

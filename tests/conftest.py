@@ -66,6 +66,18 @@ def read_back(tree: AstTree) -> AstTree:
     return corpus_from_document(doc)[0].tree
 
 
+def has_nodes(tree: AstTree) -> bool:
+    """Whether `tree` holds its child node objects: a hand-built node always
+    does, a root made from a shape (a parse, a document, normalize_labels)
+    only once its `.children` has been read. Reads the slot without making
+    the nodes."""
+    try:
+        AstTree.children.__get__(tree)
+    except AttributeError:
+        return False
+    return True
+
+
 def poison_embedding(monkeypatch, record, label: str = "poison") -> None:
     """Give `record` a new root labeled `label`, and start every model that
     pretraining initializes with a nan embedding for that token."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treedefect import (TrainConfig, bow_featurize, build_vocabulary, featurize_corpus,
+from treedefect import (AstTree, TrainConfig, bow_featurize, build_vocabulary, featurize_corpus,
                         flatten, generate_multi_cell, generate_records, normalize_labels,
                         parse_mini, pretrain, read_corpus, read_features_csv, save_model,
                         split_records, write_corpus, write_features_csv)
@@ -16,7 +16,7 @@ from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.jsonio import read
 
-from conftest import poison_embedding
+from conftest import has_nodes, poison_embedding
 
 GOOD_SOURCE = "int i = 0;\nwhile (i < 3) {\n  work(i);\n  i = i + 1;\n}\n"
 OTHER_SOURCE = 'string msg = "hi";\nif (ready(msg)) { send(msg); }\n'
@@ -475,19 +475,29 @@ def test_unlabeled_feature_rows_are_counted_and_named(tmp_path, workspace, capsy
     assert not out.exists()
 
 
-def test_a_single_class_cv_fold_is_named(tmp_path, capsys):
-    records = [replace(r, label=int(i == 0))
+@pytest.mark.parametrize("defective, message", [
+    ([0], "class 1 has 1"), ([], "class 1 has 0"), (range(1, 40), "class 0 has 1")],
+    ids=["one-defective", "no-defective", "one-clean"])
+def test_a_class_with_under_two_files_fails_cv_before_pretraining(tmp_path, capsys,
+                                                                   monkeypatch, defective,
+                                                                   message):
+    # some fold's training side would hold one class; with fewer than two
+    # files of a class that happens for every k >= 2, and only then
+    records = [replace(r, label=int(i in defective))
                for i, r in enumerate(generate_records(40, seed=3))]
     corpus = tmp_path / "corpus.json"
     write_corpus(corpus, records)
     descriptor = tmp_path / "cv.json"
     descriptor.write_text('{"experiment":"cv","k":2,"classifier":"logistic"}\n',
                           encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(sys.modules["treedefect.experiments"], "pretrain",
+                        lambda *args: calls.append(args) or pretrain(*args))
     code = main(["experiment", "--corpus", str(corpus), "--descriptor", str(descriptor),
                  "--output-dir", str(tmp_path / "out"), *FAST_TRAIN, "--max-epochs", "1"])
-    assert code == 2
+    assert (code, len(calls)) == (2, 0)
     assert capsys.readouterr().err == (
-        "error: fold0:train: training data contains a single class\n")
+        f"error: cross-validation needs at least 2 files of each class; {message}\n")
 
 
 def test_an_unlabeled_training_cell_is_rejected_before_pretraining(tmp_path, capsys,
@@ -1158,12 +1168,23 @@ def test_vocabulary_files_and_model_documents_share_one_token_list_rule(
     assert not out.exists()
 
 
-def test_the_command_path_makes_no_tree_nodes(tmp_path):
-    # what ingest, vocab, pretrain, featurize and a corpus rewrite do to trees
-    # reads only the shape the builder keeps at each root: no node objects
-    made = [normalize_labels(parse_mini(GOOD_SOURCE))]
+def test_the_command_path_makes_no_tree_nodes(tmp_path, monkeypatch):
+    # what ingest (a parse and normalize_labels), generate_records, vocab,
+    # pretrain, featurize and a corpus rewrite do to trees reads only the
+    # shape kept at each root: no AstTree is constructed, no root makes nodes
+    made = []
+    real_init = AstTree.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args[0] if args else kwargs["label"])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AstTree, "__init__", counted_init)
+    raw = parse_mini(GOOD_SOURCE)
+    parsed = [raw, normalize_labels(raw)]
+    generated = generate_records(24, seed=5)
     corpus = tmp_path / "corpus.json"
-    write_corpus(corpus, generate_records(24, seed=5))
+    write_corpus(corpus, generated)
     records = read_corpus(corpus)
     vocab = build_vocabulary([r.tree for r in records], min_count=1)
     flats = [flatten(r.tree, vocab, r.file_id) for r in records]
@@ -1176,5 +1197,7 @@ def test_the_command_path_makes_no_tree_nodes(tmp_path):
     copy = tmp_path / "copy.json"
     write_corpus(copy, records)
     assert copy.read_bytes() == corpus.read_bytes()
-    assert [r.file_id for r in records if "children" in vars(r.tree)] == []
-    assert ["children" in vars(tree) for tree in made] == [False]
+    assert made == []
+    assert [r.file_id for r in generated + records if has_nodes(r.tree)] == []
+    assert [has_nodes(tree) for tree in parsed] == [False, False]
+    assert len(raw.children) == 2 and made  # the counter sees nodes that are made

@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from treedefect import jsonio
 from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
 
-from conftest import read_back, tree_from_parents
+from conftest import has_nodes, read_back, tree_from_parents
 
 
 def leaf(label):
@@ -189,7 +194,7 @@ def test_deep_tree_operations_are_iterative():
         # a chain's height order is its preorder reversed
         assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
     assert preorder(normalize_labels(twin)) == preorder(twin)
-    assert "children" not in vars(twin)
+    assert not has_nodes(twin)
     limit = f"^tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"
     for tree in (chains[0], chains[2], AstTree("y", (twin,))):
         with pytest.raises(DepthLimitError, match=limit):
@@ -430,10 +435,10 @@ def test_read_back_roots_defer_their_nodes_and_equal_the_eager_oracle(shapes):
                                            f"corpus: files[{i}]")
         assert preorder(root) == (labels, entry["arity"])
         assert_flattens_as_oracle(root, labels, entry["arity"], vocab)
-        assert root.label == want.label and "children" not in vars(root)
+        assert root.label == want.label and not has_nodes(root)
         assert_same_nodes(root, want)  # reads .children: the nodes are made now
-        assert "children" in vars(root) and preorder(root) == preorder(want)
-        assert all("_shape" not in vars(n) for n in list(iter_nodes(root))[1:])
+        assert has_nodes(root) and preorder(root) == preorder(want)
+        assert all(n._shape is None for n in list(iter_nodes(root))[1:])
         if len(labels) < 100:
             assert root == want and hash(root) == hash(want) and repr(root) == repr(want)
             assert root == trees[i] and record == FileRecord(f"f{i}.mini", "p", "1", None, want)
@@ -462,7 +467,7 @@ def test_hand_built_trees_flatten_and_normalize_as_the_eager_oracle(shape):
         return
     got = normalize_labels(tree)
     assert preorder(got) == (list(map(normalize_label, labels)), arity)
-    assert "children" not in vars(got)
+    assert not has_nodes(got)
     assert_same_nodes(got, want)
     assert_same_nodes(normalize_labels(got), want)  # a built root normalizes again
 
@@ -485,3 +490,29 @@ def test_document_errors_match_the_eager_oracle(nodes, arity):
     got = corpus_from_document(flat_document(nodes, arity, labels))[0].tree
     assert preorder(got) == ([labels[j] for j in nodes], arity)
     assert got == want
+
+
+def test_nodes_of_a_first_read_back_root_have_no_instance_dict():
+    # a process whose first AstTree is a root that keeps its shape: every
+    # node made from it later has slots only, no per-instance __dict__
+    script = textwrap.dedent("""
+        from treedefect import AstTree
+        from treedefect.corpus import corpus_from_document
+        doc = {"format_version": 2, "labels": ["a", "b", "c"], "files": [
+            {"file_id": "f.mini", "project": "p", "version": "1", "label": None,
+             "nodes": [0, 1, 2, 2, 1, 2], "arity": [2, 2, 0, 0, 1, 0]}]}
+        root = corpus_from_document(doc)[0].tree
+        nodes, stack = [], [root]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].children)
+        assert len(nodes) == 6 and all(type(n) is AstTree for n in nodes), nodes
+        assert [n for n in nodes if hasattr(n, "__dict__")] == [], nodes
+        assert [n for n in (AstTree("x"), AstTree("y", (root,))) if hasattr(n, "__dict__")] == []
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

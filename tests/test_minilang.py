@@ -5,13 +5,18 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treedefect import AstTree, MiniSyntaxError, parse_mini
-from treedefect.minilang import MAX_NESTING, tokenize
+from treedefect import (AstTree, MiniSyntaxError, normalize_label, normalize_labels,
+                        parse_mini, preorder)
+from treedefect.corpus import INT_LITERAL_LABEL, tree_shape
+from treedefect.minilang import MAX_NESTING, position, tokenize
+from treedefect.synthetic import generate_source
 
 import oracles
+from oracles import iter_nodes
 
 
 def leaf(label):
@@ -143,14 +148,28 @@ def test_string_literal_keeps_quotes_no_escapes():
     assert tree.children[0].children[1] == leaf('"a + b // ok"')
 
 
+def lexed(source):
+    """(kind, text, line, col) of each token of `source`."""
+    kinds, texts, starts = tokenize(source)
+    return [(k, t, *position(source, s)) for k, t, s in zip(kinds, texts, starts)]
+
+
 def test_tokenize_positions():
-    tokens = tokenize("int x;\n  x = 2;")
-    assert (tokens[0].text, tokens[0].line, tokens[0].col) == ("int", 1, 1)
-    assert (tokens[3].text, tokens[3].line, tokens[3].col) == ("x", 2, 3)
+    tokens = lexed("int x;\n  x = 2;")
+    assert tokens[0][1:] == ("int", 1, 1)
+    assert tokens[3][1:] == ("x", 2, 3)
+
+
+@pytest.mark.parametrize("source, offset, want", [
+    ("", 0, (1, 1)), ("ab", 2, (1, 3)), ("a\nb", 2, (2, 1)), ("a\n", 2, (2, 1)),
+    ("a\r\nbc", 4, (2, 2)), ("\n\n", 1, (2, 1)),
+])
+def test_position_is_the_one_based_line_and_column(source, offset, want):
+    assert position(source, offset) == want
 
 
 def test_two_char_operators_tokenize_whole():
-    texts = [t.text for t in tokenize("a<=b>=c==d!=e&&f||g")]
+    texts = tokenize("a<=b>=c==d!=e&&f||g")[1]
     assert texts == ["a", "<=", "b", ">=", "c", "==", "d", "!=", "e", "&&", "f", "||", "g"]
 
 
@@ -176,7 +195,7 @@ def test_two_char_operators_tokenize_whole():
 ])
 def test_tokenize_table(source, expected):
     if isinstance(expected, list):
-        assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == expected
+        assert lexed(source) == expected
         return
     message, line, col = expected
     with pytest.raises(MiniSyntaxError) as info:
@@ -208,7 +227,28 @@ def _lexed(lex, source):
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
 def test_tokenize_matches_the_one_lexeme_per_match_oracle(source):
-    assert _lexed(tokenize, source) == _lexed(oracles.tokenize, source)
+    want = _lexed(oracles.tokenize, source)
+    assert _lexed(lexed, source) == want
+    assert _lexed(oracles.token_lexer, source) == want
+
+
+@example("y = ²; z = ٣; w = 2;")
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_every_integer_token_folds_to_the_integer_literal(source):
+    # the lexer calls every str.isdigit run an integer, Unicode digits too
+    try:
+        kinds, texts, _ = tokenize(source)
+    except MiniSyntaxError:
+        return
+    ints = [text for kind, text in zip(kinds, texts) if kind == "int"]
+    assert [normalize_label(text) for text in ints] == [INT_LITERAL_LABEL] * len(ints)
+
+
+def test_unicode_digits_fold_like_ascii_digits():
+    labels = preorder(normalize_labels(parse_mini("y = ²; z = ٣; w = 2;")))[0]
+    assert labels == ["CompilationUnit", "AssignStmt", "y", INT_LITERAL_LABEL,
+                      "AssignStmt", "z", INT_LITERAL_LABEL, "AssignStmt", "w", INT_LITERAL_LABEL]
 
 
 def test_equality_vs_assignment_disambiguation():
@@ -396,3 +436,55 @@ def test_any_text_parses_or_raises_syntax_error(source):
     else:
         assert tree.label == "CompilationUnit"
 
+
+# Statement and expression fragments: joined at random they parse often and
+# fail at every fail() call site, mid-input and at end of input.
+_FRAGMENTS = ("x = 1;", "int y;", "bool b = ", "f(x, 2);", "g();", "if (a < b) ", "else ",
+              "while (c) ", "for (int i = 0; i < 3; i = i + 1) ", "for (x; ", "{ ", "} ",
+              "x", "f(", "(", ")", ";", ",", "!", "+", "-", "*", "/", "<", ">=", "==", "!=",
+              "&&", "||", "=", "1", "²", '"s"', "int", "\n", "\r\n", "// c\n", "/* c */", "@")
+
+
+@st.composite
+def parser_inputs(draw):
+    """A generated source file, a run of fragments, or a NESTED shape at
+    MAX_NESTING or one level past it; a quarter of them cut short, which
+    ends them early."""
+    kind = draw(st.sampled_from(("generated", "fragments", "nested")))
+    if kind == "generated":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        source = generate_source(rng, draw(st.booleans()))
+    elif kind == "fragments":
+        source = "".join(draw(st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=40)))
+    else:
+        source = NESTED[draw(st.sampled_from(sorted(NESTED)))](
+            draw(st.sampled_from((MAX_NESTING, MAX_NESTING + 1))))
+    if draw(st.integers(0, 3)) == 0:
+        source = source[:draw(st.integers(1, len(source)))]
+    return source
+
+
+def _parsed(parse, source):
+    """The tree `parse` makes of `source`, or its error's message and position."""
+    try:
+        return parse(source)
+    except MiniSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+@example("y = ²; z = ٣;")
+@example(NESTED["operator levels"](MAX_NESTING))
+@example("x = " + "1 + " * 300 + "1;")
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(parser_inputs())
+def test_parse_mini_matches_the_token_parser_oracle(source):
+    got, want = _parsed(parse_mini, source), _parsed(oracles.token_parse_mini, source)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert preorder(got) == preorder(want) and tree_shape(got) == tree_shape(want)
+    if tree_shape(got)[2][0] < 100:  # == recurses once per level
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    else:
+        assert ([(n.label, len(n.children)) for n in iter_nodes(got)]
+                == [(n.label, len(n.children)) for n in iter_nodes(want)])
