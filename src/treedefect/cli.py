@@ -151,6 +151,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         return 2
     if failures:
         print(f"warning: skipped {len(failures)} bad input file(s)", file=sys.stderr)
+    # write_corpus also rejects these two; checked here for messages that
+    # name the input files
     first: dict[tuple[str, str, str], Path] = {}
     for path, r in zip(origins, records):
         if r.key in first:

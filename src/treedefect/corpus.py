@@ -5,17 +5,19 @@ file_id) key and an optional defect label to one AST. Trees are immutable,
 which is what keeps valid the height-ordered structure that
 `treelstm.flatten` computes once per tree and keeps with it.
 `preorder` (labels and child counts) is the one walk over a tree, and
-`_from_preorder` the one builder: `minilang.parse_mini` builds through it
-from the lists its parser appends, and `corpus_from_document` from a
-document. The builder's root keeps the tree's shape (preorder labels and
-child counts, each node's height and the child edges) and makes its node
-objects only when `.children` is first read, so parsing, normalizing,
+`_shape` the one pass that builds one: `minilang.parse_mini` hands it the
+lists its parser appends, and `corpus_from_document` a document's lists
+once it has checked them. Its root keeps the tree's shape (preorder labels
+and child counts, each node's height and the child edges) and makes its
+node objects only when `.children` is first read, so parsing, normalizing,
 reading, counting, writing and flattening a tree make none.
 `normalize_labels` relabels a shape and keeps its child counts, heights and
-edges. The document reader and `normalize_labels` are the depth gates: a
-tree entering the pipeline may be at most MAX_TREE_DEPTH nodes deep, and
-every corpus document the package writes can be read back. Nothing
-recurses, so deeply nested inputs cannot overflow the interpreter stack.
+edges. `normalize_labels` and the document writer and reader are the depth
+gates: a tree entering the pipeline may be at most MAX_TREE_DEPTH nodes
+deep, and the writer rejects what the reader would, so every corpus
+document the package writes can be read back. Nothing recurses, not even
+==, hash or repr, so deeply nested inputs cannot overflow the interpreter
+stack.
 
 On disk a corpus is a JSON document: one sorted table of the labels it uses
 and, per file, its AST in preorder as label indices and child counts::
@@ -53,26 +55,26 @@ MIN_COUNT = 2
 # Deepest tree (in nodes, root to leaf) accepted from sources or documents:
 # the depth every stage of the pipeline is held to. minilang.MAX_NESTING does
 # not bound a parse (`x = 1 + 1 + ... ;` of 300 terms is 302 deep), so
-# normalize_labels and the builder behind corpus_from_document enforce it.
+# normalize_labels and the corpus document writer and reader enforce it.
 MAX_TREE_DEPTH = 256
 
 INT_LITERAL_LABEL = "IntegerLiteralExpr"
 STRING_LITERAL_LABEL = "StringLiteralExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class AstTree:
     """One AST node; a leaf has an empty children tuple. A root made by
-    `_from_preorder` keeps the tree's shape in `_shape` and leaves the
-    `children` slot unset, and `__getattr__` makes its nodes from the shape
-    when `children` is first read. `flatten` keeps its height order in
-    `_height_structure`. Neither slot takes part in ==, hash or repr."""
+    `_shape` keeps the tree's shape in `_shape` and leaves the `children`
+    slot unset, and `__getattr__` makes its nodes from the shape when
+    `children` is first read. `flatten` keeps its height order in
+    `_height_structure`. ==, hash and repr read `preorder`, so they make no
+    nodes and do not recurse; repr gives the dataclass's text."""
 
     label: str
     children: tuple["AstTree", ...] = field(default_factory=tuple)
-    _shape: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _height_structure: tuple | None = field(default=None, init=False, compare=False,
-                                            repr=False)
+    _shape: tuple | None = field(default=None, init=False, repr=False)
+    _height_structure: tuple | None = field(default=None, init=False, repr=False)
 
     def __getattr__(self, name: str):
         if name != "children" or self._shape is None:
@@ -88,6 +90,33 @@ class AstTree:
         children = tuple(built[::-1])
         object.__setattr__(self, "children", children)
         return children
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return preorder(self) == preorder(other)
+
+    def __hash__(self):
+        labels, arity = preorder(self)
+        return hash((tuple(labels), tuple(arity)))
+
+    def __repr__(self):
+        name = type(self).__qualname__
+        parts: list[str] = []
+        open_nodes: list[list] = []  # per unclosed node: children left, closing text
+        for label, k in zip(*preorder(self)):
+            parts.append(f"{name}(label={label!r}, children=(")
+            if k:
+                open_nodes.append([k, ",))" if k == 1 else "))"])
+                continue
+            parts.append("))")
+            while open_nodes:
+                open_nodes[-1][0] -= 1
+                if open_nodes[-1][0]:
+                    parts.append(", ")
+                    break
+                parts.append(open_nodes.pop()[1])
+        return "".join(parts)
 
 
 @dataclass
@@ -106,8 +135,8 @@ class FileRecord:
 def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
     """Label and child count of every node of `tree` in preorder (parent
     before children, left to right): the one walk over an AstTree. A root
-    made by `_from_preorder` returns its kept lists, which must not be
-    changed, without walking."""
+    made by `_shape` returns its kept lists, which must not be changed,
+    without walking."""
     if tree._shape is not None:
         return tree._shape[0], tree._shape[1]
     labels: list[str] = []
@@ -121,42 +150,26 @@ def preorder(tree: AstTree) -> tuple[list[str], list[int]]:
     return labels, arity
 
 
-def _from_preorder(labels: list[str], nodes: Sequence, arity: list, where: str,
-                   max_depth: int = MAX_TREE_DEPTH) -> AstTree:
-    """The AstTree whose nodes in preorder have labels `labels[nodes[j]]` and
-    child counts `arity[j]`. One pass from the last node back, each node
-    taking its children off the stack of subtrees seen so far, finds every
-    node's height and the child edges (the children of each parent, all
-    reversed); the root keeps them with the labels and child counts as the
-    tree's shape and makes no node objects. A bad entry raises DocumentError
-    and a tree deeper than `max_depth` DepthLimitError; both name the node
-    after `where` (a document entry) when it is given."""
-    height = [0] * len(nodes)
+def _shape(names: list[str], arity: list[int]) -> AstTree:
+    """The root of the tree whose nodes in preorder have labels `names` and
+    child counts `arity`, which must describe one tree: nothing is checked.
+    One pass from the last node back, each node taking its children off the
+    stack of subtrees seen so far, finds every node's height and the child
+    edges (the children of each parent, all reversed); the root keeps them
+    with the two lists, uncopied, as the tree's shape."""
+    height = [0] * len(arity)
     edges: list[int] = []
     stack: list[int] = []    # subtree roots seen so far, leftmost on top
     heights: list[int] = []  # their heights
-    for j in range(len(nodes) - 1, -1, -1):
-        label, k = nodes[j], arity[j]
-        if type(label) is not int or not 0 <= label < len(labels):
-            raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
-                                f"in [0, {len(labels)}), got {label!r}")
-        if type(k) is not int or not 0 <= k <= len(stack):
-            raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
-                                f"in [0, {len(stack)}], got {k!r}")
-        h = 0
+    for j in range(len(arity) - 1, -1, -1):
+        k, h = arity[j], 0
         if k:
             h = height[j] = 1 + max(heights[-k:])
-            if h >= max_depth:
-                at = f"{where}.nodes[{j}]: " if where else ""
-                raise DepthLimitError(f"{at}tree is deeper than the limit of "
-                                      f"{MAX_TREE_DEPTH} nodes")
             edges += stack[-k:]
             del stack[-k:], heights[-k:]
         stack.append(j)
         heights.append(h)
-    if len(stack) != 1:
-        raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
-    return _root([labels[i] for i in nodes], list(arity), height, edges)
+    return _root(names, arity, height, edges)
 
 
 def _root(names: list[str], arity: list[int], height: list[int], edges: list[int]) -> AstTree:
@@ -170,13 +183,11 @@ def _root(names: list[str], arity: list[int], height: list[int], edges: list[int
 
 def tree_shape(tree: AstTree) -> tuple[list[str], list[int], list[int], list[int]]:
     """Preorder labels, child counts and heights of `tree`, and its child
-    edges, as `_from_preorder` finds them: a built root's kept lists, or
-    those of its pass over a walk of `tree`, with no depth limit (no tree is
-    deeper than its node count)."""
+    edges, as `_shape` finds them: a built root's kept lists, or those of its
+    pass over a walk of `tree`."""
     if tree._shape is not None:
         return tree._shape
-    labels, arity = preorder(tree)
-    return _from_preorder(labels, range(len(labels)), arity, "", len(labels))._shape
+    return _shape(*preorder(tree))._shape
 
 
 def normalize_label(label: str) -> str:
@@ -260,14 +271,54 @@ def encode(labels: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     return np.array([to_index.get(label, 0) for label in labels], dtype=np.intp)
 
 
+def _check_key(entry: dict, where: str) -> None:
+    """The reader's rule for a file's key fields and defect label."""
+    for key in ("file_id", "project", "version"):
+        value = entry.get(key)
+        if not isinstance(value, str) or not value:
+            raise DocumentError(f"{where}: {key!r} must be a non-empty string")
+    label = entry.get("label")
+    if label is not None and not (jsonio.is_int(label) and label in (0, 1)):
+        raise DocumentError(f"{where}: 'label' must be 0, 1 or null, got {label!r}")
+
+
+def _check_depth(height: list[int], where: str) -> None:
+    """The reader's depth rule over a tree's preorder heights: a root at
+    MAX_TREE_DEPTH or more raises DepthLimitError naming the node with the
+    largest index at or above it, the first a pass from the back finds."""
+    if height[0] >= MAX_TREE_DEPTH:
+        j = next(j for j in range(len(height) - 1, -1, -1) if height[j] >= MAX_TREE_DEPTH)
+        raise DepthLimitError(f"{where}.nodes[{j}]: tree is deeper than the limit of "
+                              f"{MAX_TREE_DEPTH} nodes")
+
+
 def corpus_to_document(records: list[FileRecord]) -> dict:
-    walks = [preorder(r.tree) for r in records]
-    labels = sorted({label for names, _ in walks for label in names})
+    """The corpus document of `records`. A record that `corpus_from_document`
+    would reject raises the reader's DocumentError or DepthLimitError here,
+    named by its key, so every document written reads back; the key and
+    depth rules are the reader's own `_check_key` and `_check_depth`."""
+    if not records:
+        raise DocumentError("corpus: no records; a corpus holds at least one file")
+    shapes = [tree_shape(r.tree) for r in records]
+    table: set[str] = set()
+    seen: set[tuple[str, str, str]] = set()
+    for r, (names, _, height, _) in zip(records, shapes):
+        where = f"record {r.key}"
+        _check_key(vars(r), where)
+        if r.key in seen:
+            raise DocumentError(f"{where}: duplicate entry")
+        seen.add(r.key)
+        own = set(names)
+        if not all(isinstance(t, str) and t for t in own):
+            raise DocumentError(f"{where}: labels must be non-empty strings")
+        _check_depth(height, where)
+        table |= own
+    labels = sorted(table)
     index = {label: i for i, label in enumerate(labels)}
     return {"format_version": 2, "labels": labels, "files": [
         {"file_id": r.file_id, "project": r.project, "version": r.version, "label": r.label,
          "nodes": [index[label] for label in names], "arity": list(arity)}
-        for r, (names, arity) in zip(records, walks)]}
+        for r, (names, arity, _, _) in zip(records, shapes)]}
 
 
 def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
@@ -292,20 +343,28 @@ def corpus_from_document(doc: Any, source: str = "corpus") -> list[FileRecord]:
         where = f"{source}: files[{i}]"
         jsonio.known_fields(entry, ("file_id", "project", "version", "label", "nodes",
                                     "arity"), where, "entry")
-        for key in ("file_id", "project", "version"):
-            value = entry.get(key)
-            if not isinstance(value, str) or not value:
-                raise DocumentError(f"{where}: {key!r} must be a non-empty string")
+        _check_key(entry, where)
         label = entry.get("label")
-        if label is not None and not (jsonio.is_int(label) and label in (0, 1)):
-            raise DocumentError(f"{where}: 'label' must be 0, 1 or null, got {label!r}")
         nodes, arity = entry.get("nodes"), entry.get("arity")
         if not (isinstance(nodes, list) and isinstance(arity, list)
                 and 0 < len(nodes) == len(arity)):
             raise DocumentError(f"{where}: 'nodes' and 'arity' must be non-empty lists "
                                 f"of equal length")
-        record = FileRecord(entry["file_id"], entry["project"], entry["version"], label,
-                            _from_preorder(labels, nodes, arity, where))
+        complete = 0  # subtrees that the nodes after node j make up
+        for j in range(len(nodes) - 1, -1, -1):
+            index, k = nodes[j], arity[j]
+            if type(index) is not int or not 0 <= index < len(labels):
+                raise DocumentError(f"{where}.nodes[{j}]: label index must be an integer "
+                                    f"in [0, {len(labels)}), got {index!r}")
+            if type(k) is not int or not 0 <= k <= complete:
+                raise DocumentError(f"{where}.arity[{j}]: child count must be an integer "
+                                    f"in [0, {complete}], got {k!r}")
+            complete += 1 - k
+        if complete != 1:
+            raise DocumentError(f"{where}.arity[0]: nodes left over after the root's subtree")
+        tree = _shape([labels[i] for i in nodes], list(arity))
+        _check_depth(tree._shape[2], where)
+        record = FileRecord(entry["file_id"], entry["project"], entry["version"], label, tree)
         if record.key in seen:
             raise DocumentError(f"{where}: duplicate entry for {record.key}")
         seen.add(record.key)

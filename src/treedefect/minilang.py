@@ -26,19 +26,19 @@ len(source), just past the last character, which is where errors at end of
 input point. Binary operators are parsed by precedence climbing over
 _BINARY_LEVELS. The parser makes no node objects: it appends each node's
 label and child count in preorder, and the tree is a root that keeps that
-shape (corpus._from_preorder). The AST keeps no punctuation or delimiter
-nodes: labels are production names (CompilationUnit, VariableDeclaration,
-AssignStmt, IfStmt, WhileStmt, ForStmt, BlockStmt, ExprStmt,
-MethodCallExpr), operator symbols for unary/binary nodes, identifier and
-type-keyword text for names, and raw literal text for literals (collapse
-values with corpus.normalize_labels afterwards).
+shape (corpus._shape, which checks nothing). The AST keeps no punctuation
+or delimiter nodes: labels are production names (CompilationUnit,
+VariableDeclaration, AssignStmt, IfStmt, WhileStmt, ForStmt, BlockStmt,
+ExprStmt, MethodCallExpr), operator symbols for unary/binary nodes,
+identifier and type-keyword text for names, and raw literal text for
+literals (collapse values with corpus.normalize_labels afterwards).
 """
 
 from __future__ import annotations
 
 import re
 
-from .corpus import AstTree, _from_preorder
+from .corpus import AstTree, _shape
 from .errors import MiniSyntaxError
 
 TYPE_KEYWORDS = ("int", "float", "string", "bool")
@@ -334,5 +334,4 @@ def parse_mini(source: str) -> AstTree:
     starts += (len(source), len(source))
     parser = _Parser(source, kinds, texts, starts)
     parser.program()
-    labels = parser.labels
-    return _from_preorder(labels, range(len(labels)), parser.arity, "", len(labels))
+    return _shape(parser.labels, parser.arity)

@@ -10,9 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from types import SimpleNamespace
 
-from treedefect import (UNK_TOKEN, AstTree, FileRecord, Vocabulary, corpus_loss, encode,
-                        flatten, forward)
-from treedefect.corpus import corpus_from_document, corpus_to_document
+from treedefect import (UNK_TOKEN, AstTree, Vocabulary, corpus_loss, encode, flatten, forward,
+                        preorder)
+from treedefect.corpus import corpus_from_document
 
 
 def token(index: int) -> str:
@@ -58,12 +58,23 @@ def tree_from_parents(shape, label=token) -> AstTree:
     return built[0]
 
 
+def unchecked_document(tree: AstTree) -> dict:
+    """One-file corpus document of `tree`, made without the writer's checks,
+    so that only the reader's own checks decide whether it reads back."""
+    labels, arity = preorder(tree)
+    table = sorted(set(labels))
+    index = {label: i for i, label in enumerate(table)}
+    return {"format_version": 2, "labels": table, "files": [
+        {"file_id": "a.mini", "project": "p", "version": "1", "label": None,
+         "nodes": [index[label] for label in labels], "arity": list(arity)}]}
+
+
 def read_back(tree: AstTree) -> AstTree:
     """`tree` as the corpus reader returns it from a document: a root that
     keeps the tree's shape and makes its node objects only when `.children`
-    is first read. DepthLimitError when `tree` is deeper than MAX_TREE_DEPTH."""
-    doc = corpus_to_document([FileRecord("a.mini", "p", "1", None, tree)])
-    return corpus_from_document(doc)[0].tree
+    is first read. The reader's DepthLimitError, naming a node, when `tree`
+    is deeper than MAX_TREE_DEPTH."""
+    return corpus_from_document(unchecked_document(tree))[0].tree
 
 
 def has_nodes(tree: AstTree) -> bool:

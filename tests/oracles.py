@@ -328,9 +328,12 @@ def iter_nodes(tree):
 
 
 def eager_from_preorder(labels, nodes, arity, where):
-    """`corpus._from_preorder` as it once was: every node built as an
-    AstTree, from the last preorder node back, each taking its children off
-    the stack of subtrees built so far, with the same checks and messages."""
+    """The corpus reader's tree builder as it once was: every node built as
+    an AstTree, from the last preorder node back, each taking its children
+    off the stack of subtrees built so far, with the reader's checks and
+    messages. It checks each node as it comes to it, so where a document
+    has both, it names a node too deep before an entry fault at a lower
+    index; the reader checks every entry first."""
     built = []
     depths = []
     for j in range(len(nodes) - 1, -1, -1):

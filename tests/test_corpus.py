@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,13 @@ import oracles
 from oracles import iter_nodes
 from treedefect import (AstTree, FileRecord, FlatTree, UNK_TOKEN, Vocabulary,
                         build_vocabulary, encode, flatten, normalize_label, normalize_labels,
-                        preorder, read_corpus, write_corpus)
+                        parse_mini, preorder, read_corpus, write_corpus)
 from treedefect import jsonio
+from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
 
-from conftest import has_nodes, read_back, tree_from_parents
+from conftest import has_nodes, read_back, tree_from_parents, unchecked_document
 
 
 def leaf(label):
@@ -144,6 +146,59 @@ def flat_document(nodes, arity, labels=None):
                        "nodes": nodes, "arity": arity}]}
 
 
+def test_the_writer_rejects_what_the_reader_would(tmp_path):
+    # every document write_corpus writes reads back: a record the reader
+    # would reject raises the reader's error, named by the record's key, and
+    # nothing is written
+    deep = parse_mini("x = " + "1 + " * 300 + "1;")  # not through normalize_labels
+    ok = FileRecord("a.mini", "p", "1", None, SAMPLE)
+    key = r"^record \('p', '1', 'b.mini'\): "
+    for records, error, message in (
+            ([ok, FileRecord("b.mini", "p", "1", 0, deep)], DepthLimitError,
+             r"^record \('p', '1', 'b.mini'\)\.nodes\[47\]: "
+             f"tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"),
+            ([ok, FileRecord("b.mini", "p", "1", 0, AstTree("", (leaf("x"),)))], DocumentError,
+             key + "labels must be non-empty strings$"),
+            ([ok, FileRecord("b.mini", "p", "1", 2, SAMPLE)], DocumentError,
+             key + "'label' must be 0, 1 or null, got 2$"),
+            ([ok, FileRecord("b.mini", "p", "1", True, SAMPLE)], DocumentError,
+             key + "'label' must be 0, 1 or null, got True$"),
+            ([ok, FileRecord("", "p", "1", None, SAMPLE)], DocumentError,
+             r"^record \('p', '1', ''\): 'file_id' must be a non-empty string$"),
+            ([ok, ok], DocumentError, r"^record \('p', '1', 'a.mini'\): duplicate entry$"),
+            ([], DocumentError, "^corpus: no records; a corpus holds at least one file$")):
+        path = tmp_path / "corpus.json"
+        with pytest.raises(error, match=message):
+            write_corpus(path, records)
+        assert not path.exists()
+    # the writer names the node that the reader names in the written entry
+    with pytest.raises(DepthLimitError, match=r"^corpus: files\[0\]\.nodes\[47\]: "):
+        corpus_from_document(unchecked_document(deep))
+    write_corpus(path, [ok, FileRecord("b.mini", "p", "1", 0, normalize_labels(
+        parse_mini("x = " + "1 + " * 250 + "1;")))])
+    assert read_corpus(path)[0].tree == SAMPLE
+
+
+def test_repr_is_the_dataclass_text():
+    # AstTree's own repr, made by a loop, gives the text of a plain
+    # dataclass's recursive repr, for hand-built trees and built roots alike
+    @dataclass(frozen=True)
+    class AstTree:
+        label: str
+        children: tuple = ()
+
+    AstTree.__qualname__ = "AstTree"
+
+    def plain(tree):
+        return AstTree(tree.label, tuple(plain(c) for c in tree.children))
+
+    trees = [SAMPLE, leaf("x"), leaf("it's"), read_back(SAMPLE),
+             parse_mini('f(1, "a"); if (a) { b = !c; }')]
+    trees += [tree_from_parents(shape) for shape in ([(1, 0)] * 5, [(2, j) for j in range(6)])]
+    for tree in trees:
+        assert repr(tree) == repr(plain(tree))
+
+
 def test_flat_tree_error_paths():
     assert corpus_from_document(flat_document([0, 1, 1], [2, 0, 0]))[0].tree == AstTree(
         "a", (leaf("b"), leaf("b")))
@@ -172,17 +227,20 @@ def test_flat_tree_error_paths():
         corpus_from_document(doc)
 
 
+def chain(levels):
+    tree = leaf("x")
+    for _ in range(levels - 1):
+        tree = AstTree("y", (tree,))
+    return tree
+
+
 def test_deep_tree_operations_are_iterative():
-    # walking, counting and flattening have no depth limit; the builder behind
-    # normalize_labels and the document reader holds trees to MAX_TREE_DEPTH.
-    # Any of them recursing would raise RecursionError instead. Each runs on a
-    # hand-built chain and on a read-back chain as deep as the limit allows.
-    chains = []
-    for levels in (10001, MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1):
-        tree = leaf("x")
-        for _ in range(levels - 1):
-            tree = AstTree("y", (tree,))
-        chains.append(tree)
+    # walking, counting, flattening, ==, hash and repr have no depth limit;
+    # normalize_labels, the document writer and the document reader hold
+    # trees to MAX_TREE_DEPTH. Any of them recursing would raise
+    # RecursionError instead. Each runs on a hand-built chain and on a
+    # read-back chain as deep as the limit allows.
+    chains = [chain(levels) for levels in (10001, MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1)]
     twin = read_back(chains[1])
     for tree, levels in ((chains[0], 10001), (twin, MAX_TREE_DEPTH)):
         labels, arity = preorder(tree)
@@ -193,17 +251,26 @@ def test_deep_tree_operations_are_iterative():
         assert flat.depth == levels
         # a chain's height order is its preorder reversed
         assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
-    assert preorder(normalize_labels(twin)) == preorder(twin)
+        same = chain(levels)
+        assert tree == same and hash(tree) == hash(same) and tree != chains[2]
+        assert repr(tree) == ("AstTree(label='y', children=(" * (levels - 1)
+                              + "AstTree(label='x', children=())" + ",))" * (levels - 1))
     assert not has_nodes(twin)
-    limit = f"^tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"
-    for tree in (chains[0], chains[2], AstTree("y", (twin,))):
-        with pytest.raises(DepthLimitError, match=limit):
+    source = "x = " + " + ".join(["1"] * 3000) + ";"
+    parsed, want = parse_mini(source), oracles.token_parse_mini(source)
+    assert parsed == want and hash(parsed) == hash(want) and repr(parsed) == repr(want)
+    assert not has_nodes(parsed)
+    assert preorder(normalize_labels(twin)) == preorder(twin)
+    limit = f"tree is deeper than the limit of {MAX_TREE_DEPTH} nodes$"
+    for tree in (chains[0], chains[2], AstTree("y", (twin,)), parsed):
+        with pytest.raises(DepthLimitError, match=f"^{limit}"):
             normalize_labels(tree)
-    text = jsonio.dumps(one_file(chains[0]))
+        with pytest.raises(DepthLimitError, match=rf"^record \('p', '1', 'a.mini'\)\.nodes\[\d+\]: {limit}"):
+            one_file(tree)
+    text = jsonio.dumps(unchecked_document(chains[0]))
     with pytest.raises(DepthLimitError, match=r"files\[0\]\.nodes\[.*deeper than the limit"):
         corpus_from_document(jsonio.parse(text))
-    with pytest.raises(DepthLimitError, match=r"^corpus: files\[0\]\.nodes\[0\]: tree is "
-                                              rf"deeper than the limit of {MAX_TREE_DEPTH} nodes$"):
+    with pytest.raises(DepthLimitError, match=rf"^corpus: files\[0\]\.nodes\[0\]: {limit}"):
         read_back(chains[2])
 
 
@@ -255,10 +322,17 @@ def test_corpus_document_validation():
 
 
 def test_corpus_duplicate_keys_rejected():
+    # the reader's own check, on a document the writer would not make
+    doc = corpus_to_document(make_records())
+    doc["files"].append(dict(doc["files"][0]))
+    with pytest.raises(DocumentError, match=r"^corpus: files\[3\]: duplicate entry for "
+                                            r"\('proj', '1.0', 'a.mini'\)$"):
+        corpus_from_document(doc)
     records = make_records()
     records.append(FileRecord("a.mini", "proj", "1.0", 0, leaf("x")))
-    with pytest.raises(DocumentError, match="duplicate"):
-        corpus_from_document(corpus_to_document(records))
+    with pytest.raises(DocumentError, match=r"^record \('proj', '1.0', 'a.mini'\): "
+                                            r"duplicate entry$"):
+        corpus_to_document(records)
 
 
 def test_corpus_invalid_json_file(tmp_path):
@@ -310,8 +384,7 @@ def test_trees_up_to_max_depth_roundtrip_through_json(levels):
     tree = spine_tree(levels)
     assert depth(tree) == len(levels)
     back = corpus_from_document(jsonio.parse(jsonio.dumps(one_file(tree))))[0].tree
-    # dataclass == recurses once per level, so compare preorder shapes instead
-    assert preorder(back) == preorder(tree)
+    assert back == tree
 
 
 _JUNK = (st.integers(-3, 40) | st.booleans() | st.floats(allow_nan=True) | st.none()
@@ -403,8 +476,8 @@ def _drawn(shape):
 
 
 def assert_same_nodes(got, want):
-    """Equal trees, compared node by node in preorder: == recurses once per
-    level, so deep trees are compared by this walk instead."""
+    """Equal trees, compared node by node in preorder through `.children`,
+    which makes a built root's nodes (== reads its kept shape instead)."""
     assert ([(n.label, len(n.children)) for n in iter_nodes(got)]
             == [(n.label, len(n.children)) for n in iter_nodes(want)])
 
@@ -439,9 +512,8 @@ def test_read_back_roots_defer_their_nodes_and_equal_the_eager_oracle(shapes):
         assert_same_nodes(root, want)  # reads .children: the nodes are made now
         assert has_nodes(root) and preorder(root) == preorder(want)
         assert all(n._shape is None for n in list(iter_nodes(root))[1:])
-        if len(labels) < 100:
-            assert root == want and hash(root) == hash(want) and repr(root) == repr(want)
-            assert root == trees[i] and record == FileRecord(f"f{i}.mini", "p", "1", None, want)
+        assert root == want and hash(root) == hash(want) and repr(root) == repr(want)
+        assert root == trees[i] and record == FileRecord(f"f{i}.mini", "p", "1", None, want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -451,8 +523,8 @@ def test_read_back_roots_defer_their_nodes_and_equal_the_eager_oracle(shapes):
 @example(_CHAIN)
 @example(_PAST)
 def test_hand_built_trees_flatten_and_normalize_as_the_eager_oracle(shape):
-    # a tree made outside the builder takes the builder's loop with no depth
-    # limit to flatten; normalize_labels gates it as the eager builder did
+    # a hand-built tree takes the shape pass, which has no depth limit, to
+    # flatten; normalize_labels gates it as the eager builder did
     tree = _drawn(shape)
     nodes = list(iter_nodes(tree))
     labels, arity = [n.label for n in nodes], [len(n.children) for n in nodes]
@@ -472,24 +544,62 @@ def test_hand_built_trees_flatten_and_normalize_as_the_eager_oracle(shape):
     assert_same_nodes(normalize_labels(got), want)  # a built root normalizes again
 
 
+@st.composite
+def deep_lists(draw):
+    """Valid nodes and arity of a tree about MAX_TREE_DEPTH deep: a spine of
+    drawn length whose nodes have a few leaves before and after the next
+    spine node. Its only possible fault is its depth."""
+    levels = draw(st.integers(MAX_TREE_DEPTH - 2, MAX_TREE_DEPTH + 40))
+    sides = draw(st.dictionaries(st.integers(0, levels - 2),
+                                 st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=6))
+    before, after = [], []
+    for level in range(levels):
+        b, a = sides.get(level, (0, 0))
+        before += [(level % 3, b + a + (level < levels - 1))] + [(2, 0)] * b
+        after[:0] = [(1, 0)] * a  # after the whole spine subtree below this level
+    nodes, arity = zip(*before, *after)
+    return list(nodes), list(arity)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.integers(-2, 5) | st.booleans(), min_size=1, max_size=12),
-       st.lists(st.integers(-1, 4) | st.just(1.0), min_size=1, max_size=12))
-def test_document_errors_match_the_eager_oracle(nodes, arity):
-    # any list pair, valid or not: the checks, and their messages, are the
-    # eager builder's
+@given(st.tuples(st.lists(st.integers(-2, 5) | st.booleans(), min_size=1, max_size=12),
+                 st.lists(st.integers(-1, 4) | st.just(1.0), min_size=1, max_size=12))
+       | deep_lists())
+def test_document_errors_match_the_eager_oracle(lists):
+    # any list pair, valid or not, and deep valid trees: the checks, their
+    # messages and the node the depth limit names are the eager builder's
+    nodes, arity = lists
     arity = arity[:len(nodes)]
     nodes = nodes[:len(arity)]
     labels, where = ["a", "b", "c"], "corpus: files[0]"
     try:
         want = oracles.eager_from_preorder(labels, nodes, arity, where)
-    except DocumentError as exc:
-        with pytest.raises(DocumentError, match=f"^{re.escape(str(exc))}$"):
+    except (DocumentError, DepthLimitError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             corpus_from_document(flat_document(nodes, arity, labels))
         return
     got = corpus_from_document(flat_document(nodes, arity, labels))[0].tree
     assert preorder(got) == ([labels[j] for j in nodes], arity)
     assert got == want
+
+
+def test_entry_faults_come_before_the_depth_limit(tmp_path, capsys):
+    # the reader checks every entry before it measures depth, so a deep
+    # chain with a bad first label index names that index, where the eager
+    # builder named the first node found too deep; the CLI still exits 2
+    nodes, arity = [0] * 300, [1] * 299 + [0]
+    with pytest.raises(DepthLimitError, match=r"^corpus: files\[0\]\.nodes\[43\]: tree is deep"):
+        oracles.eager_from_preorder(["a"], nodes, arity, "corpus: files[0]")
+    nodes[0] = -1
+    with pytest.raises(DepthLimitError, match=r"files\[0\]\.nodes\[43\]: tree is deep"):
+        oracles.eager_from_preorder(["a"], nodes, arity, "corpus: files[0]")
+    with pytest.raises(DocumentError, match=r"^corpus: files\[0\]\.nodes\[0\]: label index "
+                                            r"must be an integer in \[0, 1\), got -1$"):
+        corpus_from_document(flat_document(nodes, arity, ["a"]))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(flat_document(nodes, arity, ["a"])))
+    assert main(["vocab", "--corpus", str(path), "--output", str(tmp_path / "v.json")]) == 2
+    assert "files[0].nodes[0]: label index" in capsys.readouterr().err
 
 
 def test_nodes_of_a_first_read_back_root_have_no_instance_dict():
