@@ -17,14 +17,23 @@ the state is invariant to child order (Tai et al. 2015, arXiv:1503.00075).
 Each tree is flattened once to arrays whose nodes are sorted by height
 (`flatten`); `pack` merges several into one FlatTree (a lone tree is a pack
 of one), and `packs` cuts any sequence of trees into packs of at most
-PACK_NODES nodes, for every pass over many trees. The passes run by height
-level rather than by node (dynamic batching, Looks et al. 2017, arXiv:1702.02181):
+PACK_NODES nodes, for every training and perplexity pass. The passes run by
+height level rather than by node (dynamic batching, Looks et al. 2017,
+arXiv:1702.02181):
 forward evaluates the nodes of height 0, 1, 2, ... in turn, each level
 across all trees at once with a few matrix products on contiguous row
 ranges, summing children with np.add.reduceat over parent-grouped edges, and
 writes each gate straight into its rows of the cache. Backward walks the
 same levels from the top down and reaches each edge's parent row through
 edge_parent. Nothing recurses, so any tree depth fits the interpreter stack.
+
+Forward's products run in fixed blocks of ROW_BLOCK rows (`_products`), so a
+node's states depend only on its subtree and the model, never on the other
+nodes of its pack. Feature extraction (`forward_root`) relies on that: it
+numbers the distinct subtrees of all files at once (hash-consing, Filliâtre
+and Conchon 2006), runs forward once per distinct subtree of a pack, as a
+DAG-structured LSTM shares substructure (Zhu et al. 2016), and gathers each
+file's root row. Training and perplexity run over every node.
 
 A tree's height order does not depend on the vocabulary: its first
 `flatten` sorts the heights and child edges of the tree's shape
@@ -58,6 +67,9 @@ INIT_SCALE = 0.05
 # Nodes per pack (a larger tree is packed alone): bounds peak memory, as the
 # forward and backward arrays take a few kB per node, yet fills each level.
 PACK_NODES = 1024
+
+# Rows per BLAS call in forward's products (`_products`).
+ROW_BLOCK = 16
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -138,14 +150,19 @@ class FlatTree:
     (parent, child) are stored grouped by parent: node i's incoming child
     edges occupy edge_child[edge_start[i]:edge_start[i+1]], so each level's
     edges are contiguous too.
+
+    In the packs of distinct subtrees that `forward_root` runs, a node
+    stands for every equal subtree of the pack's trees: `tree` is the first
+    tree holding it, trees share nodes, `roots` may repeat, and a level's
+    nodes are in no particular order.
     """
 
     indices: np.ndarray     # (n,) vocab index per node
     height: np.ndarray      # (n,) non-decreasing
     edge_child: np.ndarray  # (E,)
     edge_start: np.ndarray  # (n+1,)
-    tree: np.ndarray        # (n,) number of the tree each node belongs to
-    roots: np.ndarray       # (trees,) position of each tree's root
+    tree: np.ndarray        # (n,) number of the (first) tree each node belongs to
+    roots: np.ndarray       # (trees,) position of each tree's root, may repeat
     names: tuple[str | None, ...]  # per tree, for error messages
 
     @property
@@ -184,9 +201,10 @@ class FlatTree:
 def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray,
                       edge_child: np.ndarray, edge_start: np.ndarray, tree: np.ndarray,
                       roots: np.ndarray, names: tuple) -> FlatTree:
-    """FlatTree whose node j is node order[j] of the given arrays."""
+    """FlatTree whose node j is node order[j] of the given arrays. `order`
+    may leave out nodes that no kept node's edges or `roots` reach."""
     n = len(order)
-    new_pos = np.empty(n, dtype=np.intp)
+    new_pos = np.empty(len(indices), dtype=np.intp)
     new_pos[order] = np.arange(n, dtype=np.intp)
     counts = np.diff(edge_start)[order]
     new_start = np.zeros(n + 1, dtype=np.intp)
@@ -306,10 +324,30 @@ class ForwardCache:
     masks: DropoutMasks | None
 
 
+def _products(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """a @ w for each w of the C-contiguous stack `weights` (g, k, n), as
+    one matmul of the ROW_BLOCK-row blocks of `a` (the last one zero-padded)
+    by each w: (g, len(a), n). Every BLAS call then has the same shape, so
+    each row of a result has the bits it has among any other rows, in any
+    position of a block. A plain a @ w does not: BLAS takes other kernels
+    for other row counts (on OpenBLAS 0.3.31's SkylakeX kernels, even with a
+    one-row `a` padded to two rows, at output widths 1-3, 17, 33 and 100
+    among those tried)."""
+    m, k = a.shape
+    blocks = np.zeros((-(-m // ROW_BLOCK), ROW_BLOCK, k))
+    blocks.reshape(-1, k)[:m] = a
+    g, _, n = weights.shape
+    return np.matmul(blocks, weights[:, None]).reshape(g, -1, n)[:, :m]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def forward(flat: FlatTree, model: TreeLstmModel,
             masks: DropoutMasks | None = None) -> ForwardCache:
     """States of every node of every tree in `flat`.
+
+    Every product goes through `_products`, with the transposed weights
+    stacked C-contiguous once per call, so a node's states depend only on
+    its subtree and the model, not on the other nodes in `flat`.
 
     Gates saturate silently: a product that overflows is +-inf, which sigmoid
     and tanh take to their limits, without a numpy warning. Raises
@@ -319,14 +357,13 @@ def forward(flat: FlatTree, model: TreeLstmModel,
     X = p["embeddings"].T[flat.indices]
     if masks is not None:
         X = X * masks.w
-    # x-dependent gate terms of all nodes in four matmuls. Each gate's array
+    WT, UT = (np.ascontiguousarray(np.stack([p[f"{name}.{part}"].T for name in GATE_NAMES]))
+              for part in "WU")
+    # x-dependent gate terms of all nodes in one matmul. Each gate's array
     # starts as its terms and becomes the gate in place, level by level from
     # the leaves up; a level with child edges first adds the children's terms
-    F = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]  # one row per edge
-    I = X @ p["input.W"].T + p["input.b"]
-    CB = X @ p["cell.W"].T + p["cell.b"]
-    O = X @ p["output.W"].T + p["output.b"]
-    UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in GATE_NAMES)
+    F, I, CB, O = (terms + p[f"{name}.b"] for terms, name in zip(_products(X, WT), GATE_NAMES))
+    F = F[flat.edge_parent]  # one row per edge
     C, TC, H = (np.empty((n, hd)) for _ in range(3))
     S = np.zeros((n, hd))
     for lo, hi, e0, e1 in flat.levels:
@@ -336,14 +373,15 @@ def forward(flat: FlatTree, model: TreeLstmModel,
             starts = flat.edge_start[lo:hi] - e0
             Hch = H[ch]
             f = F[e0:e1]
-            f += Hch @ UfT
+            f += _products(Hch, UT[:1])[0]
             _sigmoid_(f)
             ht = np.add.reduceat(Hch, starts, axis=0, out=S[lo:hi])
             if masks is not None:
                 ht = ht * masks.agg[lo:hi]
-            i_g += ht @ UiT
-            cb += ht @ UcT
-            o += ht @ UoT
+            ui, uc, uo = _products(ht, UT[1:])
+            i_g += ui
+            cb += uc
+            o += uo
         _sigmoid_(i_g)
         np.tanh(cb, out=cb)
         _sigmoid_(o)
@@ -430,12 +468,70 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
                                        + flat.indices[:, None]).ravel(), dX.ravel())
 
 
+def _subtree_ids(flat: FlatTree) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree id of every node of `flat`, and its nodes ordered by id, then
+    position (so each id's nodes run in tree order).
+
+    Two nodes get one id exactly when their subtrees are equal: the same
+    token and, in order, children of equal ids. Ids are numbered level by
+    level from the leaves up, so they follow height. Each level is one
+    column per node, the ids of its children by rank (-1 past its last
+    child) over its token, lexsorted; equal columns are adjacent, so they
+    are numbered exactly, with no hashing and no per-node Python."""
+    ids = np.empty(flat.n, dtype=np.intp)
+    by_id, count = [], 0
+    arity = np.diff(flat.edge_start)
+    rank = np.arange(flat.n_edges) - flat.edge_start[flat.edge_parent]  # of each child
+    for lo, hi, e0, e1 in flat.levels:
+        keys = np.full((int(arity[lo:hi].max()) + 1, hi - lo), -1, dtype=np.intp)
+        keys[rank[e0:e1], flat.edge_parent[e0:e1] - lo] = ids[flat.edge_child[e0:e1]]
+        keys[-1] = flat.indices[lo:hi]
+        order = np.lexsort(keys)  # stable: equal columns keep their order
+        ranked = keys[:, order]
+        new = np.ones(hi - lo, dtype=bool)
+        np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
+        numbers = np.cumsum(new) + (count - 1)
+        ids[lo + order] = numbers
+        by_id.append(lo + order)
+        count = int(numbers[-1]) + 1
+    return ids, np.concatenate(by_id)
+
+
 def forward_root(records, model: TreeLstmModel) -> np.ndarray:
     """Root hidden vectors of FileRecords, one row each in order: the files'
-    feature vectors, (len(records), hidden_dim)."""
+    feature vectors, (len(records), hidden_dim).
+
+    Forward runs over each distinct subtree once per pack, not over every
+    node: equal subtrees (`_subtree_ids`) have equal states, as `forward`
+    gives a node the same bits whatever other nodes share its pass. The
+    files are cut in order into packs of at most PACK_NODES distinct
+    subtrees (a larger file alone), and nothing is kept between calls. A
+    DivergenceError names the first file, in record order, that holds a
+    non-finite state."""
     flats = [flatten(r.tree, model.vocab, r.file_id) for r in records]
-    roots = [forward(flat, model).H[flat.roots] for flat in packs(flats)]
-    return np.concatenate(roots) if roots else np.empty((0, model.hidden_dim))
+    if not flats:
+        return np.empty((0, model.hidden_dim))
+    whole = pack(flats)
+    ids, by_id = _subtree_ids(whole)
+    node_id, node_file = ids[by_id], whole.tree[by_id]
+    again = node_id[1:] == node_id[:-1]
+    # the file of the node before each node with the same subtree, or -1
+    prev_file = np.append(-1, np.where(again, node_file[:-1], -1))
+    rep = np.empty(node_id[-1] + 1, dtype=np.intp)
+    roots, begin = [], 0
+    while begin < len(flats):
+        new = (prev_file < begin) & (node_file >= begin)  # first nodes from file `begin` on
+        sizes = np.cumsum(np.bincount(node_file[new] - begin, minlength=len(flats) - begin))
+        end = begin + max(1, int(np.searchsorted(sizes, PACK_NODES, side="right")))
+        held = new & (node_file < end)
+        first = by_id[held]  # the pack's first node of each of its subtrees, in id order
+        rep[node_id[held]] = first
+        flat = _sorted_by_height(first, whole.indices, whole.height, rep[ids[whole.edge_child]],
+                                 whole.edge_start, whole.tree - begin,
+                                 rep[ids[whole.roots[begin:end]]], whole.names[begin:end])
+        roots.append(forward(flat, model).H[flat.roots])
+        begin = end
+    return np.concatenate(roots)
 
 
 def model_to_document(model: TreeLstmModel, head_u: np.ndarray) -> dict:

@@ -10,7 +10,9 @@ faster rewrite: the lexer, the Token lexer and AstTree-building parser
 eager tree builder and the height structure of a flattened tree
 (`eager_from_preorder`, `height_structure`), and the Tree-LSTM level loop
 (`level_pack`, `level_forward`, `level_backward`), which use the package's
-AstTree, FlatTree and ForwardCache only as containers.
+AstTree, FlatTree and ForwardCache only as containers. `pack_forward_root`,
+the root vectors of every node in packs of at most PACK_NODES nodes, runs
+the package's own flatten, packs and forward.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from treedefect import AstTree, FlatTree, MiniSyntaxError, normalize_label
 from treedefect.corpus import MAX_TREE_DEPTH
 from treedefect.errors import DepthLimitError, DocumentError
 from treedefect.minilang import MAX_NESTING
-from treedefect.treelstm import ForwardCache
+from treedefect import treelstm
+from treedefect.treelstm import ForwardCache, flatten
 
 
 def sigmoid(z):
@@ -527,6 +530,21 @@ def _sorted_flat(order, indices, height, edge_child, edge_start, tree, roots, na
                     new_start, tree[order], new_pos[roots], names)
 
 
+def blocked_product(a, b):
+    """a @ b under the package's product rule, one BLAS call per block: the
+    rows of `a` in blocks of ROW_BLOCK, the last one zero-padded, each
+    multiplied by `b` made C-contiguous."""
+    block = treelstm.ROW_BLOCK
+    b = np.ascontiguousarray(b)
+    out = np.empty((len(a), b.shape[1]))
+    for start in range(0, len(a), block):
+        rows = a[start:start + block]
+        padded = np.zeros((block, a.shape[1]))
+        padded[:len(rows)] = rows
+        out[start:start + len(rows)] = (padded @ b)[:len(rows)]
+    return out
+
+
 def level_pack(flats):
     """`treelstm.pack` as it once was: each tree's arrays shifted by its
     node, edge and tree offsets one tree at a time, then concatenated and
@@ -550,16 +568,17 @@ def level_pack(flats):
 def level_forward(flat, model, masks=None):
     """`treelstm.forward` as it once was, the byte reference of the level
     loop: every node evaluated as a leaf, each level above the leaves then
-    recomputed in temporaries and copied into the cache. Finite inputs only
-    (no divergence check)."""
+    recomputed in temporaries and copied into the cache. Every product
+    follows the package's rule (`blocked_product`). Finite inputs only (no
+    divergence check)."""
     n, hd, p = flat.n, model.hidden_dim, model.params
     X = p["embeddings"].T[flat.indices]
     if masks is not None:
         X = X * masks.w
-    AF = (X @ p["forget.W"].T + p["forget.b"])[flat.edge_parent]
-    AI = X @ p["input.W"].T + p["input.b"]
-    AC = X @ p["cell.W"].T + p["cell.b"]
-    AO = X @ p["output.W"].T + p["output.b"]
+    AF = (blocked_product(X, p["forget.W"].T) + p["forget.b"])[flat.edge_parent]
+    AI = blocked_product(X, p["input.W"].T) + p["input.b"]
+    AC = blocked_product(X, p["cell.W"].T) + p["cell.b"]
+    AO = blocked_product(X, p["output.W"].T) + p["output.b"]
     UfT, UiT, UcT, UoT = (p[f"{name}.U"].T for name in ("forget", "input", "cell", "output"))
     I = _tanh_sigmoid(AI)
     CB = np.tanh(AC)
@@ -574,15 +593,15 @@ def level_forward(flat, model, masks=None):
         ch = flat.edge_child[e0:e1]
         starts = edge_start[lo:hi] - e0
         Hch = H[ch]
-        f = _tanh_sigmoid(AF[e0:e1] + Hch @ UfT)
+        f = _tanh_sigmoid(AF[e0:e1] + blocked_product(Hch, UfT))
         F[e0:e1] = f
         ht = S[lo:hi] = np.add.reduceat(Hch, starts, axis=0)
         if masks is not None:
             ht = ht * masks.agg[lo:hi]
-        i_g = _tanh_sigmoid(AI[lo:hi] + ht @ UiT)
-        cb = np.tanh(AC[lo:hi] + ht @ UcT)
+        i_g = _tanh_sigmoid(AI[lo:hi] + blocked_product(ht, UiT))
+        cb = np.tanh(AC[lo:hi] + blocked_product(ht, UcT))
         c = i_g * cb + np.add.reduceat(f * C[ch], starts, axis=0)
-        o = _tanh_sigmoid(AO[lo:hi] + ht @ UoT)
+        o = _tanh_sigmoid(AO[lo:hi] + blocked_product(ht, UoT))
         tc = np.tanh(c)
         I[lo:hi] = i_g
         CB[lo:hi] = cb
@@ -591,6 +610,14 @@ def level_forward(flat, model, masks=None):
         TC[lo:hi] = tc
         H[lo:hi] = o * tc
     return ForwardCache(X, S, I, CB, O, TC, H, C, F, masks)
+
+
+def pack_forward_root(records, model):
+    """`treelstm.forward_root` as it once was: every node of every file, in
+    packs of at most PACK_NODES nodes."""
+    flats = [flatten(r.tree, model.vocab, r.file_id) for r in records]
+    roots = [treelstm.forward(flat, model).H[flat.roots] for flat in treelstm.packs(flats)]
+    return np.concatenate(roots) if roots else np.empty((0, model.hidden_dim))
 
 
 def level_backward(flat, model, cache, dH, grads):

@@ -16,7 +16,7 @@ from treedefect import (AstTree, ClassifierOptions, FeatureMatrix, FileRecord,
                         predict_proba, preorder,
                         read_features_csv, save_classifier, train_forest,
                         train_logistic, write_features_csv)
-from treedefect import classifiers
+from treedefect import classifiers, treelstm
 from treedefect.classifiers import _MAX_STEPS, TreeNode, _best_splits
 from treedefect.errors import DocumentError
 from treedefect.treelstm import PACK_NODES, flatten, forward_root, packs
@@ -65,10 +65,15 @@ def test_featurize_across_pack_boundaries_keeps_record_order():
         tree = random_tree(rng, vocab_size=6, max_nodes=30)
         records.append(FileRecord(f"f{len(records)}.mini", "p", "1", len(records) % 2, tree))
     assert len(list(packs([flatten(r.tree, model.vocab) for r in records]))) >= 3
-    fm = featurize_corpus(records, model)
+    # forward_root packs distinct subtrees, which these files share: a
+    # smaller pack makes it cut them too
+    with mock.patch.object(treelstm, "PACK_NODES", PACK_NODES // 4), \
+            mock.patch.object(treelstm, "forward", wraps=treelstm.forward) as forward:
+        fm = featurize_corpus(records, model)
+    assert forward.call_count >= 3
     assert fm.keys == [r.key for r in records]
     for row, record in zip(fm.values, records):
-        np.testing.assert_allclose(row, forward_root([record], model)[0], rtol=0, atol=1e-12)
+        assert row.tobytes() == forward_root([record], model)[0].tobytes()
 
 
 def test_featurize_names_the_poisoned_file_in_a_pack():

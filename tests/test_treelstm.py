@@ -12,7 +12,7 @@ from treedefect import (AstTree, DropoutMasks, FileRecord, FlatTree, UNK_TOKEN,
                         sigmoid)
 from treedefect import treelstm
 from treedefect.corpus import MAX_TREE_DEPTH, normalize_labels, preorder
-from treedefect.errors import DepthLimitError, DocumentError
+from treedefect.errors import DepthLimitError, DivergenceError, DocumentError
 from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
 from treedefect.treelstm import GATE_NAMES, packs
@@ -613,3 +613,80 @@ def test_pack_of_1024_single_node_trees_keeps_each_tree_in_order():
     assert np.array_equal(flat.tree, np.arange(1024))
     assert np.array_equal(flat.roots, np.arange(1024))
     assert np.array_equal(flat.indices, np.arange(1024) % 6)
+
+
+def _corpus(pool, files):
+    """Records whose trees share subtrees: file i is a root labeled
+    files[i][0] over the pool subtrees files[i][1] picks, repeats allowed.
+    Labels 6 and 7 fall outside small_vocab(6), so they encode to <unk>
+    like label 0."""
+    subtrees = [tree_from_parents(shape) for shape in pool]
+    trees = [node(label, [subtrees[i % len(subtrees)] for i in picks]) for label, picks in files]
+    return [FileRecord(f"f{i}.mini", "p", "1", 0, tree) for i, tree in enumerate(trees)]
+
+
+_POOL = st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=12),
+                 min_size=1, max_size=4)
+_FILES = st.lists(st.tuples(st.integers(0, 7), st.lists(st.integers(0, 3), max_size=4)),
+                  min_size=1, max_size=10)
+_SHARED = ([[(6, 0), (0, 0)], [(2, 1), (3, 1), (7, 2)]], [(7, [0, 1, 0]), (0, [1, 1]), (7, [0, 1, 0])])
+
+
+@pytest.mark.filterwarnings("ignore:embedding dimension")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_POOL, _FILES, st.integers(1, 64), st.integers(1, 64),
+       st.integers(1, 64) | st.just(treelstm.PACK_NODES), st.integers(0, 2**32 - 1))
+@example(*_SHARED, 64, 64, treelstm.PACK_NODES, 0)
+@example(*_SHARED, 17, 33, 1, 1)   # widths at which a plain row-count-dependent product differs
+@example(*_SHARED, 1, 2, 3, 2)
+@example([[]], [(1, [])] * 5, 16, 16, 2, 3)  # identical single-node files, cut into packs
+def test_forward_root_rows_depend_only_on_the_file_and_the_model(pool, files, d, hidden_dim,
+                                                                 pack_nodes, seed):
+    model = scaled_model(vocab_size=6, d=d, hidden_dim=hidden_dim, seed=seed % 997, scale=0.3)
+    records = _corpus(pool, files)
+    with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
+        corpus = forward_root(records, model)
+        others = (forward_root(records[::-1], model)[::-1],
+                  np.concatenate([forward_root([record], model) for record in records]),
+                  oracles.pack_forward_root(records, model))
+    for rows in others:
+        assert rows.shape == corpus.shape == (len(records), hidden_dim)
+        for row, want in zip(corpus, rows):
+            assert row.tobytes() == want.tobytes()
+
+
+def test_forward_root_runs_each_distinct_subtree_once_per_pack():
+    model = scaled_model()
+    records = _corpus(*_SHARED)
+    nodes = []
+    real = treelstm.forward
+
+    def counted(flat, model):
+        nodes.append(flat.n)
+        return real(flat, model)
+
+    with mock.patch.object(treelstm, "forward", counted):
+        forward_root(records, model)
+    # 31 nodes, 8 subtrees: the leaves <unk>, tok2 and tok3; <unk> over <unk>
+    # and the second pool root; the first pool root and f1's root; f0's root,
+    # which f2 repeats
+    assert sum(flatten(r.tree, model.vocab).n for r in records) == 31
+    assert nodes == [8]
+
+
+@pytest.mark.parametrize("pack_nodes", [1, 4, 6, treelstm.PACK_NODES])
+@pytest.mark.parametrize("start", [0, 3])
+def test_a_poisoned_subtree_in_several_packs_names_the_oracles_file(pack_nodes, start):
+    model = scaled_model()
+    model.params["embeddings"][:, 5] = np.nan
+    poisoned = node(2, (node(5), node(3)))
+    trees = [node(1, (node(2), node(3))), node(4, (node(1),)), node(3, (node(2), poisoned)),
+             node(1, (node(4), node(2), node(3))), node(2, (node(1), poisoned)), poisoned]
+    records = [FileRecord(f"f{i}.mini", "p", "1", 0, t) for i, t in enumerate(trees)][start:]
+    with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
+        with pytest.raises(DivergenceError) as want:
+            oracles.pack_forward_root(records, model)
+        with pytest.raises(DivergenceError) as got:
+            forward_root(records, model)
+    assert str(got.value) == str(want.value) == (
+        "non-finite hidden state in the tree forward pass of " + ("f2.mini", "f4.mini")[start > 0])
