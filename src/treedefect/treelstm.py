@@ -473,28 +473,33 @@ def _subtree_ids(flat: FlatTree) -> tuple[np.ndarray, np.ndarray]:
     position (so each id's nodes run in tree order).
 
     Two nodes get one id exactly when their subtrees are equal: the same
-    token and, in order, children of equal ids. Ids are numbered level by
-    level from the leaves up, so they follow height. Each level is one
-    column per node, the ids of its children by rank (-1 past its last
-    child) over its token, lexsorted; equal columns are adjacent, so they
-    are numbered exactly, with no hashing and no per-node Python."""
-    ids = np.empty(flat.n, dtype=np.intp)
-    by_id, count = [], 0
+    token and, in order, children of equal ids. Ids are numbered from the
+    leaves up, one group of nodes of equal height and arity at a time, so
+    they follow height. A group of arity a is one column per node, its a
+    child ids over its token, lexsorted; equal columns are adjacent, so they
+    are numbered exactly, with no hashing and no per-node Python, in memory
+    linear in nodes and edges whatever the arities."""
     arity = np.diff(flat.edge_start)
-    rank = np.arange(flat.n_edges) - flat.edge_start[flat.edge_parent]  # of each child
-    for lo, hi, e0, e1 in flat.levels:
-        keys = np.full((int(arity[lo:hi].max()) + 1, hi - lo), -1, dtype=np.intp)
-        keys[rank[e0:e1], flat.edge_parent[e0:e1] - lo] = ids[flat.edge_child[e0:e1]]
-        keys[-1] = flat.indices[lo:hi]
+    by_id = np.lexsort((arity, flat.height))  # stable: positions in order
+    bounds = np.flatnonzero((np.diff(flat.height[by_id]) != 0)
+                            | (np.diff(arity[by_id]) != 0)) + 1
+    ids = np.empty(flat.n, dtype=np.intp)
+    count = 0
+    for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), flat.n]):
+        group = by_id[start:end]
+        a = int(arity[group[0]])
+        keys = np.empty((a + 1, end - start), dtype=np.intp)
+        keys[:a] = ids[flat.edge_child[flat.edge_start[group] + np.arange(a)[:, None]]]
+        keys[a] = flat.indices[group]
         order = np.lexsort(keys)  # stable: equal columns keep their order
         ranked = keys[:, order]
-        new = np.ones(hi - lo, dtype=bool)
+        new = np.ones(end - start, dtype=bool)
         np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=new[1:])
         numbers = np.cumsum(new) + (count - 1)
-        ids[lo + order] = numbers
-        by_id.append(lo + order)
+        by_id[start:end] = group = group[order]
+        ids[group] = numbers
         count = int(numbers[-1]) + 1
-    return ids, np.concatenate(by_id)
+    return ids, by_id
 
 
 def forward_root(records, model: TreeLstmModel) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -690,3 +691,20 @@ def test_a_poisoned_subtree_in_several_packs_names_the_oracles_file(pack_nodes, 
             forward_root(records, model)
     assert str(got.value) == str(want.value) == (
         "non-finite hidden state in the tree forward pass of " + ("f2.mini", "f4.mini")[start > 0])
+
+
+def test_forward_root_numbers_a_wide_node_in_memory_linear_in_the_nodes():
+    # one root of 3,000 leaf children beside 3,000 one-child roots of the
+    # same height: a key column per node as long as the widest node's
+    # children would hold 9 million entries (72 MB)
+    records = [FileRecord("wide.mini", "p", "1", 0, node(1, [node(i % 5) for i in range(3000)]))]
+    records += [FileRecord(f"f{i}.mini", "p", "1", 0, node(2, (node(i % 6),))) for i in range(3000)]
+    model = scaled_model()
+    tracemalloc.start()
+    try:
+        rows = forward_root(records, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+    assert rows.tobytes() == oracles.pack_forward_root(records, model).tobytes()
