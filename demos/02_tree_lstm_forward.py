@@ -9,14 +9,14 @@ with every weight set to one.
 import numpy as np
 
 from treedefect import (AstTree, UNK_TOKEN, Vocabulary, build_vocabulary, flatten,
-                        forward, init_model, normalize_labels, parse_mini)
+                        forward, init_model, normalize_labels, pack, parse_mini)
 
 SOURCE = "int n = 3;\nwhile (n < 9) {\n  n = n + 1;\n}\n"
 
 
 def root_h(tree, model):
-    """Root hidden vector: flatten (which encodes the labels), then forward."""
-    return forward(flatten(tree, model.vocab), model).H[-1]
+    """Root hidden vector: flatten (which encodes the labels), pack, forward."""
+    return forward(pack([flatten(tree, model.vocab)]), model).H[-1]
 
 
 def main():
@@ -29,7 +29,9 @@ def main():
     for arr in model.params.values():
         arr[...] = widen.uniform(-0.8, 0.8, size=arr.shape)
 
-    flat = flatten(tree, vocab)  # labels encoded to vocabulary indices
+    # flatten encodes the labels to vocabulary indices, in preorder; pack
+    # sorts the nodes by height, the order the forward pass takes
+    flat = pack([flatten(tree, vocab)])
     cache = forward(flat, model)
     print("== per-node states (rows by height: leaves first, root last) ==")
     for i in range(flat.n):
@@ -57,7 +59,7 @@ def main():
     anchor.params["embeddings"][0, 1] = 1.0
     for name in ("input.W", "cell.W", "output.W"):
         anchor.params[name][0, 0] = 1.0
-    state = forward(flatten(AstTree("leaf"), anchor.vocab), anchor)
+    state = forward(pack([flatten(AstTree("leaf"), anchor.vocab)]), anchor)
     print(f"unit-weight leaf anchor: c = {state.C[0, 0]:.16f}, h = {state.H[0, 0]:.16f}")
 
 

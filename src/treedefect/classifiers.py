@@ -460,7 +460,9 @@ def read_features_csv(path) -> FeatureMatrix:
             labels.append(int(row[3]))
         else:
             raise DocumentError(f"{path}:{r}: label must be 0, 1 or empty")
-        try:
+        try:  # float() also takes digit-group underscores, whitespace and non-ASCII digits
+            if any("_" in v or v != v.strip() or not v.isascii() for v in row[4:]):
+                raise ValueError("not a plain number")
             values[r - 2] = [float(v) for v in row[4:]]
         except ValueError as exc:
             raise DocumentError(f"{path}:{r}: bad feature value") from exc

@@ -2,8 +2,8 @@
 
 A corpus is a list of FileRecord entries, each tying a (project, version,
 file_id) key and an optional defect label to one AST. Trees are immutable,
-which is what keeps valid the height-ordered structure that
-`treelstm.flatten` computes once per tree and keeps with it.
+which is what keeps valid the preorder arrays that `treelstm` computes
+once per tree and keeps with it.
 `preorder` (labels and child counts) is the one walk over a tree, and
 `_shape` the one pass that builds one: `minilang.parse_mini` hands it the
 lists its parser appends, and `corpus_from_document` a document's lists
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -67,14 +68,14 @@ class AstTree:
     """One AST node; a leaf has an empty children tuple. A root made by
     `_shape` keeps the tree's shape in `_shape` and leaves the `children`
     slot unset, and `__getattr__` makes its nodes from the shape when
-    `children` is first read. `flatten` keeps its height order in
-    `_height_structure`. ==, hash and repr read `preorder`, so they make no
+    `children` is first read. `treelstm` keeps the tree's arrays in
+    `_structure`. ==, hash and repr read `preorder`, so they make no
     nodes and do not recurse; repr gives the dataclass's text."""
 
     label: str
     children: tuple["AstTree", ...] = field(default_factory=tuple)
     _shape: tuple | None = field(default=None, init=False, repr=False)
-    _height_structure: tuple | None = field(default=None, init=False, repr=False)
+    _structure: tuple | None = field(default=None, init=False, repr=False)
 
     def __getattr__(self, name: str):
         if name != "children" or self._shape is None:
@@ -177,7 +178,7 @@ def _root(names: list[str], arity: list[int], height: list[int], edges: list[int
     root = object.__new__(AstTree)
     object.__setattr__(root, "label", names[0])
     object.__setattr__(root, "_shape", (names, arity, height, edges))
-    object.__setattr__(root, "_height_structure", None)
+    object.__setattr__(root, "_structure", None)
     return root
 
 
@@ -267,8 +268,7 @@ def build_vocabulary(trees: list[AstTree], size: int = VOCAB_SIZE,
 
 def encode(labels: Sequence[str], vocab: Vocabulary) -> np.ndarray:
     """Vocabulary index of each label (out of vocabulary: the unknown index)."""
-    to_index = vocab.token_to_index
-    return np.array([to_index.get(label, 0) for label in labels], dtype=np.intp)
+    return np.fromiter(map(vocab.token_to_index.get, labels, repeat(0)), np.intp, len(labels))
 
 
 def _check_key(entry: dict, where: str) -> None:

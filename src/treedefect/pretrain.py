@@ -30,8 +30,8 @@ from . import jsonio
 from .corpus import MIN_COUNT, VOCAB_SIZE, FileRecord, Vocabulary, build_vocabulary
 from .errors import CorpusError, DivergenceError
 from .rng import stream
-from .treelstm import (DropoutMasks, FlatTree, TreeLstmModel, backward, flatten,
-                       forward, init_model, pack, packs, sample_masks)
+from .treelstm import (DropoutMasks, FlatTree, PreorderTree, TreeLstmModel, backward,
+                       flatten, forward, init_model, pack, packs, sample_masks)
 
 HEAD_INIT_SCALE = 0.05
 
@@ -150,7 +150,7 @@ def _pack_loss(flat: FlatTree, model: TreeLstmModel, head: PretrainHead,
     return nll
 
 
-def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
+def corpus_loss(flats: list[PreorderTree], model: TreeLstmModel, head: PretrainHead,
                 dropout: tuple[float, np.random.Generator] | None = None,
                 grads: dict[str, np.ndarray] | None = None) -> float:
     """Mean NLL of true parent labels over all internal nodes of `flats`
@@ -169,7 +169,7 @@ def corpus_loss(flats: list[FlatTree], model: TreeLstmModel, head: PretrainHead,
     return total / count
 
 
-def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[FlatTree]) -> float:
+def perplexity(model: TreeLstmModel, head: PretrainHead, flats: list[PreorderTree]) -> float:
     """exp(corpus loss) with dropout disabled; |V| for a uniform predictor."""
     loss = corpus_loss(flats, model, head)
     with np.errstate(over="ignore"):  # a diverged loss gives inf
@@ -226,11 +226,8 @@ def pretrain(records: list[FileRecord], config: TrainConfig,
                                  config.vocab_size, config.min_count)
     model = init_model(vocab, config.embedding_dim, config.hidden_dim, config.seed)
     head = init_head(len(vocab), model.hidden_dim, config.seed)
-
-    def flats_of(recs):
-        return [flatten(r.tree, vocab, r.file_id) for r in recs]
-
-    train_flats, val_flats, test_flats = map(flats_of, (train_recs, val_recs, test_recs))
+    train_flats, val_flats, test_flats = ([flatten(r.tree, vocab, r.file_id) for r in recs]
+                                          for recs in (train_recs, val_recs, test_recs))
     result = PretrainResult(model, head)
     params = {**model.params, "head.U": head.U}
     mean_square = {name: np.zeros_like(arr) for name, arr in params.items()}

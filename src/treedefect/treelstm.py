@@ -14,18 +14,18 @@ Per node t with children C(t), input embedding w_t and per-child states
 Leaves use h~ = 0 and an empty forget sum. Children are aggregated by sum, so
 the state is invariant to child order (Tai et al. 2015, arXiv:1503.00075).
 
-Each tree is flattened once to arrays whose nodes are sorted by height
-(`flatten`); `pack` merges several into one FlatTree (a lone tree is a pack
-of one), and `packs` cuts any sequence of trees into packs of at most
-PACK_NODES nodes, for every training and perplexity pass. The passes run by
-height level rather than by node (dynamic batching, Looks et al. 2017,
-arXiv:1702.02181):
-forward evaluates the nodes of height 0, 1, 2, ... in turn, each level
-across all trees at once with a few matrix products on contiguous row
-ranges, summing children with np.add.reduceat over parent-grouped edges, and
-writes each gate straight into its rows of the cache. Backward walks the
-same levels from the top down and reaches each edge's parent row through
-edge_parent. Nothing recurses, so any tree depth fits the interpreter stack.
+Each tree is flattened to preorder arrays (`flatten`), whose structure it
+keeps (`_structure`); `pack` lays several one after another and sorts
+their nodes by height into one FlatTree, and `packs` cuts any sequence of
+trees into packs of at most PACK_NODES nodes, for every training and
+perplexity pass. The passes run by height level rather than by node
+(dynamic batching, Looks et al. 2017, arXiv:1702.02181): forward evaluates
+the nodes of height 0, 1, 2, ... in turn, each level across all trees at
+once with a few matrix products on contiguous row ranges, summing children
+with np.add.reduceat over parent-grouped edges, and writes each gate
+straight into its rows of the cache. Backward walks the same levels from
+the top down and reaches each edge's parent row through edge_parent.
+Nothing recurses, so any tree depth fits the interpreter stack.
 
 Forward's products run in fixed blocks of ROW_BLOCK rows (`_products`), so a
 node's states depend only on its subtree and the model, never on the other
@@ -34,12 +34,6 @@ numbers the distinct subtrees of all files at once (hash-consing, Filliâtre
 and Conchon 2006), runs forward once per distinct subtree of a pack, as a
 DAG-structured LSTM shares substructure (Zhu et al. 2016), and gathers each
 file's root row. Training and perplexity run over every node.
-
-A tree's height order does not depend on the vocabulary: its first
-`flatten` sorts the heights and child edges of the tree's shape
-(`corpus.tree_shape`) and keeps the result with the tree, and every FlatTree
-of the tree shares its arrays, read-only, so a later flatten only encodes
-labels.
 
 During pretraining each pack draws a dropout mask pair (`sample_masks`),
 applied to the embedding input w_t and to the aggregate h~ (inverted
@@ -53,6 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,7 +135,7 @@ def init_model(vocab: Vocabulary, d: int, hidden_dim: int | None,
 
 @dataclass
 class FlatTree:
-    """Array form of one AstTree, or of a packed forest of them.
+    """Array form of a pack of trees (`pack`), the input of the passes.
 
     Nodes are ordered by height (0 at a leaf, one more than the tallest child
     otherwise), ties kept in tree order and then preorder (nodes of one
@@ -172,10 +167,6 @@ class FlatTree:
     @property
     def n_edges(self) -> int:
         return len(self.edge_child)
-
-    @cached_property
-    def n_internal(self) -> int:
-        return int(np.count_nonzero(self.height))
 
     @property
     def n_trees(self) -> int:
@@ -216,38 +207,55 @@ def _sorted_by_height(order: np.ndarray, indices: np.ndarray, height: np.ndarray
                     new_start, tree[order], new_pos[roots], names)
 
 
-def _height_structure(tree: AstTree) -> tuple:
-    """The labels of `tree` in height order, then the read-only height,
-    edge_child, edge_start, tree and roots arrays of its FlatTree, sorted
-    from the heights and child edges of `tree_shape`."""
-    labels, arity, height, edges = tree_shape(tree)
-    n = len(labels)
-    heights = np.asarray(height, dtype=np.intp)
-    edge_start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(arity, out=edge_start[1:])
-    # node positions stand in for the labels, which are not encoded here
-    flat = _sorted_by_height(np.argsort(heights, kind="stable"), np.arange(n), heights,
-                             np.asarray(edges[::-1], dtype=np.intp), edge_start,
-                             np.zeros(n, dtype=np.intp), np.array([0]), ())
-    arrays = (flat.height, flat.edge_child, flat.edge_start, flat.tree, flat.roots)
-    for arr in arrays:
-        arr.flags.writeable = False
-    return ([labels[j] for j in flat.indices.tolist()], *arrays)
+class PreorderTree(NamedTuple):
+    """One tree as `flatten` gives it to `pack`: its nodes in preorder, so
+    node 0 is the root, and its `_structure`, the arrays read-only."""
+
+    indices: np.ndarray     # (n,) vocab index per node
+    height: np.ndarray      # (n,)
+    arity: np.ndarray       # (n,) child count per node
+    edge_child: np.ndarray  # (n-1,) each parent's children, parents in preorder
+    n: int
+    n_internal: int
+    depth: int              # nodes on the longest root-to-leaf path
+    name: str | None        # for error messages
 
 
-def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
-    """FlatTree of one AST, labels encoded through `vocab`; `name` (a file
-    id) is kept for error messages. The rest does not depend on the
-    vocabulary: the first flatten of a tree computes it and keeps it in the
-    tree's `_height_structure` slot, which ==, hash and repr do not read,
-    and where it stays valid as an AstTree never changes. Every FlatTree of
-    the tree shares those arrays, so they are read-only."""
-    cached = tree._height_structure
+def _structure(tree: AstTree) -> tuple:
+    """Preorder labels, height, arity and edge_child of `tree`, as
+    `corpus.tree_shape` finds them, then its node, internal-node and depth
+    counts. None depends on the vocabulary: the first call keeps them, the
+    arrays read-only, in the tree's `_structure` slot, where they stay valid
+    as an AstTree never changes."""
+    cached = tree._structure
     if cached is None:
-        cached = _height_structure(tree)
-        object.__setattr__(tree, "_height_structure", cached)
-    labels, *arrays = cached
-    return FlatTree(encode(labels, vocab), *arrays, (name,))
+        labels, arity, height, edges = tree_shape(tree)
+        arrays = [np.array(a, dtype=np.intp) for a in (height, arity, edges[::-1])]
+        for arr in arrays:
+            arr.flags.writeable = False
+        cached = (labels, *arrays, len(arity), len(arity) - arity.count(0), height[0] + 1)
+        object.__setattr__(tree, "_structure", cached)
+    return cached
+
+
+def flatten(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> PreorderTree:
+    """The preorder arrays of one AST for `pack`, labels encoded through
+    `vocab`; `name` (a file id) is kept for error messages."""
+    labels, *arrays = _structure(tree)
+    return PreorderTree(encode(labels, vocab), *arrays, name)
+
+
+def _concatenate(trees: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """height, edge_child, edge_start, tree and roots of preorder trees laid
+    one after another, each tree's root its first node. A tree is a
+    PreorderTree or a `_structure`, whose items 1 to 4 are alike."""
+    nodes = np.fromiter((t[4] for t in trees), np.intp, len(trees))
+    roots = np.cumsum(nodes) - nodes
+    edge_start = np.zeros(nodes.sum() + 1, dtype=np.intp)
+    np.cumsum(np.concatenate([t[2] for t in trees]), out=edge_start[1:])
+    return (np.concatenate([t[1] for t in trees]),
+            np.concatenate([t[3] for t in trees]) + np.repeat(roots, nodes - 1),
+            edge_start, np.repeat(np.arange(len(trees)), nodes), roots)
 
 
 @dataclass
@@ -262,8 +270,8 @@ def sample_masks(flat: FlatTree, rate: float, d: int, hidden_dim: int,
                  rng: np.random.Generator) -> DropoutMasks:
     """Masks for every node of the pack `flat`, cut from one draw laid out
     tree by tree (the tree's `w` block, then its `agg` block, rows in the
-    tree's own node order, which `pack` keeps): a node at row r of the trees
-    one after another, in a tree spanning rows [s, e), has its `w` at offset
+    pack's order of the tree's nodes): a node at row r of the trees one
+    after another, in a tree spanning rows [s, e), has its `w` at offset
     r*d + s*hidden_dim and its `agg` at r*hidden_dim + e*d."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -278,27 +286,18 @@ def sample_masks(flat: FlatTree, rate: float, d: int, hidden_dim: int,
     return DropoutMasks(w, agg)
 
 
-def pack(flats: Sequence[FlatTree]) -> FlatTree:
+def pack(flats: Sequence[PreorderTree]) -> FlatTree:
     """Merge trees into one FlatTree that forward and backward process in a
-    single pass. Tree numbers follow the order of `flats`, and each tree's
-    nodes keep their order; per-tree results are those of the trees alone."""
-    sizes = np.array([(f.n, f.n_edges, f.n_trees) for f in flats])
-    nodes, edges, trees = sizes.T
-    node_base, edge_base, tree_base = (np.cumsum(sizes, axis=0) - sizes).T
-    height = np.concatenate([f.height for f in flats])
-    return _sorted_by_height(
-        np.argsort(height, kind="stable"),
-        np.concatenate([f.indices for f in flats]),
-        height,
-        np.concatenate([f.edge_child for f in flats]) + np.repeat(node_base, edges),
-        np.append(np.concatenate([f.edge_start[:-1] for f in flats])
-                  + np.repeat(edge_base, nodes), edges.sum()),
-        np.concatenate([f.tree for f in flats]) + np.repeat(tree_base, nodes),
-        np.concatenate([f.roots for f in flats]) + np.repeat(node_base, trees),
-        tuple(chain.from_iterable(f.names for f in flats)))
+    single pass: the trees laid one after another, then one stable sort by
+    height. Tree numbers follow the order of `flats`, and per-tree results
+    are those of the trees alone."""
+    height, *arrays = _concatenate(flats)
+    return _sorted_by_height(np.argsort(height, kind="stable"),
+                             np.concatenate([f.indices for f in flats]), height, *arrays,
+                             tuple(f.name for f in flats))
 
 
-def packs(flats: Sequence[FlatTree]):
+def packs(flats: Sequence[PreorderTree]):
     """Packs of consecutive trees of at most PACK_NODES nodes each."""
     start = 0
     while start < len(flats):
@@ -468,9 +467,10 @@ def backward(flat: FlatTree, model: TreeLstmModel, cache: ForwardCache,
                                        + flat.indices[:, None]).ravel(), dX.ravel())
 
 
-def _subtree_ids(flat: FlatTree) -> tuple[np.ndarray, np.ndarray]:
-    """Subtree id of every node of `flat`, and its nodes ordered by id, then
-    position (so each id's nodes run in tree order).
+def _subtree_ids(indices: np.ndarray, height: np.ndarray, edge_child: np.ndarray,
+                 edge_start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Subtree id of every node of trees laid out as in a FlatTree, nodes in
+    any order, and the nodes ordered by id, then position.
 
     Two nodes get one id exactly when their subtrees are equal: the same
     token and, in order, children of equal ids. Ids are numbered from the
@@ -479,18 +479,18 @@ def _subtree_ids(flat: FlatTree) -> tuple[np.ndarray, np.ndarray]:
     child ids over its token, lexsorted; equal columns are adjacent, so they
     are numbered exactly, with no hashing and no per-node Python, in memory
     linear in nodes and edges whatever the arities."""
-    arity = np.diff(flat.edge_start)
-    by_id = np.lexsort((arity, flat.height))  # stable: positions in order
-    bounds = np.flatnonzero((np.diff(flat.height[by_id]) != 0)
+    arity = np.diff(edge_start)
+    by_id = np.lexsort((arity, height))  # stable: positions in order
+    bounds = np.flatnonzero((np.diff(height[by_id]) != 0)
                             | (np.diff(arity[by_id]) != 0)) + 1
-    ids = np.empty(flat.n, dtype=np.intp)
+    ids = np.empty(len(indices), dtype=np.intp)
     count = 0
-    for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), flat.n]):
+    for start, end in zip([0, *bounds.tolist()], [*bounds.tolist(), len(indices)]):
         group = by_id[start:end]
         a = int(arity[group[0]])
         keys = np.empty((a + 1, end - start), dtype=np.intp)
-        keys[:a] = ids[flat.edge_child[flat.edge_start[group] + np.arange(a)[:, None]]]
-        keys[a] = flat.indices[group]
+        keys[:a] = ids[edge_child[edge_start[group] + np.arange(a)[:, None]]]
+        keys[a] = indices[group]
         order = np.lexsort(keys)  # stable: equal columns keep their order
         ranked = keys[:, order]
         new = np.ones(end - start, dtype=bool)
@@ -506,34 +506,35 @@ def forward_root(records, model: TreeLstmModel) -> np.ndarray:
     """Root hidden vectors of FileRecords, one row each in order: the files'
     feature vectors, (len(records), hidden_dim).
 
-    Forward runs over each distinct subtree once per pack, not over every
-    node: equal subtrees (`_subtree_ids`) have equal states, as `forward`
-    gives a node the same bits whatever other nodes share its pass. The
-    files are cut in order into packs of at most PACK_NODES distinct
-    subtrees (a larger file alone), and nothing is kept between calls. A
-    DivergenceError names the first file, in record order, that holds a
-    non-finite state."""
-    flats = [flatten(r.tree, model.vocab, r.file_id) for r in records]
-    if not flats:
+    All files' labels are encoded at once. Forward runs over each distinct
+    subtree once per pack, not over every node: equal subtrees
+    (`_subtree_ids`) have equal states, as `forward` gives a node the same
+    bits whatever other nodes share its pass. The files are cut in order
+    into packs of at most PACK_NODES distinct subtrees (a larger file
+    alone), and nothing is kept between calls. A DivergenceError names the
+    first file, in record order, that holds a non-finite state."""
+    if not records:
         return np.empty((0, model.hidden_dim))
-    whole = pack(flats)
-    ids, by_id = _subtree_ids(whole)
-    node_id, node_file = ids[by_id], whole.tree[by_id]
+    structures = [_structure(r.tree) for r in records]
+    height, edge_child, edge_start, tree, file_roots = _concatenate(structures)
+    indices = encode([*chain.from_iterable(s[0] for s in structures)], model.vocab)
+    ids, by_id = _subtree_ids(indices, height, edge_child, edge_start)
+    node_id, node_file = ids[by_id], tree[by_id]
     again = node_id[1:] == node_id[:-1]
     # the file of the node before each node with the same subtree, or -1
     prev_file = np.append(-1, np.where(again, node_file[:-1], -1))
     rep = np.empty(node_id[-1] + 1, dtype=np.intp)
     roots, begin = [], 0
-    while begin < len(flats):
+    while begin < len(records):
         new = (prev_file < begin) & (node_file >= begin)  # first nodes from file `begin` on
-        sizes = np.cumsum(np.bincount(node_file[new] - begin, minlength=len(flats) - begin))
+        sizes = np.cumsum(np.bincount(node_file[new] - begin, minlength=len(records) - begin))
         end = begin + max(1, int(np.searchsorted(sizes, PACK_NODES, side="right")))
         held = new & (node_file < end)
         first = by_id[held]  # the pack's first node of each of its subtrees, in id order
         rep[node_id[held]] = first
-        flat = _sorted_by_height(first, whole.indices, whole.height, rep[ids[whole.edge_child]],
-                                 whole.edge_start, whole.tree - begin,
-                                 rep[ids[whole.roots[begin:end]]], whole.names[begin:end])
+        flat = _sorted_by_height(first, indices, height, rep[ids[edge_child]], edge_start,
+                                 tree - begin, rep[ids[file_roots[begin:end]]],
+                                 tuple(r.file_id for r in records[begin:end]))
         roots.append(forward(flat, model).H[flat.roots])
         begin = end
     return np.concatenate(roots)

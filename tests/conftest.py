@@ -10,8 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from types import SimpleNamespace
 
-from treedefect import (UNK_TOKEN, AstTree, Vocabulary, corpus_loss, encode, flatten, forward,
-                        preorder)
+from treedefect import (UNK_TOKEN, AstTree, FlatTree, Vocabulary, corpus_loss, encode, flatten,
+                        forward, pack, preorder)
 from treedefect.corpus import corpus_from_document
 
 
@@ -114,9 +114,14 @@ def small_vocab(size: int = 6) -> Vocabulary:
     return Vocabulary(tuple(token(i) for i in range(size)))
 
 
+def lone(tree: AstTree, vocab: Vocabulary, name: str | None = None) -> FlatTree:
+    """The FlatTree of `tree` alone: the pack of its one flatten."""
+    return pack([flatten(tree, vocab, name)])
+
+
 def root_state(tree: AstTree, model) -> SimpleNamespace:
-    """(h, c) at the root of `tree`: one flatten and forward pass."""
-    cache = forward(flatten(tree, model.vocab), model)
+    """(h, c) at the root of `tree`: one flatten, pack and forward pass."""
+    cache = forward(lone(tree, model.vocab), model)
     return SimpleNamespace(h=cache.H[-1], c=cache.C[-1])
 
 

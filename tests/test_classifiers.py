@@ -596,6 +596,11 @@ def test_features_csv_validation(tmp_path):
     path.write_text("project,version,file_id,label,f0\np,1,a,1,zap\n", encoding="utf-8")
     with pytest.raises(DocumentError, match="feature value"):
         read_features_csv(path)
+    for value in ("1_0", " 2.5", "2.5 ", "0.5\u00a0", "1e1_0", "\u0661\u0662", "\uff11.5"):
+        path.write_text(f"project,version,file_id,label,f0\np,1,a,1,{value}\n",
+                        encoding="utf-8")
+        with pytest.raises(DocumentError, match=r"bad\.csv:2: bad feature value$"):
+            read_features_csv(path)
     path.write_text("project,version,file_id,label,f0\np,1,a,1\n", encoding="utf-8")
     with pytest.raises(DocumentError, match="columns"):
         read_features_csv(path)

@@ -1015,6 +1015,21 @@ def test_feature_file_without_feature_columns_is_bad_input(tmp_path, capsys, kin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1_0", " 2.5", "2.5 ", "1_000.5", "\t0.1"])
+def test_a_feature_value_float_would_read_leniently_is_bad_input(tmp_path, capsys, value):
+    # float() takes digit-group underscores and surrounding whitespace;
+    # the writer never writes them, so the reader rejects them
+    lenient = tmp_path / "lenient.csv"
+    lenient.write_text("project,version,file_id,label,f0\n"
+                       + "".join(f"p,1,f{i},{i % 2},0.{i}\n" for i in range(4))
+                       + f"p,1,f4,1,{value}\n", encoding="utf-8")
+    out = tmp_path / "clf.json"
+    assert main(["train-classifier", "--features", str(lenient), "--output", str(out),
+                 "--classifier", "logistic"]) == 2
+    assert f"error: {lenient}:6: bad feature value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_rejects_a_repeated_label_entry(tmp_path, capsys):
     src = tmp_path / "src"
     src.mkdir()

@@ -14,14 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from oracles import iter_nodes
 from treedefect import (AstTree, FileRecord, FlatTree, UNK_TOKEN, Vocabulary,
-                        build_vocabulary, encode, flatten, normalize_label, normalize_labels,
+                        build_vocabulary, encode, flatten, normalize_label, normalize_labels, pack,
                         parse_mini, preorder, read_corpus, write_corpus)
 from treedefect import jsonio
 from treedefect.cli import main
 from treedefect.corpus import MAX_TREE_DEPTH, cell, corpus_from_document, corpus_to_document
 from treedefect.errors import DepthLimitError, DocumentError
 
-from conftest import has_nodes, read_back, tree_from_parents, unchecked_document
+from conftest import has_nodes, lone, read_back, tree_from_parents, unchecked_document
 
 
 def leaf(label):
@@ -118,6 +118,17 @@ def test_encode_decode_roundtrip_and_oov():
     assert [vocab.tokens[i] for i in encoded] == labels
     oov = encode(["never-seen"], vocab)
     assert oov.tolist() == [0]
+
+
+def test_encode_maps_unknown_labels_to_zero_and_nothing_to_an_empty_array():
+    vocab = Vocabulary((UNK_TOKEN, "a", "b"))
+    for labels in (["x", "", "A", "b ", "<UNK>"], ("a", "never-seen", "b", "a")):
+        got = encode(labels, vocab)
+        want = [vocab.tokens.index(t) if t in vocab.tokens else 0 for t in labels]
+        assert got.dtype == np.intp and got.tolist() == want
+    for empty in ([], ()):
+        got = encode(empty, vocab)
+        assert got.dtype == np.intp and got.shape == (0,)
 
 
 def one_file(tree):
@@ -247,7 +258,8 @@ def test_deep_tree_operations_are_iterative():
         assert labels == ["y"] * (levels - 1) + ["x"] and arity == [1] * (levels - 1) + [0]
         vocab = build_vocabulary([tree], min_count=1)
         assert vocab.tokens == (UNK_TOKEN, "y", "x")
-        flat = flatten(tree, vocab)
+        assert flatten(tree, vocab).depth == levels
+        flat = lone(tree, vocab)
         assert flat.depth == levels
         # a chain's height order is its preorder reversed
         assert [vocab.tokens[i] for i in flat.indices] == labels[::-1]
@@ -483,7 +495,7 @@ def assert_same_nodes(got, want):
 
 
 def assert_flattens_as_oracle(tree, labels, arity, vocab):
-    got = flatten(tree, vocab, "f.mini")
+    got = lone(tree, vocab, "f.mini")
     order, *arrays = oracles.height_structure(labels, arity)
     want = FlatTree(encode(order, vocab), *arrays, ("f.mini",))
     for field in ("indices", "height", "edge_child", "edge_start", "tree", "roots"):
@@ -542,6 +554,43 @@ def test_hand_built_trees_flatten_and_normalize_as_the_eager_oracle(shape):
     assert not has_nodes(got)
     assert_same_nodes(got, want)
     assert_same_nodes(normalize_labels(got), want)  # a built root normalizes again
+
+
+def assert_packs_as_oracle(trees, vocab):
+    """`pack` of the trees' preorder records against the old pack of each
+    tree's height-ordered FlatTree (`oracles.height_structure` over an
+    independent walk), field by field and byte for byte."""
+    got = pack([flatten(t, vocab, f"f{i}.mini") for i, t in enumerate(trees)])
+    alone = []
+    for i, tree in enumerate(trees):
+        nodes = list(iter_nodes(tree))
+        order, *arrays = oracles.height_structure([n.label for n in nodes],
+                                                  [len(n.children) for n in nodes])
+        indices = np.array([oracles.token_index(vocab, label) for label in order], dtype=np.intp)
+        alone.append(FlatTree(indices, *arrays, (f"f{i}.mini",)))
+    want = oracles.level_pack(alone)
+    for field in ("indices", "height", "edge_child", "edge_start", "tree", "roots"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+    assert got.names == want.names
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_TREE_SHAPES, st.booleans()), min_size=1, max_size=5))
+@example([([], False), ([], True), ([], False)])  # single-node files, one read back
+@example([(_WIDE, True), ([(2, 0)] * 5, False), (_WIDE, False)])  # a 13-child node
+@example([(_CHAIN, True), ([], True), (_CHAIN, False)])
+def test_pack_of_preorder_records_equals_pack_of_the_height_structure_oracle(files):
+    # hand-built trees and roots read back from a document, each flattened
+    # for the first time here, in one pack
+    trees = [read_back(_drawn(shape)) if read else _drawn(shape) for shape, read in files]
+    assert_packs_as_oracle(trees, Vocabulary((UNK_TOKEN, "a", "y", "é")))
+
+
+def test_pack_of_a_10001_deep_chain_equals_pack_of_the_height_structure_oracle():
+    vocab = Vocabulary((UNK_TOKEN, "x", "y"))
+    assert_packs_as_oracle([chain(10001)], vocab)
+    assert_packs_as_oracle([leaf("x"), chain(10001), read_back(chain(40)), chain(3)], vocab)
 
 
 @st.composite

@@ -18,7 +18,7 @@ from treedefect.pretrain import PretrainHead, _pack_loss
 from treedefect.rng import stream
 from treedefect.treelstm import GATE_NAMES, packs
 
-from conftest import (node, random_tree, read_back, root_state, small_vocab,
+from conftest import (lone, node, random_tree, read_back, root_state, small_vocab,
                       tree_from_parents)
 
 
@@ -126,7 +126,7 @@ def test_child_permutation_invariance():
 
 def test_flatten_layout():
     tree = node(0, (node(1), node(2, (node(3), node(4)))))
-    flat = flatten(tree, small_vocab(5))
+    flat = lone(tree, small_vocab(5))
     assert flat.indices.tolist() == [1, 3, 4, 2, 0]  # by height, root last
     assert [flat.edge_child[flat.edge_start[i]:flat.edge_start[i + 1]].tolist()
             for i in range(flat.n)] == [[], [], [], [1, 2], [0, 3]]
@@ -134,8 +134,8 @@ def test_flatten_layout():
     assert flat.edge_child.tolist() == [1, 2, 0, 3]
     assert flat.edge_parent.tolist() == [3, 3, 4, 4]
     assert flat.n == 5 and flat.n_edges == 4
-    assert flat.n_internal == 2
     assert flat.depth == 3
+    assert flatten(tree, small_vocab(5)).n_internal == 2
 
 
 def test_depth_limit():
@@ -189,11 +189,12 @@ def test_flatten_equals_post_order_oracle_byte_for_byte(shape):
     # tokens 6 and 7 are out of small_vocab(6), and 3 to 7 out of small_vocab(3):
     # each flatten after the first reads the tree's cached structure
     for vocab in (small_vocab(6), small_vocab(3), small_vocab(6)):
-        flat = flatten(tree, vocab, "f.mini")
-        assert_same_bytes(flat, FlatTree(**oracles.post_order_flat(tree, vocab, "f.mini")))
-        for field in ("height", "edge_child", "edge_start"):
+        record = flatten(tree, vocab, "f.mini")
+        assert_same_bytes(pack([record]),
+                          FlatTree(**oracles.post_order_flat(tree, vocab, "f.mini")))
+        for field in ("height", "arity", "edge_child"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(flat, field)[:1] = 0
+                getattr(record, field)[:1] = 0
     assert tree == fresh and hash(tree) == hash(fresh) and repr(tree) == repr(fresh)
 
 
@@ -205,8 +206,8 @@ def test_pack_of_flattened_trees_equals_pack_of_oracles(shapes):
     vocab = small_vocab(6)
     assert_same_bytes(
         pack([flatten(t, vocab, f"f{i}") for i, t in enumerate(trees)]),
-        pack([FlatTree(**oracles.post_order_flat(t, vocab, f"f{i}"))
-              for i, t in enumerate(trees)]))
+        oracles.level_pack([FlatTree(**oracles.post_order_flat(t, vocab, f"f{i}"))
+                            for i, t in enumerate(trees)]))
 
 
 def test_forward_root_matches_encode_then_t_lstm():
@@ -226,7 +227,7 @@ def test_non_finite_forward_raises():
 
 
 def test_sample_masks_values_and_validation():
-    flat = flatten(node(0, (node(1), node(2))), small_vocab(3))
+    flat = lone(node(0, (node(1), node(2))), small_vocab(3))
     rng = np.random.default_rng(0)
     masks = sample_masks(flat, 0.5, d=4, hidden_dim=3, rng=rng)
     assert masks.w.shape == (3, 4) and masks.agg.shape == (3, 3)
@@ -243,7 +244,7 @@ def test_sample_masks_values_and_validation():
 def test_identity_masks_do_not_change_forward():
     model = scaled_model(vocab_size=6, d=3, hidden_dim=3, seed=7)
     tree = random_tree(np.random.default_rng(8), vocab_size=6, max_nodes=10)
-    flat = flatten(tree, model.vocab)
+    flat = lone(tree, model.vocab)
     ones = DropoutMasks(np.ones((flat.n, model.d)), np.ones((flat.n, model.hidden_dim)))
     plain = forward(flat, model)
     masked = forward(flat, model, ones)
@@ -255,7 +256,7 @@ def _finite_difference_worst(tree, model, masks=None, eps=1e-5):
     """Worst per-element relative error between backward() and central
     differences of loss(theta) = sum of all hidden states. `tree` may also
     be a FlatTree, such as a pack."""
-    flat = tree if isinstance(tree, FlatTree) else flatten(tree, model.vocab)
+    flat = tree if isinstance(tree, FlatTree) else lone(tree, model.vocab)
     params = model.params
 
     def loss():
@@ -297,7 +298,7 @@ def test_backward_with_dropout_masks_matches_finite_differences():
     rng = np.random.default_rng(22)
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=11)
     tree = random_tree(rng, vocab_size=5, max_nodes=8, min_nodes=4)
-    flat = flatten(tree, model.vocab)
+    flat = lone(tree, model.vocab)
     masks = sample_masks(flat, 0.5, model.d, model.hidden_dim, np.random.default_rng(7))
     assert _finite_difference_worst(tree, model, masks) < 1e-4
 
@@ -305,7 +306,7 @@ def test_backward_with_dropout_masks_matches_finite_differences():
 def test_backward_refuses_an_embedding_gradient_it_would_copy():
     # the embedding scatter runs on a 1-D view; a copy would drop the update
     model = scaled_model(vocab_size=5, d=2, hidden_dim=2, seed=9)
-    flat = flatten(random_tree(np.random.default_rng(21), 5, 8, 4), model.vocab)
+    flat = lone(random_tree(np.random.default_rng(21), 5, 8, 4), model.vocab)
     cache = forward(flat, model)
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     grads["embeddings"] = np.asfortranarray(grads["embeddings"])
@@ -533,8 +534,9 @@ def test_masked_pack_backward_matches_finite_differences():
 def test_per_pack_masks_equal_the_per_tree_draws(sizes, pack_nodes, d, hidden_dim, rate,
                                                  seed):
     rng = np.random.default_rng(seed)
-    flats = [flatten(random_tree(rng, 5, max_nodes=m, min_nodes=m), small_vocab(5))
-             for m in sizes]
+    trees = [random_tree(rng, 5, max_nodes=m, min_nodes=m) for m in sizes]
+    flats = [flatten(tree, small_vocab(5)) for tree in trees]
+    alone = [FlatTree(**oracles.post_order_flat(tree, small_vocab(5))) for tree in trees]
     with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
         cut = list(packs(flats))
     assert sum(flat.n_trees for flat in cut) == len(flats)
@@ -542,7 +544,7 @@ def test_per_pack_masks_equal_the_per_tree_draws(sizes, pack_nodes, d, hidden_di
     start = 0
     for flat in cut:
         masks = sample_masks(flat, rate, d, hidden_dim, new_rng)
-        w, agg = oracles.per_tree_packed_masks(flats[start:start + flat.n_trees], rate, d,
+        w, agg = oracles.per_tree_packed_masks(alone[start:start + flat.n_trees], rate, d,
                                                hidden_dim, old_rng)
         start += flat.n_trees
         assert masks.w.shape == w.shape and masks.w.tobytes() == w.tobytes()
@@ -581,14 +583,17 @@ def test_level_loop_keeps_the_bytes_of_its_reference(shapes, d, hidden_dim, rate
                                                      seed):
     rng = np.random.default_rng(seed)
     model = scaled_model(vocab_size=8, d=d, hidden_dim=hidden_dim, seed=seed % 997)
-    flats = [flatten(tree_from_parents(shape), model.vocab, f"f{i}.mini")
-             for i, shape in enumerate(shapes)]
+    trees = [tree_from_parents(shape) for shape in shapes]
+    flats = [flatten(tree, model.vocab, f"f{i}.mini") for i, tree in enumerate(trees)]
+    alone = [FlatTree(**oracles.post_order_flat(tree, model.vocab, f"f{i}.mini"))
+             for i, tree in enumerate(trees)]
     with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
         cut = list(packs(flats))
     start = 0
     for flat in cut:
-        assert_same_bytes(flat, oracles.level_pack(flats[start:start + flat.n_trees]))
-        assert flat.n_internal == np.count_nonzero(flat.height)
+        assert_same_bytes(flat, oracles.level_pack(alone[start:start + flat.n_trees]))
+        assert sum(f.n_internal for f in flats[start:start + flat.n_trees]) == np.count_nonzero(
+            flat.height)
         start += flat.n_trees
         masks = None if rate is None else sample_masks(flat, rate, d, hidden_dim, rng)
         got, want = forward(flat, model, masks), oracles.level_forward(flat, model, masks)
@@ -635,19 +640,27 @@ _SHARED = ([[(6, 0), (0, 0)], [(2, 1), (3, 1), (7, 2)]], [(7, [0, 1, 0]), (0, [1
 
 @pytest.mark.filterwarnings("ignore:embedding dimension")
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_POOL, _FILES, st.integers(1, 64), st.integers(1, 64),
+@given(_POOL, _FILES, st.integers(1, 100), st.integers(1, 100),
        st.integers(1, 64) | st.just(treelstm.PACK_NODES), st.integers(0, 2**32 - 1))
 @example(*_SHARED, 64, 64, treelstm.PACK_NODES, 0)
 @example(*_SHARED, 17, 33, 1, 1)   # widths at which a plain row-count-dependent product differs
 @example(*_SHARED, 1, 2, 3, 2)
+@example(*_SHARED, 100, 100, 2, 4)
 @example([[]], [(1, [])] * 5, 16, 16, 2, 3)  # identical single-node files, cut into packs
 def test_forward_root_rows_depend_only_on_the_file_and_the_model(pool, files, d, hidden_dim,
                                                                  pack_nodes, seed):
     model = scaled_model(vocab_size=6, d=d, hidden_dim=hidden_dim, seed=seed % 997, scale=0.3)
     records = _corpus(pool, files)
+    # equal trees whose roots were never flattened, hand-built or read back
+    # from a document, beside roots whose structure is cached by then
+    fresh = [FileRecord(r.file_id, "p", "1", 0, read_back(r.tree) if i % 3 == 1 else r.tree)
+             for i, r in enumerate(_corpus(pool, files))]
     with mock.patch.object(treelstm, "PACK_NODES", pack_nodes):
         corpus = forward_root(records, model)
-        others = (forward_root(records[::-1], model)[::-1],
+        assert all(r.tree._structure is None for r in fresh)
+        mixed = [fresh[i] if i % 3 else records[i] for i in range(len(records))]
+        others = (forward_root(mixed, model),
+                  forward_root(records[::-1], model)[::-1],
                   np.concatenate([forward_root([record], model) for record in records]),
                   oracles.pack_forward_root(records, model))
     for rows in others:
